@@ -8,7 +8,7 @@
 use qda_bench::results::{BenchResults, BenchRow};
 use qda_bench::runner::{emit_results, parse_args, secs};
 use qda_core::design::Design;
-use qda_core::flow::{EsopFlow, Flow, FrontendCache};
+use qda_core::flow::{EsopFlow, Flow, FlowBudget, FrontendCache};
 use qda_core::report::{group_digits, Table};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
                 let frontend = cache
                     .get_or_compute(&design, &flow.frontend_options())
                     .expect("frontend");
-                match flow.run_with_frontend(&design, &frontend) {
+                match flow.run_with_frontend(&design, &frontend, &FlowBudget::unlimited()) {
                     Ok(o) => {
                         results.push(BenchRow::from_outcome(label, n, &o));
                         table.add_row(vec![

@@ -4,13 +4,15 @@
 //! (number of quantum operations), or runtime of the design flow").
 
 use crate::design::Design;
-use crate::flow::{Flow, FlowError, FlowOutcome, FrontendCache};
+use crate::flow::{
+    Flow, FlowBudget, FlowError, FlowOutcome, FrontendCache, PostPasses, Synthesized,
+};
+use qda_analyze::CircuitInterface;
 use qda_logic::par;
 use qda_rev::circuit::Circuit;
 use qda_rev::cost::CircuitCost;
-use qda_rev::opt::{optimize_checked_assuming, OptOptions, OptStats};
-use qda_rev::resynth::{ResynthOptions, ResynthStats};
-use qda_revsynth::resynth::resynthesize_circuit_checked;
+use qda_rev::opt::OptStats;
+use qda_rev::resynth::ResynthStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -45,7 +47,7 @@ pub fn default_workers() -> usize {
 /// let mut dse = DesignSpaceExplorer::new();
 /// dse.add_flow(Box::new(FunctionalFlow::default()));
 /// dse.add_flow(Box::new(EsopFlow::with_factoring(0)));
-/// dse.explore(&Design::intdiv(4));
+/// dse.explore_matrix(&[Design::intdiv(4)], 1);
 /// let best = dse.best(Objective::Qubits).expect("at least one success");
 /// assert_eq!(best.cost.qubits, 7); // TBS wins on qubits
 /// ```
@@ -65,16 +67,6 @@ impl DesignSpaceExplorer {
     /// Registers a flow.
     pub fn add_flow(&mut self, flow: Box<dyn Flow>) {
         self.flows.push(flow);
-    }
-
-    /// Runs every registered flow on `design`, collecting successes and
-    /// failures. Returns the number of successful outcomes added.
-    ///
-    /// The shared front end (parse → elaborate → AIG optimization) is
-    /// computed once and reused by every flow that asks for the same
-    /// optimization options.
-    pub fn explore(&mut self, design: &Design) -> usize {
-        self.explore_matrix(std::slice::from_ref(design), 1)
     }
 
     /// Runs the full flow × design matrix, sharding jobs through the
@@ -104,7 +96,9 @@ impl DesignSpaceExplorer {
                 // flow) pair must not force a front-end computation.
                 flow.precheck(design)
                     .and_then(|()| cache.get_or_compute(design, &flow.frontend_options()))
-                    .and_then(|frontend| flow.run_with_frontend(design, &frontend))
+                    .and_then(|frontend| {
+                        flow.run_with_frontend(design, &frontend, &FlowBudget::unlimited())
+                    })
                     .map_err(|e| (flow.name(), e))
             })
         });
@@ -206,7 +200,9 @@ impl DesignSpaceExplorer {
                 let result = raw
                     .precheck(design)
                     .and_then(|()| cache.get_or_compute(design, &raw.frontend_options()))
-                    .and_then(|frontend| raw.run_with_frontend(design, &frontend))
+                    .and_then(|frontend| {
+                        raw.run_with_frontend(design, &frontend, &FlowBudget::unlimited())
+                    })
                     .map_err(|e| (raw.name(), e));
                 if let Ok(outcome) = &result {
                     best_raw_t[design_idx].fetch_min(outcome.cost.t_count, Ordering::Relaxed);
@@ -290,67 +286,41 @@ fn portfolio_row(
     }
 }
 
-/// Applies the requested post-synthesis passes to a raw outcome. Both
-/// passes carry their own equivalence gates, and the refined circuit is
-/// statically linted, so every portfolio row is machine-checked against
-/// the raw one.
+/// Applies the requested post-synthesis passes to a raw outcome through
+/// the flows' own post-synthesis step ([`Synthesized::post_process`]):
+/// both passes carry their own equivalence gates, and the refined circuit
+/// is statically linted, so every portfolio row is machine-checked
+/// against the raw one.
 fn refine(
     raw: &FlowOutcome,
     post_opt: bool,
     post_resynth: bool,
 ) -> Result<PortfolioOutcome, (String, FlowError)> {
     let start = Instant::now();
-    let mut circuit = raw.circuit.clone();
-    let mut opt_stats = None;
-    let mut resynth_stats = None;
-    // Same contract as the in-flow back half: non-input lines start at
-    // |0⟩ (which unlocks the constant-propagation rules and restricts
-    // the equivalence check to the states the flow is verified on).
-    // `require_clean` is false because the flow's cleanliness promise is
-    // not recorded on the raw outcome — an under-approximation, never a
-    // false denial.
-    let interface = qda_analyze::CircuitInterface::hierarchical(
-        circuit.num_lines(),
+    // Non-input lines start at |0⟩ (which unlocks the constant-propagation
+    // rules and restricts the equivalence check to the states the flow is
+    // verified on). `require_clean` is false because the flow's
+    // cleanliness promise is not recorded on the raw outcome — an
+    // under-approximation, never a false denial.
+    let interface = CircuitInterface::hierarchical(
+        raw.circuit.num_lines(),
         raw.input_lines.clone(),
         raw.output_lines.clone(),
         false,
     );
-    if post_opt {
-        match optimize_checked_assuming(&circuit, &OptOptions::default(), &interface.zero_lines()) {
-            Ok(optimized) => {
-                circuit = optimized.circuit;
-                opt_stats = Some(optimized.stats);
-            }
-            Err(witness) => {
-                return Err((
-                    configuration_name(&raw.flow_name, post_opt, post_resynth),
-                    FlowError::PostOptUnsound { witness },
-                ))
-            }
-        }
-    }
-    if post_resynth {
-        match resynthesize_circuit_checked(&circuit, &ResynthOptions::default()) {
-            Ok(r) => {
-                circuit = r.circuit;
-                resynth_stats = Some(r.stats);
-            }
-            Err(witness) => {
-                return Err((
-                    configuration_name(&raw.flow_name, post_opt, post_resynth),
-                    FlowError::ResynthUnsound { witness },
-                ))
-            }
-        }
-    }
-    let report = qda_analyze::analyze(&circuit, &interface);
-    if !report.is_clean(qda_analyze::Severity::Deny) {
-        return Err((
-            configuration_name(&raw.flow_name, post_opt, post_resynth),
-            FlowError::AnalysisViolation { report },
-        ));
-    }
-    let cost = circuit.cost();
+    let passes = PostPasses {
+        opt: post_opt,
+        resynth: post_resynth,
+        analyze: true,
+    };
+    let name = || configuration_name(&raw.flow_name, post_opt, post_resynth);
+    let synthesized = Synthesized {
+        circuit: raw.circuit.clone(),
+        interface,
+    };
+    let post = synthesized
+        .post_process(passes, &FlowBudget::unlimited())
+        .map_err(|e| (name(), e))?;
     Ok(PortfolioOutcome {
         design: raw.design,
         flow_name: raw.flow_name.clone(),
@@ -358,10 +328,10 @@ fn refine(
         post_resynth,
         cut_off: false,
         raw_cost: raw.cost,
-        cost,
-        circuit,
-        opt_stats,
-        resynth_stats,
+        cost: post.cost,
+        circuit: post.circuit,
+        opt_stats: post.opt_stats,
+        resynth_stats: post.resynth_stats,
         runtime: start.elapsed(),
     })
 }
@@ -446,7 +416,7 @@ mod tests {
         dse.add_flow(Box::new(FunctionalFlow::default()));
         dse.add_flow(Box::new(EsopFlow::with_factoring(0)));
         dse.add_flow(Box::new(HierarchicalFlow::default()));
-        dse.explore(&Design::intdiv(n));
+        dse.explore_matrix(&[Design::intdiv(n)], 1);
         dse
     }
 
@@ -484,7 +454,7 @@ mod tests {
     fn failures_are_recorded_not_fatal() {
         let mut dse = DesignSpaceExplorer::new();
         dse.add_flow(Box::new(FunctionalFlow::default()));
-        let added = dse.explore(&Design::intdiv(16)); // too large for TBS
+        let added = dse.explore_matrix(&[Design::intdiv(16)], 1); // too large for TBS
         assert_eq!(added, 0);
         assert_eq!(dse.failures().len(), 1);
     }
@@ -568,6 +538,48 @@ mod tests {
             .filter(|o| o.flow_name.contains("hierarchical"))
             .collect();
         assert!(hier.iter().all(|o| !o.cut_off), "the leader always runs");
+    }
+
+    #[test]
+    fn refinement_reproduces_the_flows_own_post_synthesis() {
+        let esop = EsopFlow::with_factoring(0);
+        let hier = HierarchicalFlow::default();
+        let mut dse = DesignSpaceExplorer::new();
+        dse.add_flow(Box::new(esop.clone()));
+        dse.add_flow(Box::new(hier.clone()));
+        let p = dse.explore_portfolio(&[Design::intdiv(4), Design::newton(4)], 1);
+        assert!(p.failures.is_empty());
+        let mut refined = Vec::new();
+        for row in p.outcomes.iter().filter(|o| !o.cut_off) {
+            let (post_opt, post_resynth) = (row.post_opt, row.post_resynth);
+            let flow: Box<dyn Flow> = if row.flow_name == esop.name() {
+                Box::new(EsopFlow {
+                    post_opt,
+                    post_resynth,
+                    ..esop.clone()
+                })
+            } else {
+                Box::new(HierarchicalFlow {
+                    post_opt,
+                    post_resynth,
+                    ..hier.clone()
+                })
+            };
+            let outcome = flow.run(&row.design).unwrap();
+            assert_eq!(
+                outcome.circuit,
+                row.circuit,
+                "{} on {}",
+                configuration_name(&row.flow_name, post_opt, post_resynth),
+                row.design
+            );
+            if post_opt || post_resynth {
+                refined.push(row.flow_name.clone());
+            }
+        }
+        for flow in [esop.name(), hier.name()] {
+            assert!(refined.contains(&flow), "no refinement of {flow} compared");
+        }
     }
 
     #[test]

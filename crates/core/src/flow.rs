@@ -17,26 +17,37 @@
 //! memoizes it across flows and worker threads. [`Flow::run`] remains the
 //! self-contained entry point (it computes its own front end).
 //!
-//! The back of the pipeline is shared too: every flow routes its raw
-//! synthesis output through the post-synthesis peephole optimizer
-//! (`qda_rev::opt`, the `post_opt` flag, default on) and optionally the
-//! windowed resynthesis pass (`qda_rev::resynth`, the `post_resynth`
-//! flag — default off, on for the hierarchical flow whose Bennett
-//! cascades carry the beyond-peephole redundancy it targets) before
-//! costing and verification. Each pass is equivalence-checked against
-//! its input circuit by batch simulation, so a bad rewrite fails the
-//! flow ([`FlowError::PostOptUnsound`] / [`FlowError::ResynthUnsound`])
-//! instead of skewing the tables. The optimizer runs with the flow's
-//! zero-line assumption (ancillae start at |0⟩), unlocking the
-//! constant-propagation rules, and its equivalence check is restricted
-//! to exactly that state space.
+//! A flow implements only its synthesis step ([`Flow::synthesize`]: the
+//! raw circuit plus the [`CircuitInterface`] it was built against) and
+//! reports its post-synthesis switches ([`Flow::passes`]). The provided
+//! driver, [`Flow::run_with_frontend`], runs every flow the same way:
+//! precheck → synthesis → [`Synthesized::post_process`] → verification →
+//! cost, timing each stage into [`StageTimings`] and checking the
+//! caller's [`FlowBudget`] deadline before each one.
 //!
-//! Finally the `analyze` stage (the `analyze` flag, default on) runs the
-//! static linter of `qda-analyze` on every opt/resynth output — and, for
-//! the hierarchical flow, the ancilla release discipline on the raw
-//! synthesis output, where the recorded release positions are valid.
-//! Warnings surface in [`FlowOutcome::analysis`]; deny-level findings
-//! abort the flow with [`FlowError::AnalysisViolation`].
+//! [`Synthesized::post_process`] is the one post-synthesis step, shared
+//! by the flows, the portfolio refinement of design space exploration
+//! and the `qda-server` `.real` service. It routes the raw circuit
+//! through the peephole optimizer (`qda_rev::opt`, the `post_opt` flag,
+//! default on) and optionally the windowed resynthesis pass
+//! (`qda_rev::resynth`, the `post_resynth` flag — default off, on for the
+//! hierarchical flow whose Bennett cascades carry the beyond-peephole
+//! redundancy it targets). Each pass is equivalence-checked against its
+//! input circuit by batch simulation, so a bad rewrite fails the flow
+//! ([`FlowError::PostOptUnsound`] / [`FlowError::ResynthUnsound`])
+//! instead of skewing the tables. The optimizer runs with the
+//! interface's zero-line assumption (ancillae start at |0⟩), unlocking
+//! the constant-propagation rules, and its equivalence check is
+//! restricted to exactly that state space.
+//!
+//! The step's `analyze` stage (the `analyze` flag, default on) runs the
+//! static linter of `qda-analyze` on the opt/resynth output — and, when
+//! the interface records ancilla releases (the hierarchical flow), the
+//! release discipline on the raw synthesis output, where the recorded
+//! release positions are valid. Warnings surface in
+//! [`FlowOutcome::analysis`]; deny-level findings abort the flow with
+//! [`FlowError::AnalysisViolation`]. Last, the result is checked against
+//! the budget's size caps ([`FlowError::OverBudget`]).
 
 use crate::design::Design;
 use qda_analyze::{CircuitInterface, Code, Report, Severity};
@@ -54,6 +65,7 @@ use qda_rev::resynth::{ResynthOptions, ResynthStats};
 use qda_revsynth::embed::optimum_embedding;
 use qda_revsynth::esop::{synthesize_esop, EsopSynthOptions};
 use qda_revsynth::hierarchical::{synthesize_xmg, CleanupStrategy, HierarchicalOptions};
+use qda_revsynth::resynth::resynthesize_circuit_checked;
 use qda_revsynth::tbs::{transformation_based_synthesis, TbsDirection};
 use qda_verilog::VerilogError;
 use std::collections::HashMap;
@@ -108,6 +120,11 @@ pub enum FlowError {
         /// The full analysis report; at least one deny-level diagnostic.
         report: Report,
     },
+    /// The [`FlowBudget`] deadline passed; the run stopped at the next
+    /// stage boundary.
+    DeadlineExceeded,
+    /// The result exceeds a [`FlowBudget`] size cap.
+    OverBudget(BudgetViolation),
 }
 
 impl fmt::Display for FlowError {
@@ -133,6 +150,11 @@ impl fmt::Display for FlowError {
                     .collect();
                 write!(f, "static analysis violation: {}", denials.join("; "))
             }
+            FlowError::DeadlineExceeded => write!(
+                f,
+                "deadline exceeded before completion; work abandoned at a stage boundary"
+            ),
+            FlowError::OverBudget(violation) => write!(f, "{violation}"),
         }
     }
 }
@@ -244,13 +266,13 @@ pub struct FlowOutcome {
 ///
 /// ```
 /// use qda_core::design::Design;
-/// use qda_core::flow::{compute_frontend, EsopFlow, Flow};
+/// use qda_core::flow::{compute_frontend, EsopFlow, Flow, FlowBudget};
 /// use qda_classical::rewrite::OptimizeOptions;
 ///
 /// let design = Design::intdiv(5);
 /// let frontend = compute_frontend(&design, &OptimizeOptions::default())?;
 /// let flow = EsopFlow::with_factoring(0);
-/// let outcome = flow.run_with_frontend(&design, &frontend)?;
+/// let outcome = flow.run_with_frontend(&design, &frontend, &FlowBudget::unlimited())?;
 /// assert_eq!(outcome.cost.qubits, 10);
 /// # Ok::<(), qda_core::flow::FlowError>(())
 /// ```
@@ -369,12 +391,12 @@ impl FrontendCache {
 
 /// Per-run resource budget: result-size caps plus a wall-clock deadline.
 ///
-/// The flow stages themselves stay budget-oblivious; a serving shell
-/// checks the budget at the stage boundaries it controls
-/// ([`FlowBudget::expired`] before spending work, [`FlowBudget::check_cost`]
-/// on the synthesized circuit), which keeps cancellation cooperative — a
-/// job is abandoned between stages instead of tearing threads down
-/// mid-rewrite.
+/// [`Flow::run_with_frontend`] checks the deadline before each stage and
+/// [`Synthesized::post_process`] checks the caps on the post-processed
+/// circuit, before verification spends work on it. Violations come back
+/// as [`FlowError::DeadlineExceeded`] / [`FlowError::OverBudget`].
+/// Cancellation is cooperative: a run stops between stages instead of
+/// tearing threads down mid-rewrite.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlowBudget {
     /// Reject results with more gates than this.
@@ -404,6 +426,14 @@ impl FlowBudget {
     /// next stage boundary.
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// [`FlowBudget::expired`] as the driver's stage-boundary error.
+    fn check_deadline(&self) -> Result<(), FlowError> {
+        if self.expired() {
+            return Err(FlowError::DeadlineExceeded);
+        }
+        Ok(())
     }
 
     /// Checks a synthesized circuit's cost against the size caps.
@@ -477,6 +507,10 @@ impl std::error::Error for BudgetViolation {}
 
 /// A design flow: Verilog design in, verified reversible circuit out.
 ///
+/// A flow implements its synthesis step ([`Flow::synthesize`]) and
+/// reports its post-synthesis switches ([`Flow::passes`]); the provided
+/// [`Flow::run_with_frontend`] drives every flow through the same stages.
+///
 /// `Send + Sync` so a set of flows can be dispatched across worker
 /// threads (the implementations are plain option structs).
 pub trait Flow: Send + Sync {
@@ -499,17 +533,70 @@ pub trait Flow: Send + Sync {
         Ok(())
     }
 
-    /// Runs the back half of the flow on a precomputed front end.
+    /// The flow's own synthesis step: the optimized AIG of `design` in, the
+    /// raw reversible circuit and the interface it was built against out.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError`] when the design cannot be synthesized
+    /// (e.g. a BDD blow-up).
+    fn synthesize(&self, design: &Design, aig: &Aig) -> Result<Synthesized, FlowError>;
+
+    /// The flow's `post_opt` / `post_resynth` / `analyze` switches.
+    fn passes(&self) -> PostPasses;
+
+    /// Runs the back half of the flow on a precomputed front end:
+    /// precheck → synthesis → [`Synthesized::post_process`] →
+    /// verification → cost, checking the `budget` deadline before each
+    /// stage.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError`] when the design cannot be processed
-    /// (resource blow-up) or the result fails verification.
+    /// (resource blow-up), the result fails verification, or the run
+    /// exceeds `budget`.
     fn run_with_frontend(
         &self,
         design: &Design,
         frontend: &FrontendArtifacts,
-    ) -> Result<FlowOutcome, FlowError>;
+        budget: &FlowBudget,
+    ) -> Result<FlowOutcome, FlowError> {
+        self.precheck(design)?;
+        budget.check_deadline()?;
+        let start = Instant::now();
+        let raw = self.synthesize(design, &frontend.aig)?;
+        let synthesis = start.elapsed();
+        let post = raw.post_process(self.passes(), budget)?;
+        budget.check_deadline()?;
+        let start = Instant::now();
+        let verification = verify(&post.circuit, &post.interface, &frontend.aig);
+        if !verification.is_ok() {
+            return Err(FlowError::VerificationFailed {
+                outcome: verification,
+            });
+        }
+        let stages = StageTimings {
+            parse_elaborate: frontend.parse_elaborate,
+            optimize: frontend.optimize,
+            synthesis,
+            verification: start.elapsed(),
+            ..post.stages
+        };
+        Ok(FlowOutcome {
+            design: *design,
+            flow_name: self.name(),
+            circuit: post.circuit,
+            input_lines: post.interface.input_lines,
+            output_lines: post.interface.output_lines,
+            cost: post.cost,
+            opt_stats: post.opt_stats,
+            resynth_stats: post.resynth_stats,
+            analysis: post.analysis,
+            runtime: stages.total(),
+            stages,
+            verification,
+        })
+    }
 
     /// Runs the full flow, computing its own front end.
     ///
@@ -519,7 +606,7 @@ pub trait Flow: Send + Sync {
     fn run(&self, design: &Design) -> Result<FlowOutcome, FlowError> {
         self.precheck(design)?;
         let frontend = compute_frontend(design, &self.frontend_options())?;
-        self.run_with_frontend(design, &frontend)
+        self.run_with_frontend(design, &frontend, &FlowBudget::unlimited())
     }
 
     /// A copy of this flow with both post-synthesis passes (`post_opt`,
@@ -533,94 +620,161 @@ pub trait Flow: Send + Sync {
     }
 }
 
-/// Optimizes (when requested), statically analyzes, and verifies a
-/// circuit against the design AIG, then assembles the outcome.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    design: &Design,
-    flow_name: String,
-    circuit: Circuit,
-    input_lines: Vec<usize>,
-    output_lines: Vec<usize>,
-    frontend: &FrontendArtifacts,
-    synthesis_start: Instant,
-    check_clean: bool,
-    post_opt: bool,
-    post_resynth: bool,
-    run_analysis: bool,
-    releases: &[(usize, usize)],
-) -> Result<FlowOutcome, FlowError> {
-    let synthesis = synthesis_start.elapsed();
-    // The contract every back-half stage works against: non-input lines
-    // start at |0⟩; ancillae must end clean when the flow says so.
-    let interface = CircuitInterface::hierarchical(
-        circuit.num_lines(),
-        input_lines.clone(),
-        output_lines.clone(),
-        check_clean,
-    );
-    let mut analyze_time = Duration::ZERO;
-    // Ancilla release discipline is checked on the *raw* synthesis
-    // output: the recorded release positions index its gate list, which
-    // opt/resynth would invalidate.
-    let mut release_diags = Vec::new();
-    if run_analysis && !releases.is_empty() {
-        let start = Instant::now();
-        let raw_iface = interface.clone().with_releases(releases.to_vec());
-        let raw_report = qda_analyze::analyze(&circuit, &raw_iface);
-        release_diags = raw_report
-            .diagnostics
-            .into_iter()
-            .filter(|d| matches!(d.code, Code::UseAfterRelease | Code::ReleaseOfLive))
-            .collect();
-        analyze_time += start.elapsed();
+/// A raw synthesis output: the circuit and the contract it was
+/// synthesized against — non-input lines start at |0⟩, ancillae must
+/// end clean when `require_clean` says so, and any recorded release
+/// events index this circuit's gate list.
+#[derive(Clone, Debug)]
+pub struct Synthesized {
+    /// The raw reversible circuit.
+    pub circuit: Circuit,
+    /// Its interface.
+    pub interface: CircuitInterface,
+}
+
+/// Which passes [`Synthesized::post_process`] runs: a flow's `post_opt`,
+/// `post_resynth` and `analyze` switches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PostPasses {
+    /// Run the peephole optimizer.
+    pub opt: bool,
+    /// Run the windowed resynthesis pass.
+    pub resynth: bool,
+    /// Run the static analyzer and its deny gate.
+    pub analyze: bool,
+}
+
+/// What [`Synthesized::post_process`] produced.
+#[derive(Clone, Debug)]
+pub struct PostProcessed {
+    /// The final circuit.
+    pub circuit: Circuit,
+    /// The raw interface without its release events (opt/resynth
+    /// invalidate their gate positions).
+    pub interface: CircuitInterface,
+    /// Cost of the final circuit, within the budget's caps.
+    pub cost: CircuitCost,
+    /// Peephole optimizer statistics (when it ran).
+    pub opt_stats: Option<OptStats>,
+    /// Resynthesis statistics (when it ran).
+    pub resynth_stats: Option<ResynthStats>,
+    /// Deny-clean analysis report (when the analyzer ran).
+    pub analysis: Option<Report>,
+    /// The `post_opt`, `resynth` and `analyze` stage times; the other
+    /// entries are zero.
+    pub stages: StageTimings,
+}
+
+impl Synthesized {
+    /// The post-synthesis step: release check → peephole optimization →
+    /// windowed resynthesis → static analysis with its deny gate → size
+    /// caps, each pass as `passes` asks. The `budget` deadline is checked
+    /// before each pass, the caps on the final cost.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::PostOptUnsound`] / [`FlowError::ResynthUnsound`] when
+    /// a pass changed the circuit function,
+    /// [`FlowError::AnalysisViolation`] on a deny-level finding, and
+    /// [`FlowError::DeadlineExceeded`] / [`FlowError::OverBudget`] when
+    /// `budget` is exceeded.
+    pub fn post_process(
+        self,
+        passes: PostPasses,
+        budget: &FlowBudget,
+    ) -> Result<PostProcessed, FlowError> {
+        let Synthesized {
+            mut circuit,
+            interface,
+        } = self;
+        let mut stages = StageTimings::default();
+        // Ancilla release discipline is checked on the *raw* synthesis
+        // output: the recorded release positions index its gate list,
+        // which opt/resynth would invalidate.
+        let mut release_diags = Vec::new();
+        if passes.analyze && !interface.releases.is_empty() {
+            budget.check_deadline()?;
+            let start = Instant::now();
+            release_diags = qda_analyze::analyze(&circuit, &interface)
+                .diagnostics
+                .into_iter()
+                .filter(|d| matches!(d.code, Code::UseAfterRelease | Code::ReleaseOfLive))
+                .collect();
+            stages.analyze += start.elapsed();
+        }
+        let interface = CircuitInterface {
+            releases: Vec::new(),
+            ..interface
+        };
+        // Peephole optimization, run under the |0⟩-start assumption so
+        // the constant-propagation rules fire. Every run is
+        // equivalence-checked against its input by batch simulation over
+        // exactly the assumed state space, so an optimizer bug aborts
+        // with a witness instead of corrupting the report.
+        let mut opt_stats = None;
+        if passes.opt {
+            budget.check_deadline()?;
+            let start = Instant::now();
+            let optimized = optimize_checked_assuming(
+                &circuit,
+                &OptOptions::default(),
+                &interface.zero_lines(),
+            )
+            .map_err(|witness| FlowError::PostOptUnsound { witness })?;
+            circuit = optimized.circuit;
+            opt_stats = Some(optimized.stats);
+            stages.post_opt = start.elapsed();
+        }
+        // Windowed resynthesis: the whole rewritten circuit is
+        // equivalence-checked against its input before costing.
+        let mut resynth_stats = None;
+        if passes.resynth {
+            budget.check_deadline()?;
+            let start = Instant::now();
+            let resynthesized = resynthesize_circuit_checked(&circuit, &ResynthOptions::default())
+                .map_err(|witness| FlowError::ResynthUnsound { witness })?;
+            circuit = resynthesized.circuit;
+            resynth_stats = Some(resynthesized.stats);
+            stages.resynth = start.elapsed();
+        }
+        // Static analysis of the final circuit. Deny-level findings are
+        // proven contract violations and abort; warnings and notes ride
+        // along in the report.
+        let mut analysis = None;
+        if passes.analyze {
+            budget.check_deadline()?;
+            let start = Instant::now();
+            let mut report = qda_analyze::analyze(&circuit, &interface);
+            report.diagnostics.splice(0..0, release_diags);
+            stages.analyze += start.elapsed();
+            if !report.is_clean(Severity::Deny) {
+                return Err(FlowError::AnalysisViolation { report });
+            }
+            analysis = Some(report);
+        }
+        let cost = circuit.cost();
+        budget.check_cost(&cost).map_err(FlowError::OverBudget)?;
+        Ok(PostProcessed {
+            circuit,
+            interface,
+            cost,
+            opt_stats,
+            resynth_stats,
+            analysis,
+            stages,
+        })
     }
-    // Post-synthesis peephole optimization, run under the |0⟩-start
-    // assumption so the constant-propagation rules fire. Every run is
-    // equivalence-checked against the raw synthesis output by batch
-    // simulation over exactly the assumed state space, so an optimizer
-    // bug aborts the flow with a witness instead of corrupting the
-    // report.
-    let (circuit, opt_stats, post_opt_time) = if post_opt {
-        let start = Instant::now();
-        match optimize_checked_assuming(&circuit, &OptOptions::default(), &interface.zero_lines()) {
-            Ok(optimized) => (optimized.circuit, Some(optimized.stats), start.elapsed()),
-            Err(witness) => return Err(FlowError::PostOptUnsound { witness }),
-        }
-    } else {
-        (circuit, None, Duration::ZERO)
-    };
-    // Windowed resynthesis, under the same contract: the whole rewritten
-    // circuit is equivalence-checked against its input before costing.
-    let (circuit, resynth_stats, resynth_time) = if post_resynth {
-        let start = Instant::now();
-        match qda_revsynth::resynth::resynthesize_circuit_checked(
-            &circuit,
-            &ResynthOptions::default(),
-        ) {
-            Ok(r) => (r.circuit, Some(r.stats), start.elapsed()),
-            Err(witness) => return Err(FlowError::ResynthUnsound { witness }),
-        }
-    } else {
-        (circuit, None, Duration::ZERO)
-    };
-    // Static analysis of the final circuit (whatever combination of
-    // opt/resynth produced it). Deny-level findings are proven contract
-    // violations and abort the flow; warnings and notes ride along in
-    // the outcome.
-    let analysis = if run_analysis {
-        let start = Instant::now();
-        let mut report = qda_analyze::analyze(&circuit, &interface);
-        report.diagnostics.splice(0..0, release_diags);
-        analyze_time += start.elapsed();
-        if !report.is_clean(Severity::Deny) {
-            return Err(FlowError::AnalysisViolation { report });
-        }
-        Some(report)
-    } else {
-        None
-    };
-    let aig = &frontend.aig;
+}
+
+/// Checks a final circuit against the design AIG on the interface's
+/// input and output registers.
+fn verify(circuit: &Circuit, interface: &CircuitInterface, aig: &Aig) -> VerifyOutcome {
+    // The simulation harness reads I/O through 64-bit registers; the
+    // paper's largest instance (n = 128) exceeds that, so verification is
+    // skipped there (the construction is the same as for verified sizes).
+    if interface.input_lines.len() > 64 || interface.output_lines.len() > 64 {
+        return VerifyOutcome::Skipped;
+    }
     // The bit-parallel batch engine makes a much larger verification
     // budget affordable than the scalar replay this stage started with
     // (exhaustive_limit 11 / 128 samples); its cost shows up as the
@@ -632,53 +786,16 @@ fn finish(
         exhaustive_limit: 14,
         random_samples: 1024,
         batch: true,
-        check_ancilla_clean: check_clean,
-        check_inputs_preserved: check_clean,
+        check_ancilla_clean: interface.require_clean,
+        check_inputs_preserved: interface.require_clean,
     };
-    let verification_start = Instant::now();
-    // The simulation harness reads I/O through 64-bit registers; the
-    // paper's largest instance (n = 128) exceeds that, so verification is
-    // skipped there (the construction is the same as for verified sizes).
-    let verification = if input_lines.len() > 64 || output_lines.len() > 64 {
-        VerifyOutcome::Skipped
-    } else {
-        verify_computes(
-            &circuit,
-            &input_lines,
-            &output_lines,
-            |x| aig.eval(x),
-            &options,
-        )
-    };
-    if !verification.is_ok() {
-        return Err(FlowError::VerificationFailed {
-            outcome: verification,
-        });
-    }
-    let stages = StageTimings {
-        parse_elaborate: frontend.parse_elaborate,
-        optimize: frontend.optimize,
-        synthesis,
-        post_opt: post_opt_time,
-        resynth: resynth_time,
-        analyze: analyze_time,
-        verification: verification_start.elapsed(),
-    };
-    let cost = circuit.cost();
-    Ok(FlowOutcome {
-        design: *design,
-        flow_name,
+    verify_computes(
         circuit,
-        input_lines,
-        output_lines,
-        cost,
-        opt_stats,
-        resynth_stats,
-        analysis,
-        runtime: stages.total(),
-        stages,
-        verification,
-    })
+        &interface.input_lines,
+        &interface.output_lines,
+        |x| aig.eval(x),
+        &options,
+    )
 }
 
 /// Flow 1 — symbolic functional synthesis (paper §IV-A):
@@ -728,59 +845,10 @@ impl Flow for FunctionalFlow {
         self.optimize
     }
 
-    fn precheck(&self, design: &Design) -> Result<(), FlowError> {
-        self.check_size(design)
-    }
-
-    fn raw_variant(&self) -> Option<Box<dyn Flow>> {
-        Some(Box::new(Self {
-            post_opt: false,
-            post_resynth: false,
-            ..self.clone()
-        }))
-    }
-
-    fn run_with_frontend(
-        &self,
-        design: &Design,
-        frontend: &FrontendArtifacts,
-    ) -> Result<FlowOutcome, FlowError> {
-        self.check_size(design)?;
-        let start = Instant::now();
-        let n = design.bits();
-        // "collapse": the explicit truth table is the BDD's semantics; the
-        // embedding enumerates it either way.
-        let tts = frontend.aig.to_truth_tables();
-        let embedding = optimum_embedding(&tts);
-        let circuit = transformation_based_synthesis(embedding.permutation(), self.direction);
-        let m = embedding.num_outputs();
-        // In-place circuit: inputs on the low n lines, outputs on the low
-        // m lines (our embedding convention).
-        let input_lines: Vec<usize> = (0..n).collect();
-        let output_lines: Vec<usize> = (0..m).collect();
-        finish(
-            design,
-            self.name(),
-            circuit,
-            input_lines,
-            output_lines,
-            frontend,
-            start,
-            false,
-            self.post_opt,
-            self.post_resynth,
-            self.analyze,
-            &[],
-        )
-    }
-}
-
-impl FunctionalFlow {
     /// Rejects instances beyond the explicit-permutation guard before any
     /// work is spent on them.
-    fn check_size(&self, design: &Design) -> Result<(), FlowError> {
-        let n = design.bits();
-        let lines = 2 * n - 1;
+    fn precheck(&self, design: &Design) -> Result<(), FlowError> {
+        let lines = design.bits().saturating_mul(2).saturating_sub(1);
         if lines > self.max_lines {
             // The same typed error the simulation layer raises for
             // over-wide explicit permutations, surfaced as a flow error
@@ -792,6 +860,38 @@ impl FunctionalFlow {
             .into());
         }
         Ok(())
+    }
+
+    fn synthesize(&self, design: &Design, aig: &Aig) -> Result<Synthesized, FlowError> {
+        // "collapse": the explicit truth table is the BDD's semantics; the
+        // embedding enumerates it either way.
+        let embedding = optimum_embedding(&aig.to_truth_tables());
+        let circuit = transformation_based_synthesis(embedding.permutation(), self.direction);
+        // In-place circuit: inputs on the low n lines, outputs on the low
+        // m lines (our embedding convention).
+        let interface = CircuitInterface::hierarchical(
+            circuit.num_lines(),
+            (0..design.bits()).collect(),
+            (0..embedding.num_outputs()).collect(),
+            false,
+        );
+        Ok(Synthesized { circuit, interface })
+    }
+
+    fn passes(&self) -> PostPasses {
+        PostPasses {
+            opt: self.post_opt,
+            resynth: self.post_resynth,
+            analyze: self.analyze,
+        }
+    }
+
+    fn raw_variant(&self) -> Option<Box<dyn Flow>> {
+        Some(Box::new(Self {
+            post_opt: false,
+            post_resynth: false,
+            ..self.clone()
+        }))
     }
 }
 
@@ -849,30 +949,29 @@ impl Flow for EsopFlow {
         self.optimize
     }
 
-    fn run_with_frontend(
-        &self,
-        design: &Design,
-        frontend: &FrontendArtifacts,
-    ) -> Result<FlowOutcome, FlowError> {
-        let start = Instant::now();
-        let (mut mgr, bdds) = collapse_to_bdds(&frontend.aig, self.bdd_node_limit)?;
+    fn synthesize(&self, _design: &Design, aig: &Aig) -> Result<Synthesized, FlowError> {
+        let (mut mgr, bdds) = collapse_to_bdds(aig, self.bdd_node_limit)?;
         let mut esop = extract_multi_esop(&mut mgr, &bdds);
         minimize_esop(&mut esop, &self.exorcism);
         let synthesis = synthesize_esop(&esop, &self.synth);
-        finish(
-            design,
-            self.name(),
-            synthesis.circuit,
+        let interface = CircuitInterface::hierarchical(
+            synthesis.circuit.num_lines(),
             synthesis.input_lines,
             synthesis.output_lines,
-            frontend,
-            start,
             true,
-            self.post_opt,
-            self.post_resynth,
-            self.analyze,
-            &[],
-        )
+        );
+        Ok(Synthesized {
+            circuit: synthesis.circuit,
+            interface,
+        })
+    }
+
+    fn passes(&self) -> PostPasses {
+        PostPasses {
+            opt: self.post_opt,
+            resynth: self.post_resynth,
+            analyze: self.analyze,
+        }
     }
 
     fn raw_variant(&self) -> Option<Box<dyn Flow>> {
@@ -938,29 +1037,28 @@ impl Flow for HierarchicalFlow {
         self.optimize
     }
 
-    fn run_with_frontend(
-        &self,
-        design: &Design,
-        frontend: &FrontendArtifacts,
-    ) -> Result<FlowOutcome, FlowError> {
-        let start = Instant::now();
-        let xmg = map_to_xmg(&frontend.aig);
+    fn synthesize(&self, _design: &Design, aig: &Aig) -> Result<Synthesized, FlowError> {
+        let xmg = map_to_xmg(aig);
         let synthesis = synthesize_xmg(&xmg, &self.synth);
-        let check_clean = self.synth.strategy != CleanupStrategy::KeepGarbage;
-        finish(
-            design,
-            self.name(),
-            synthesis.circuit,
+        let interface = CircuitInterface::hierarchical(
+            synthesis.circuit.num_lines(),
             synthesis.input_lines,
             synthesis.output_lines,
-            frontend,
-            start,
-            check_clean,
-            self.post_opt,
-            self.post_resynth,
-            self.analyze,
-            &synthesis.releases,
+            self.synth.strategy != CleanupStrategy::KeepGarbage,
         )
+        .with_releases(synthesis.releases);
+        Ok(Synthesized {
+            circuit: synthesis.circuit,
+            interface,
+        })
+    }
+
+    fn passes(&self) -> PostPasses {
+        PostPasses {
+            opt: self.post_opt,
+            resynth: self.post_resynth,
+            analyze: self.analyze,
+        }
     }
 
     fn raw_variant(&self) -> Option<Box<dyn Flow>> {
@@ -1022,6 +1120,7 @@ impl fmt::Display for FlowGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn functional_flow_small_intdiv() {
@@ -1160,13 +1259,67 @@ mod tests {
         assert!(!generous.expired());
     }
 
+    /// The ESOP flow, recording whether its synthesis step ran.
+    #[derive(Default)]
+    struct Probe {
+        synthesized: AtomicBool,
+    }
+
+    impl Flow for Probe {
+        fn name(&self) -> String {
+            "probe".into()
+        }
+
+        fn frontend_options(&self) -> OptimizeOptions {
+            OptimizeOptions::default()
+        }
+
+        fn synthesize(&self, design: &Design, aig: &Aig) -> Result<Synthesized, FlowError> {
+            self.synthesized.store(true, Ordering::Relaxed);
+            EsopFlow::default().synthesize(design, aig)
+        }
+
+        fn passes(&self) -> PostPasses {
+            EsopFlow::default().passes()
+        }
+    }
+
+    #[test]
+    fn driver_enforces_the_budget_between_stages() {
+        let design = Design::intdiv(4);
+        let frontend = compute_frontend(&design, &OptimizeOptions::default()).unwrap();
+        let probe = Probe::default();
+        let expired = FlowBudget::with_timeout(Duration::ZERO);
+        let r = probe.run_with_frontend(&design, &frontend, &expired);
+        assert!(matches!(r, Err(FlowError::DeadlineExceeded)), "{r:?}");
+        assert!(
+            !probe.synthesized.load(Ordering::Relaxed),
+            "an expired budget returns before synthesis runs"
+        );
+        let tight = FlowBudget {
+            max_gates: Some(1),
+            ..FlowBudget::unlimited()
+        };
+        let r = probe.run_with_frontend(&design, &frontend, &tight);
+        let Err(FlowError::OverBudget(violation)) = r else {
+            panic!("expected the cap error, got {r:?}");
+        };
+        assert!(probe.synthesized.load(Ordering::Relaxed));
+        assert_eq!(violation.resource, BudgetResource::Gates);
+        assert_eq!(violation.limit, 1);
+        let message = FlowError::OverBudget(violation).to_string();
+        assert!(message.contains("budget allows 1"), "{message}");
+    }
+
     #[test]
     fn cached_frontend_reproduces_cold_run() {
         let design = Design::intdiv(5);
         let flow = EsopFlow::with_factoring(0);
         let cold = flow.run(&design).unwrap();
         let frontend = compute_frontend(&design, &flow.frontend_options()).unwrap();
-        let warm = flow.run_with_frontend(&design, &frontend).unwrap();
+        let warm = flow
+            .run_with_frontend(&design, &frontend, &FlowBudget::unlimited())
+            .unwrap();
         assert_eq!(warm.circuit, cold.circuit);
         assert_eq!(warm.cost.qubits, cold.cost.qubits);
         assert_eq!(warm.cost.t_count, cold.cost.t_count);
@@ -1198,7 +1351,11 @@ mod tests {
         let design = Design::intdiv(16);
         let frontend =
             compute_frontend(&design, &OptimizeOptions::default()).expect("frontend itself is ok");
-        let r = FunctionalFlow::default().run_with_frontend(&design, &frontend);
+        let r = FunctionalFlow::default().run_with_frontend(
+            &design,
+            &frontend,
+            &FlowBudget::unlimited(),
+        );
         assert!(matches!(r, Err(FlowError::CircuitTooWide { .. })));
     }
 

@@ -41,5 +41,6 @@ pub use dse::{
 };
 pub use flow::{
     compute_frontend, BudgetResource, BudgetViolation, EsopFlow, Flow, FlowBudget, FlowError,
-    FlowOutcome, FrontendArtifacts, FrontendCache, FunctionalFlow, HierarchicalFlow, StageTimings,
+    FlowOutcome, FrontendArtifacts, FrontendCache, FunctionalFlow, HierarchicalFlow, PostPasses,
+    PostProcessed, StageTimings, Synthesized,
 };

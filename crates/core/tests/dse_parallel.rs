@@ -38,19 +38,6 @@ fn parallel_report_is_byte_identical_to_serial() {
     }
 }
 
-#[test]
-fn explore_matches_matrix_on_one_design() {
-    let design = Design::intdiv(4);
-    let mut one = fresh_explorer();
-    one.explore(&design);
-    let mut matrix = fresh_explorer();
-    matrix.explore_matrix(&[design], 1);
-    assert_eq!(
-        deterministic_report(one.outcomes()),
-        deterministic_report(matrix.outcomes())
-    );
-}
-
 /// DSE jobs nest pool use: each flow's back half runs the peephole
 /// optimizer (support-disjoint component sharding), equivalence sweeps,
 /// and — in the portfolio — the resynthesis candidate race, all on the

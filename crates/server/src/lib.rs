@@ -16,10 +16,11 @@
 //!   immediately — the reader thread never blocks, so cheap requests
 //!   (`stats`, malformed lines) are always answered.
 //! * **Budget enforcement** (`qda_core::flow::FlowBudget`): per-request
-//!   gate/qubit caps checked on the synthesized result, and a wall-clock
-//!   deadline enforced by a watchdog thread that answers the client with
-//!   a `timeout` error and abandons the worker's eventual result
-//!   (responses are complete-once).
+//!   gate/qubit caps and a wall-clock deadline, passed into the flow
+//!   driver, which checks the caps before verification and the deadline
+//!   between stages. A watchdog thread answers the client with a
+//!   `timeout` error the moment the deadline passes and abandons the
+//!   worker's eventual result (responses are complete-once).
 //! * **Containment** ([`server`]): jobs run under `catch_unwind`, so a
 //!   hostile design parameter that trips a generator assertion produces
 //!   a structured `panic` response — and the shared front-end cache

@@ -194,15 +194,20 @@ fn bad(message: impl Into<String>) -> RequestError {
     RequestError::new(ErrorKind::BadRequest, message)
 }
 
+/// Widest generator accepted over the wire: the paper's largest instance
+/// (Table IV at `n = 128`). A generator's Verilog grows with `n` before
+/// any deadline can stop it, so wider requests are refused at admission.
+pub const MAX_GENERATOR_BITS: usize = 128;
+
 /// Parses a generator name of the form `INTDIV(6)` / `NEWTON(5)`
 /// (case-insensitive).
 ///
 /// # Errors
 ///
-/// Rejects unknown families and malformed parameter syntax. The
-/// parameter *value* is deliberately not validated here: a hostile value
-/// must be survivable at execution time anyway (that is what the panic
-/// containment and cache-poison recovery are for).
+/// Rejects unknown families, malformed parameter syntax and widths above
+/// [`MAX_GENERATOR_BITS`]. Small hostile values (`n < 2`) are left to
+/// execution time, where they must be survivable anyway (that is what the
+/// panic containment and cache-poison recovery are for).
 pub fn parse_generator(name: &str) -> Result<Design, RequestError> {
     let trimmed = name.trim();
     let open = trimmed
@@ -216,6 +221,11 @@ pub fn parse_generator(name: &str) -> Result<Design, RequestError> {
     let n: usize = param
         .parse()
         .map_err(|_| bad(format!("generator parameter {param:?} is not an integer")))?;
+    if n > MAX_GENERATOR_BITS {
+        return Err(bad(format!(
+            "generator parameter {n} exceeds the supported maximum {MAX_GENERATOR_BITS}"
+        )));
+    }
     match family.as_str() {
         "INTDIV" => Ok(Design::intdiv(n)),
         "NEWTON" => Ok(Design::newton(n)),
@@ -487,6 +497,8 @@ mod tests {
             r#"{"design": {"generator": "FFT(4)"}}"#,
             r#"{"design": {"generator": "INTDIV"}}"#,
             r#"{"design": {"generator": "INTDIV(x)"}}"#,
+            r#"{"design": {"generator": "INTDIV(4000000000)"}, "flow": "esop"}"#,
+            r#"{"design": {"generator": "NEWTON(129)"}}"#,
             r#"{"design": {"generator": "INTDIV(4)"}, "flow": "quantum"}"#,
             r#"{"design": {"generator": "INTDIV(4)"}, "post_opt": "yes"}"#,
             r#"{"design": {"generator": "INTDIV(4)"}, "budget": {"max_gates": -1}}"#,
@@ -501,9 +513,15 @@ mod tests {
     fn generator_parse_accepts_paper_spellings() {
         assert_eq!(parse_generator("INTDIV(6)").unwrap(), Design::intdiv(6));
         assert_eq!(parse_generator(" newton( 5 ) ").unwrap(), Design::newton(5));
-        // A hostile parameter value decodes fine — containment happens at
-        // execution time, where the panic is caught and reported.
+        // A hostile small parameter value decodes fine — containment
+        // happens at execution time, where the panic is caught and
+        // reported.
         assert_eq!(parse_generator("INTDIV(1)").unwrap(), Design::intdiv(1));
+        assert_eq!(parse_generator("INTDIV(0)").unwrap(), Design::intdiv(0));
+        assert_eq!(
+            parse_generator("NEWTON(128)").unwrap(),
+            Design::newton(MAX_GENERATOR_BITS)
+        );
     }
 
     #[test]

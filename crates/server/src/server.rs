@@ -23,11 +23,12 @@ use crate::protocol::{
     self, DesignSpec, ErrorKind, FlowChoice, FlowSwitches, Request, RequestError, SynthRequest,
 };
 use crate::queue::BoundedQueue;
+use qda_analyze::CircuitInterface;
 use qda_bench::json::Json;
 use qda_bench::results::{BenchData, BenchRow, LintRowData, OptRowData};
 use qda_core::flow::{
     EsopFlow, Flow, FlowBudget, FlowError, FrontendArtifacts, FrontendCache, FunctionalFlow,
-    HierarchicalFlow, StageTimings,
+    HierarchicalFlow, PostPasses, StageTimings, Synthesized,
 };
 use qda_core::Design;
 use std::io::{BufRead, Read, Write};
@@ -303,17 +304,11 @@ fn apply_switches(
 fn flow_error(e: &FlowError) -> RequestError {
     let kind = match e {
         FlowError::Frontend(_) => ErrorKind::Parse,
+        FlowError::DeadlineExceeded => ErrorKind::Timeout,
+        FlowError::OverBudget(_) => ErrorKind::Budget,
         _ => ErrorKind::Flow,
     };
     RequestError::new(kind, e.to_string())
-}
-
-fn timeout_error(budget: &FlowBudget) -> RequestError {
-    let _ = budget;
-    RequestError::new(
-        ErrorKind::Timeout,
-        "deadline exceeded before completion; work abandoned at a stage boundary",
-    )
 }
 
 fn verilog_error(source: &str, e: &qda_verilog::VerilogError) -> RequestError {
@@ -354,9 +349,8 @@ fn family_of(design: &Design) -> String {
 
 /// Runs one job to its response payload (the `BENCH_*.json` row shape).
 ///
-/// Budget checks happen at the stage boundaries the shell controls:
-/// before front-end work, after the front end, and on the synthesized
-/// cost — cooperative cancellation, never mid-rewrite teardown.
+/// The job's budget rides into the flow driver, which checks the deadline
+/// between stages and the size caps before verification.
 fn execute(
     request: &SynthRequest,
     cache: &FrontendCache,
@@ -365,22 +359,11 @@ fn execute(
     match &request.design {
         DesignSpec::Generator(design) => {
             let flow = build_flow(request.flow, request.switches);
-            flow.precheck(design).map_err(|e| flow_error(&e))?;
-            if budget.expired() {
-                return Err(timeout_error(budget));
-            }
-            let frontend = cache
-                .get_or_compute(design, &flow.frontend_options())
-                .map_err(|e| flow_error(&e))?;
-            if budget.expired() {
-                return Err(timeout_error(budget));
-            }
             let outcome = flow
-                .run_with_frontend(design, &frontend)
+                .precheck(design)
+                .and_then(|()| cache.get_or_compute(design, &flow.frontend_options()))
+                .and_then(|frontend| flow.run_with_frontend(design, &frontend, budget))
                 .map_err(|e| flow_error(&e))?;
-            budget
-                .check_cost(&outcome.cost)
-                .map_err(|v| RequestError::new(ErrorKind::Budget, v.to_string()))?;
             Ok(BenchRow::from_outcome(&family_of(design), design.bits(), &outcome).to_json())
         }
         DesignSpec::Verilog(source) => {
@@ -392,9 +375,6 @@ fn execute(
             let design = Design::external(aig.num_pis());
             let flow = build_flow(request.flow, request.switches);
             flow.precheck(&design).map_err(|e| flow_error(&e))?;
-            if budget.expired() {
-                return Err(timeout_error(budget));
-            }
             let start = Instant::now();
             let aig = qda_classical::rewrite::optimize_aig(&aig, &flow.frontend_options());
             let frontend = FrontendArtifacts {
@@ -403,11 +383,8 @@ fn execute(
                 optimize: start.elapsed(),
             };
             let outcome = flow
-                .run_with_frontend(&design, &frontend)
+                .run_with_frontend(&design, &frontend, budget)
                 .map_err(|e| flow_error(&e))?;
-            budget
-                .check_cost(&outcome.cost)
-                .map_err(|v| RequestError::new(ErrorKind::Budget, v.to_string()))?;
             Ok(BenchRow::from_outcome("EXTERNAL", design.bits(), &outcome).to_json())
         }
         DesignSpec::Real(source) => execute_real(source, request, budget),
@@ -415,8 +392,9 @@ fn execute(
 }
 
 /// A `.real` job has no reference function to synthesize from, so the
-/// service is optimize + lint: peephole pass (soundness-checked) and the
-/// static analyzer, reported in the same row shape.
+/// service is the flows' post-synthesis step without resynthesis:
+/// peephole pass (soundness-checked) and the static analyzer under the
+/// functional contract, reported in the same row shape.
 fn execute_real(
     source: &str,
     request: &SynthRequest,
@@ -425,65 +403,39 @@ fn execute_real(
     let start = Instant::now();
     let circuit = qda_rev::io::from_real(source).map_err(|e| real_error(source, &e))?;
     let parse_elaborate = start.elapsed();
-    if budget.expired() {
-        return Err(timeout_error(budget));
-    }
     let before = circuit.cost();
-    let (circuit, opt, post_opt) = if request.switches.post_opt.unwrap_or(true) {
-        let start = Instant::now();
-        let optimized =
-            qda_rev::opt::optimize_checked(&circuit, &qda_rev::opt::OptOptions::default())
-                .map_err(|witness| {
-                    RequestError::new(
-                        ErrorKind::Flow,
-                        format!("post-synthesis optimization unsound: {witness}"),
-                    )
-                })?;
-        (
-            optimized.circuit,
-            Some(OptRowData {
-                gates_in: before.gates,
-                t_count_in: before.t_count,
-                stats: optimized.stats,
-            }),
-            start.elapsed(),
-        )
-    } else {
-        (circuit, None, Duration::ZERO)
+    let passes = PostPasses {
+        opt: request.switches.post_opt.unwrap_or(true),
+        resynth: false,
+        analyze: request.switches.analyze.unwrap_or(true),
     };
-    let (lint, analyze) = if request.switches.analyze.unwrap_or(true) {
-        let start = Instant::now();
-        let interface = qda_analyze::CircuitInterface::functional(circuit.num_lines());
-        let report = qda_analyze::analyze(&circuit, &interface);
-        (Some(LintRowData::from_report(&report)), start.elapsed())
-    } else {
-        (None, Duration::ZERO)
-    };
-    let cost = circuit.cost();
-    budget
-        .check_cost(&cost)
-        .map_err(|v| RequestError::new(ErrorKind::Budget, v.to_string()))?;
+    let interface = CircuitInterface::functional(circuit.num_lines());
+    let post = Synthesized { circuit, interface }
+        .post_process(passes, budget)
+        .map_err(|e| flow_error(&e))?;
     let stages = StageTimings {
         parse_elaborate,
-        post_opt,
-        analyze,
-        ..StageTimings::default()
+        ..post.stages
     };
     let row = BenchRow {
         design: "EXTERNAL".to_string(),
-        n: circuit.num_lines(),
+        n: post.circuit.num_lines(),
         flow: "real (peephole + lint)".to_string(),
         data: Ok(BenchData {
-            qubits: cost.qubits,
-            t_count: cost.t_count,
-            gates: cost.gates,
+            qubits: post.cost.qubits,
+            t_count: post.cost.t_count,
+            gates: post.cost.gates,
             runtime_s: stages.total().as_secs_f64(),
             stages: Some(stages),
             states_per_sec: None,
             cubes_in: None,
-            opt,
+            opt: post.opt_stats.map(|stats| OptRowData {
+                gates_in: before.gates,
+                t_count_in: before.t_count,
+                stats,
+            }),
             resynth: None,
-            lint,
+            lint: post.analysis.as_ref().map(LintRowData::from_report),
         }),
     };
     Ok(row.to_json())
@@ -850,6 +802,38 @@ mod tests {
             );
         }
         assert_eq!(by_id(3).get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
+    fn hostile_generator_widths_are_answered() {
+        // A width beyond the paper's largest instance is refused at
+        // admission instead of building a gigabyte-scale Verilog string;
+        // a zero width reaches the functional flow's size guard without
+        // underflowing and trips the generator's own assertion.
+        let responses = run_session(
+            &ServerConfig::default(),
+            &[
+                synth(1, "INTDIV(4000000000)"),
+                r#"{"id": 2, "design": {"generator": "INTDIV(0)"}, "flow": "functional"}"#
+                    .to_string(),
+            ],
+        );
+        assert_eq!(responses.len(), 2);
+        let by_id = |id: u64| {
+            let r = responses
+                .iter()
+                .find(|r| r.get("id").and_then(Json::as_u64) == Some(id))
+                .unwrap();
+            r.get("error").unwrap().clone()
+        };
+        let wide = by_id(1);
+        assert_eq!(wide.get("kind").and_then(Json::as_str), Some("bad_request"));
+        let message = wide.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("maximum 128"), "{message}");
+        let zero = by_id(2);
+        assert_eq!(zero.get("kind").and_then(Json::as_str), Some("panic"));
+        let message = zero.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("at least 2"), "{message}");
     }
 
     #[test]
