@@ -1,6 +1,7 @@
-//! `par_bench` — worker-pool scaling across the three sharded hot paths:
-//! exhaustive batch verification, EXORCISM's diversified restarts, and
-//! the DSE configuration portfolio race.
+//! `par_bench` — worker-pool scaling across the four sharded hot paths:
+//! exhaustive batch verification, EXORCISM's diversified restarts, the
+//! DSE configuration portfolio race, and windowed resynthesis's
+//! back-end race.
 //!
 //! Every workload runs once per worker cap in {1, 2, 4} inside one
 //! process, narrowed with `qda_logic::par::with_worker_cap` — the caps
@@ -8,23 +9,26 @@
 //! byte-identical across environments once timing fields are stripped
 //! (the CI worker matrix diffs exactly that). Within the process the
 //! deterministic outputs (verification verdicts, minimized cube counts,
-//! portfolio reports) are asserted identical across caps, and the pool is
-//! warmed up front so the measured runs spawn zero threads — both halves
-//! of the "one persistent budget" contract.
+//! portfolio reports, resynthesized circuits) are asserted identical
+//! across caps, and the pool is warmed up front so the measured runs
+//! spawn zero threads — both halves of the "one persistent budget"
+//! contract.
 //!
 //! Results go to `BENCH_par.json`: one row per (workload, `workers=N`)
-//! with `runtime_s` plus `states_per_sec` for the verification sweep.
+//! with `runtime_s` plus `states_per_sec` for the verification sweep and
+//! the window accounting for resynthesis.
 //!
 //! Default sweep: 2^16-state verify / 10-var ESOP / INTDIV(5) portfolio;
 //! `--quick` shrinks to 2^14 / 9 vars / INTDIV(4) (CI smoke), `--full`
-//! extends to 2^18 / 12 vars / INTDIV(6).
+//! extends to 2^18 / 12 vars / INTDIV(6). Resynthesis always runs on the
+//! peephole-optimized hierarchical NEWTON(6) circuit.
 
 use qda_bench::results::{BenchResults, BenchRow};
 use qda_bench::runner::{emit_results, parse_args};
 use qda_classical::exorcism::{minimize_esop, ExorcismEngine, ExorcismOptions};
 use qda_core::design::Design;
 use qda_core::dse::DesignSpaceExplorer;
-use qda_core::flow::{EsopFlow, FunctionalFlow, HierarchicalFlow};
+use qda_core::flow::{EsopFlow, Flow, FunctionalFlow, HierarchicalFlow};
 use qda_core::report::{portfolio_report, Table};
 use qda_logic::esop::{Esop, MultiEsop};
 use qda_logic::par;
@@ -32,6 +36,8 @@ use qda_logic::tt::TruthTable;
 use qda_rev::blocks::less_than;
 use qda_rev::circuit::Circuit;
 use qda_rev::equiv::{verify_computes, VerifyOptions, VerifyOutcome};
+use qda_rev::resynth::ResynthOptions;
+use qda_revsynth::resynth::resynthesize_circuit;
 use std::time::Instant;
 
 /// The fixed worker-cap sweep. Caps above the machine's `QDA_WORKERS`
@@ -201,6 +207,45 @@ fn main() {
     assert!(
         reports.windows(2).all(|w| w[0] == w[1]),
         "portfolio report must not depend on the worker cap"
+    );
+
+    // 4. Windowed resynthesis (one back-end race per distinct window
+    // permutation) on the peephole-optimized hierarchical NEWTON(6).
+    let resynth_n = 6;
+    let input = HierarchicalFlow {
+        post_resynth: false,
+        ..Default::default()
+    }
+    .run(&Design::newton(resynth_n))
+    .expect("hierarchical NEWTON must synthesize")
+    .circuit;
+    let mut outputs = Vec::new();
+    for cap in CAPS {
+        let start = Instant::now();
+        let out = par::with_worker_cap(cap, || {
+            resynthesize_circuit(&input, &ResynthOptions::default())
+        });
+        let secs = start.elapsed().as_secs_f64();
+        results.push(BenchRow::from_resynth(
+            "NEWTON-HIER",
+            resynth_n,
+            &format!("resynth workers={cap}"),
+            &input.cost(),
+            &out.circuit.cost(),
+            out.stats,
+            secs,
+        ));
+        table.add_row(vec![
+            format!("resynth NEWTON-HIER({resynth_n})"),
+            cap.to_string(),
+            format!("{secs:.3}"),
+            "-".to_string(),
+        ]);
+        outputs.push((out.circuit, out.stats));
+    }
+    assert!(
+        outputs.windows(2).all(|w| w[0] == w[1]),
+        "resynthesis must not depend on the worker cap"
     );
 
     assert_eq!(

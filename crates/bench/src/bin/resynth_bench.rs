@@ -24,8 +24,9 @@
 //! {flow × post_opt × resynth} configuration per design, with losing
 //! configurations cut off against the settled best raw cost. Results go
 //! to `BENCH_resynth.json`: resynthesis rows carry `gates_in` /
-//! `t_count_in` / `windows`, portfolio rows carry the configuration
-//! name in `flow`.
+//! `t_count_in` / `windows` (including the memo hits and clean-start
+//! skips of the run), portfolio rows carry the configuration name in
+//! `flow`.
 
 use qda_arith::qnewton_circuit;
 use qda_arith::resdiv::resdiv_reciprocal;
@@ -153,7 +154,15 @@ fn main() {
     let mut table = Table::new(
         "RESYNTH BENCH — windowed resynthesis beyond the peephole pass (sim-checked)",
         vec![
-            "workload", "qubits", "gates", "T-count", "windows", "accepted", "time (s)",
+            "workload",
+            "qubits",
+            "gates",
+            "T-count",
+            "windows",
+            "memo hits",
+            "clean skips",
+            "accepted",
+            "time (s)",
         ],
     );
     let mut bennett_reduced = false;
@@ -202,6 +211,8 @@ fn main() {
             format!("{} -> {}", before.gates, after.gates),
             format!("{} -> {}", before.t_count, after.t_count),
             out.stats.windows_attempted.to_string(),
+            out.stats.memo_hits.to_string(),
+            out.stats.clean_skips.to_string(),
             out.stats.windows_accepted.to_string(),
             format!("{secs:.3}"),
         ]);

@@ -76,14 +76,16 @@
 //! before/after convention: `gates`/`t_count` are the **post-resynthesis**
 //! figures, `gates_in` / `t_count_in` the input (already peephole-
 //! optimized) circuit, and `windows` accounts for every window the pass
-//! looked at:
+//! extracted, how many of them the run's permutation memo answered, and
+//! how many starts it stepped over as unchanged:
 //!
 //! ```json
-//! {"design": "INTDIV-HIER", "n": 6, "flow": "resynth (TBS/ESOP/linear)",
-//!  "qubits": 56, "t_count": 322, "gates": 290, "runtime_s": 0.110,
-//!  "gates_in": 306, "t_count_in": 322,
-//!  "windows": {"attempted": 84, "accepted": 9, "rejected": 75,
-//!              "unsound": 0, "passes": 2}}
+//! {"design": "INTDIV-HIER", "n": 5, "flow": "resynth (TBS/ESOP/linear)",
+//!  "qubits": 58, "t_count": 666, "gates": 133, "runtime_s": 0.004,
+//!  "gates_in": 135, "t_count_in": 672,
+//!  "windows": {"attempted": 162, "accepted": 1, "rejected": 161,
+//!              "memo_hits": 90, "clean_skips": 63, "unsound": 0,
+//!              "passes": 2}}
 //! ```
 //!
 //! Portfolio rows (also `resynth_bench`) reuse the plain cost shape with
@@ -481,6 +483,8 @@ impl BenchRow {
                             ("attempted", Json::Int(resynth.stats.windows_attempted)),
                             ("accepted", Json::Int(resynth.stats.windows_accepted)),
                             ("rejected", Json::Int(resynth.stats.windows_rejected)),
+                            ("memo_hits", Json::Int(resynth.stats.memo_hits)),
+                            ("clean_skips", Json::Int(resynth.stats.clean_skips)),
                             ("unsound", Json::Int(resynth.stats.candidates_unsound)),
                             ("passes", Json::Int(resynth.stats.passes)),
                         ]),
@@ -735,6 +739,8 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains(r#""gates_in": 3"#));
         assert!(json.contains(r#""attempted":"#));
+        assert!(json.contains(r#""memo_hits":"#));
+        assert!(json.contains(r#""clean_skips":"#));
         assert!(json.contains(r#""unsound": 0"#));
         assert!(json.contains(r#""passes":"#));
         assert!(json.contains(r#""flow": "resynth (TBS/ESOP/linear)""#));

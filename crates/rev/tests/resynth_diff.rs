@@ -3,12 +3,16 @@
 //! exactly the input function (checked by scalar *and* bit-parallel batch
 //! simulation independently), never cost more, be a fixpoint of its own
 //! pass, respect the window line budget, and keep its per-window
-//! statistics consistent.
+//! statistics consistent. The pass must also reproduce the plain full
+//! sweep of `qda_rev::testkit` exactly, on random circuits and on
+//! circuits that repeat one window on disjoint lines, so its permutation
+//! memo and its clean starts change only how much work it does.
 
 use proptest::prelude::*;
 use qda_rev::circuit::Circuit;
+use qda_rev::gate::{Control, Gate};
 use qda_rev::resynth::{resynthesize, resynthesize_checked, ResynthOptions, WindowSynthesizer};
-use qda_rev::testkit::arb_mpmct_circuit;
+use qda_rev::testkit::{arb_mpmct_circuit, resynthesize_full_sweep};
 use qda_revsynth::resynth::default_window_synthesizers;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,6 +29,117 @@ fn scalar_table(c: &Circuit) -> Vec<u64> {
 /// path than [`scalar_table`].
 fn batch_table(c: &Circuit) -> Vec<u64> {
     c.permutation().expect("test circuits stay within the cap")
+}
+
+/// The default options half the time; otherwise a small line, gate and
+/// skip budget, so a splice's reach — how far back it dirties starts — is
+/// short and its boundary gets exercised.
+fn arb_options() -> impl Strategy<Value = ResynthOptions> {
+    (any::<bool>(), 2usize..7, 1usize..8, 0usize..5).prop_map(
+        |(default, max_lines, max_window_gates, max_commute_skips)| {
+            if default {
+                ResynthOptions::default()
+            } else {
+                ResynthOptions {
+                    max_lines,
+                    max_window_gates,
+                    max_commute_skips,
+                }
+            }
+        },
+    )
+}
+
+/// A control on `line` with the polarity of bit 0 of `polarity`.
+fn control(line: usize, polarity: u64) -> Control {
+    if polarity & 1 == 1 {
+        Control::positive(line)
+    } else {
+        Control::negative(line)
+    }
+}
+
+/// One random window (the gate encoding of `arb_mpmct_circuit`) repeated
+/// on disjoint groups of `width` lines, with narrow unrelated gates
+/// inserted at random positions: about half on two idle lines, which
+/// growth commutes past, the rest anywhere, which poisons the lines they
+/// touch.
+fn arb_tiled_circuit() -> impl Strategy<Value = Circuit> {
+    (
+        2usize..5,
+        2usize..6,
+        prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 2..7),
+        prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..10),
+    )
+        .prop_map(|(width, copies, window, others)| {
+            let first_idle = width * copies;
+            let lines = first_idle + 2;
+            let mut gates = Vec::new();
+            for base in (0..first_idle).step_by(width) {
+                for &(tsel, cmask, pmask) in &window {
+                    let target = (tsel % width as u64) as usize;
+                    let controls = (0..width)
+                        .filter(|&l| l != target && (cmask >> l) & 1 == 1)
+                        .map(|l| control(base + l, pmask >> l))
+                        .collect();
+                    gates.push(Gate::mct(controls, base + target));
+                }
+            }
+            for (at, sel, pmask) in others {
+                let (from, span) = if pmask & 2 == 0 {
+                    (first_idle, 2)
+                } else {
+                    (0, lines)
+                };
+                let target = from + (sel % span as u64) as usize;
+                let line = from + ((sel >> 32) % span as u64) as usize;
+                let controls = if line == target {
+                    Vec::new()
+                } else {
+                    vec![control(line, pmask)]
+                };
+                let at = (at % (gates.len() as u64 + 1)) as usize;
+                gates.insert(at, Gate::mct(controls, target));
+            }
+            let mut c = Circuit::new(lines);
+            for g in gates {
+                c.add_gate(g);
+            }
+            c
+        })
+}
+
+/// The production pass must return the full sweep's circuit, accepted
+/// windows, gate/T deltas and pass count; it may only extract fewer
+/// windows and race fewer permutations.
+fn assert_matches_full_sweep(c: &Circuit, options: &ResynthOptions) {
+    let synths = default_window_synthesizers();
+    let fast = resynthesize(c, options, &synths);
+    let full = resynthesize_full_sweep(c, options, &synths);
+    assert_eq!(fast.circuit, full.circuit);
+    let (f, r) = (fast.stats, full.stats);
+    assert_eq!(
+        (
+            f.windows_accepted,
+            f.gates_removed,
+            f.gates_added,
+            f.t_removed,
+            f.t_added,
+            f.passes
+        ),
+        (
+            r.windows_accepted,
+            r.gates_removed,
+            r.gates_added,
+            r.t_removed,
+            r.t_added,
+            r.passes
+        )
+    );
+    assert!(f.windows_attempted <= r.windows_attempted);
+    assert_eq!(f.windows_attempted, f.windows_accepted + f.windows_rejected);
+    assert!(f.memo_hits <= f.windows_attempted);
+    assert_eq!((r.memo_hits, r.clean_skips), (0, 0));
 }
 
 proptest! {
@@ -110,5 +225,21 @@ proptest! {
             prop_assert_eq!(s.gates_removed, 0);
             prop_assert_eq!(s.t_removed, 0);
         }
+    }
+
+    #[test]
+    fn resynth_matches_the_full_sweep(
+        c in arb_mpmct_circuit(2..9, 24),
+        options in arb_options(),
+    ) {
+        assert_matches_full_sweep(&c, &options);
+    }
+
+    #[test]
+    fn resynth_matches_the_full_sweep_on_tiled_windows(
+        c in arb_tiled_circuit(),
+        options in arb_options(),
+    ) {
+        assert_matches_full_sweep(&c, &options);
     }
 }
