@@ -5,9 +5,17 @@
 //! `LineAllocator`. The `release_mode` module compiles only without
 //! debug assertions, so the `cargo test --release` CI job proves the
 //! checks are real asserts, not `debug_assert!`s.
+//!
+//! The `pinned_*` tests fix the exact witness every equivalence check
+//! reports — sampled and exhaustive, single- and multi-chunk, with and
+//! without an initial-state assumption — so a change to the sweep that
+//! draws, orders or folds states differently fails here first.
 
+use qda_logic::par;
 use qda_rev::circuit::{Circuit, LineAllocator, TooWideError, PERMUTATION_LINE_LIMIT};
 use qda_rev::equiv::{verify_computes, verify_permutation, VerifyOptions, VerifyOutcome};
+use qda_rev::gate::{Control, Gate};
+use qda_rev::opt::{equivalence_witness, equivalence_witness_assuming, OptMismatch};
 
 /// 64 input lines feeding one output line.
 fn wide_interface() -> (Vec<usize>, Vec<usize>) {
@@ -91,6 +99,125 @@ fn verify_permutation_rejects_wide_circuits_with_a_typed_error() {
 #[should_panic(expected = "expected 2^3")]
 fn verify_permutation_rejects_wrong_length_tables() {
     let _ = verify_permutation(&Circuit::new(3), &[0, 1, 2]);
+}
+
+fn positive(lines: &[usize]) -> Vec<Control> {
+    lines.iter().map(|&l| Control::positive(l)).collect()
+}
+
+#[test]
+fn pinned_sampled_verify_computes_witness() {
+    // 20-input parity against an oracle that also flips the result when
+    // the low nine input bits are all set: the first such sample of the
+    // default 4 096 is in the second 1 024-state batch, and later batches
+    // fail too.
+    let mut c = Circuit::new(21);
+    for i in 0..20 {
+        c.cnot(i, 20);
+    }
+    let inputs: Vec<usize> = (0..20).collect();
+    let out = verify_computes(
+        &c,
+        &inputs,
+        &[20],
+        |x| u64::from(x.count_ones() % 2 == 1) ^ u64::from(x & 0x1FF == 0x1FF),
+        &VerifyOptions::default(),
+    );
+    assert_eq!(
+        out,
+        VerifyOutcome::Mismatch {
+            input: 694_783,
+            expected: 1,
+            actual: 0
+        }
+    );
+}
+
+#[test]
+fn pinned_sampled_equivalence_witness_across_chunks() {
+    // 100 lines: two 64-line chunks drawn per batch. The extra gate's ten
+    // controls span both chunks, so it fires on a few samples only.
+    let mut a = Circuit::new(100);
+    a.cnot(0, 99);
+    a.toffoli(64, 3, 70);
+    let mut b = a.clone();
+    b.add_gate(Gate::mct(
+        positive(&[5, 17, 40, 63, 64, 70, 90, 99, 33, 1]),
+        2,
+    ));
+    assert_eq!(
+        equivalence_witness(&a, &b),
+        Some(OptMismatch {
+            input: vec![11_732_100_737_240_569_662, 36_209_312_657],
+            original: vec![11_732_100_737_240_569_662, 36_209_312_721],
+            optimized: vec![11_732_100_737_240_569_658, 36_209_312_721],
+        })
+    );
+}
+
+#[test]
+fn pinned_sampled_assumed_equivalence_witness() {
+    // 100 lines with every third line assumed zero leaves 67 free lines:
+    // sampled in two free chunks, scattered back over all 100 lines.
+    let zeros: Vec<usize> = (0..100).filter(|l| l % 3 == 2).collect();
+    let mut a = Circuit::new(100);
+    a.cnot(0, 98);
+    a.toffoli(96, 3, 2);
+    let mut b = a.clone();
+    b.add_gate(Gate::toffoli(1, 5, 7)); // guarded by assumed-zero line 5
+    b.add_gate(Gate::mct(positive(&[0, 4, 10, 21, 45, 61, 97, 99, 30]), 8));
+    assert_eq!(
+        equivalence_witness_assuming(&a, &b, &zeros),
+        Some(OptMismatch {
+            input: vec![11_824_518_738_784_060_953, 47_244_694_336],
+            original: vec![11_824_518_738_784_060_957, 64_424_563_520],
+            optimized: vec![11_824_518_738_784_061_213, 64_424_563_520],
+        })
+    );
+}
+
+#[test]
+fn pinned_exhaustive_witnesses_come_from_the_first_failing_span() {
+    // 14 lines = four 4 096-state spans. Both checks fail in spans 1 and
+    // 3 and never in 0 or 2, so the span fold picks the witness.
+    let mut c = Circuit::new(14);
+    c.toffoli(1, 2, 13);
+    c.cnot(12, 4);
+    c.mct(vec![Control::negative(5), Control::positive(6)], 9);
+    let mut perm = c.permutation().expect("14 lines is within the cap");
+    perm.swap(5000, 13_000);
+    // Fires exactly when line 12 is set, which no gate of `c` changes.
+    let mut b = c.clone();
+    b.add_gate(Gate::mct(
+        vec![
+            Control::positive(12),
+            Control::positive(0),
+            Control::negative(3),
+        ],
+        7,
+    ));
+    for cap in [1, 4] {
+        par::with_worker_cap(cap, || {
+            assert_eq!(
+                verify_permutation(&c, &perm),
+                Ok(VerifyOutcome::Mismatch {
+                    input: 5000,
+                    expected: 12_504,
+                    actual: 5016
+                }),
+                "cap {cap}"
+            );
+            assert_eq!(
+                equivalence_witness(&c, &b),
+                Some(OptMismatch {
+                    input: vec![4097],
+                    original: vec![4113],
+                    optimized: vec![4241],
+                }),
+                "cap {cap}"
+            );
+        });
+    }
 }
 
 #[test]
