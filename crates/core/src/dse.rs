@@ -151,11 +151,6 @@ impl DesignSpaceExplorer {
         front
     }
 
-    /// Total exploration time across all successful outcomes.
-    pub fn total_runtime(&self) -> Duration {
-        self.outcomes.iter().map(|o| o.runtime).sum()
-    }
-
     /// Runs the {flow × post_opt × post_resynth} configuration portfolio
     /// on every design, racing the configurations against each other.
     ///

@@ -48,17 +48,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// Renders a row of a [`FlowOutcome`] in the paper's column
-    /// convention: `n`, qubits, T-count, runtime (seconds).
-    pub fn outcome_row(outcome: &FlowOutcome) -> Vec<String> {
-        vec![
-            outcome.design.bits().to_string(),
-            outcome.cost.qubits.to_string(),
-            group_digits(outcome.cost.t_count),
-            format!("{:.2}", outcome.runtime.as_secs_f64()),
-        ]
-    }
-
     /// Renders the per-stage timing breakdown of a [`FlowOutcome`]:
     /// flow name, then seconds for parse+elaborate, optimize, synthesis,
     /// post-synthesis circuit optimization, windowed resynthesis, static

@@ -156,11 +156,6 @@ impl Aig {
         node > self.num_pis
     }
 
-    /// Whether node `i` is a primary input.
-    pub fn is_pi(&self, node: usize) -> bool {
-        node >= 1 && node <= self.num_pis
-    }
-
     /// Fanins of AND node `node`.
     ///
     /// # Panics

@@ -3,8 +3,8 @@
 //! Two functions are NPN-equivalent when one can be obtained from the other
 //! by Negating inputs, Permuting inputs, and/or Negating the output. Cut
 //! functions that fall into the same NPN class share an optimized XMG
-//! structure, so the AIG→XMG mapper (`qda-classical::xmg_map`) classifies
-//! every 4-feasible cut before resynthesis.
+//! structure. No flow uses the classification: the AIG→XMG mapper
+//! (`qda-classical::xmg_map`) does not classify its cuts.
 
 /// A 4-variable function as a 16-bit truth table (bit `x` = `f(x)`).
 pub type Tt4 = u16;

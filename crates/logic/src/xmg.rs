@@ -105,11 +105,6 @@ impl Xmg {
         node > self.num_pis
     }
 
-    /// Whether `node` is a primary input.
-    pub fn is_pi(&self, node: usize) -> bool {
-        node >= 1 && node <= self.num_pis
-    }
-
     /// The gate stored at `node`.
     ///
     /// # Panics

@@ -16,6 +16,18 @@
 //! make functional verification ~64× faster than scalar replay; the
 //! `verify_bench` binary of `qda-bench` measures the exact factor.
 //!
+//! # Sweeps
+//!
+//! Every bit-parallel equivalence check of the crate (flow verification
+//! in [`crate::equiv`], the soundness gate
+//! [`crate::opt::equivalence_witness_assuming`]) runs on two crate-private
+//! drivers that keep the first failure: `first_exhaustive` enumerates a
+//! register's assignments in fixed spans of consecutive batches, and
+//! `first_sampled` checks seeded values pre-drawn per batch and per
+//! 64-line chunk. Jobs fold in index order, so a witness never depends on
+//! the worker count. [`crate::circuit::Circuit::permutation`] is the one
+//! map-style sweep.
+//!
 //! # Example
 //!
 //! ```
@@ -37,6 +49,8 @@
 
 use crate::gate::Gate;
 use crate::packed::{GateArena, PackedGate};
+use qda_logic::par;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Default batch granularity for chunked bit-parallel runs (16 words per
 /// lane): large enough to amortize the per-gate dispatch over the gate
@@ -51,16 +65,9 @@ pub const BATCH_STATES: usize = 1024;
 /// chunks per lane.
 pub const LANE_CHUNK: usize = 8;
 
-/// The consecutive inputs `0..total` as `(base, count)` ranges, chunked
-/// [`BATCH_STATES`] at a time.
-#[cfg(test)]
-pub(crate) fn consecutive_batches(total: u64) -> impl Iterator<Item = (u64, usize)> {
-    consecutive_batches_in(0, total)
-}
-
 /// The consecutive inputs `start..end` as `(base, count)` ranges, chunked
-/// [`BATCH_STATES`] at a time (the shared driver of exhaustive
-/// verification and permutation extraction; `start` must be
+/// [`BATCH_STATES`] at a time (the batches of the sweep drivers and of
+/// permutation extraction; `start` must be
 /// [`BATCH_STATES`]-aligned so every batch base stays word-aligned for
 /// [`BatchState::load_consecutive`]). The ranges are pure arithmetic — no
 /// input vector is materialized; callers synthesize the lanes directly
@@ -96,6 +103,135 @@ pub(crate) fn span_jobs(total: u64) -> (u64, usize) {
         width,
         usize::try_from(total.div_ceil(width)).expect("span count fits usize"),
     )
+}
+
+/// The start values of one batch of a sweep, handed to each check so it
+/// can re-derive a start state after the circuit has overwritten the
+/// lanes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Starts<'a> {
+    /// State `k` assigns `base + k` to the register (exhaustive sweeps;
+    /// the register fits one chunk).
+    Consecutive(u64),
+    /// State `k` assigns `drawn[c][k]` to the register's `c`-th 64-line
+    /// chunk (sampled sweeps).
+    Drawn(&'a [Vec<u64>]),
+}
+
+impl Starts<'_> {
+    /// The value of register chunk `chunk` in state `k`.
+    pub(crate) fn value(self, chunk: usize, k: usize) -> u64 {
+        match self {
+            Starts::Consecutive(base) => {
+                debug_assert_eq!(chunk, 0, "consecutive registers fit one chunk");
+                base + k as u64
+            }
+            Starts::Drawn(drawn) => drawn[chunk][k],
+        }
+    }
+
+    /// Start state `k` on `num_lines` lines (the register's lines set as
+    /// loaded, every other line zero), one word per 64-line chunk: line
+    /// `l` is bit `l % 64` of word `l / 64`.
+    pub(crate) fn state_words(self, register: &[usize], num_lines: usize, k: usize) -> Vec<u64> {
+        let mut words = vec![0u64; num_lines.div_ceil(64)];
+        for (c, lines) in register.chunks(64).enumerate() {
+            let value = self.value(c, k);
+            for (i, &line) in lines.iter().enumerate() {
+                words[line / 64] |= (value >> i & 1) << (line % 64);
+            }
+        }
+        words
+    }
+}
+
+/// Sweeps every assignment of `register` (all other lines zero) through
+/// a check and returns the first hit in assignment order.
+///
+/// The `2^len` assignments run as [`span_jobs`] spans on the pool. Each
+/// span job builds one check with `make_check` and one [`BatchState`] of
+/// `num_lines` lines, reused for each of its [`BATCH_STATES`]-state
+/// batches: reset, loaded with consecutive assignments, then handed to
+/// the check, which may overwrite the lanes. Spans fold in index order,
+/// so the hit is the serial sweep's at any worker count.
+///
+/// # Panics
+///
+/// Panics if the register has 64 or more lines: `2^64` assignments
+/// cannot be enumerated, and a wrapped `1 << 64` would check one state.
+pub(crate) fn first_exhaustive<T, C>(
+    num_lines: usize,
+    register: &[usize],
+    make_check: impl Fn() -> C + Sync,
+) -> Option<T>
+where
+    T: Send,
+    C: FnMut(&mut BatchState, Starts<'_>) -> Option<T>,
+{
+    assert!(
+        register.len() < 64,
+        "cannot enumerate the 2^{} assignments of a {}-line register",
+        register.len(),
+        register.len()
+    );
+    let total = 1u64 << register.len();
+    let (width, jobs) = span_jobs(total);
+    let spans = par::run_indexed(jobs, |job| {
+        let lo = job as u64 * width;
+        let mut check = make_check();
+        let mut state = BatchState::zeros(num_lines, 0);
+        consecutive_batches_in(lo, (lo + width).min(total)).find_map(|(base, count)| {
+            state.reset(count);
+            state.load_consecutive(register, base);
+            check(&mut state, Starts::Consecutive(base))
+        })
+    });
+    spans.into_iter().flatten().next()
+}
+
+/// Sweeps `samples` seeded random assignments of `register` (all other
+/// lines zero) through a check and returns the first hit in draw order.
+///
+/// Every value is drawn up front from `StdRng::seed_from_u64(seed)`, in
+/// the order a serial loop would draw them: per [`BATCH_STATES`]-state
+/// batch, per 64-line chunk of the register, one value per state, masked
+/// to the chunk's width. Each batch is one pool job with its own check
+/// (from `make_check`) and [`BatchState`]; batches fold in draw order, so
+/// the hit is the serial sweep's at any worker count.
+pub(crate) fn first_sampled<T, C>(
+    num_lines: usize,
+    register: &[usize],
+    seed: u64,
+    samples: u64,
+    make_check: impl Fn() -> C + Sync,
+) -> Option<T>
+where
+    T: Send,
+    C: FnMut(&mut BatchState, Starts<'_>) -> Option<T>,
+{
+    let chunks: Vec<&[usize]> = register.chunks(64).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let batches: Vec<(usize, Vec<Vec<u64>>)> = consecutive_batches_in(0, samples)
+        .map(|(_, count)| {
+            let drawn = chunks
+                .iter()
+                .map(|lines| {
+                    let mask = u64::MAX >> (64 - lines.len());
+                    (0..count).map(|_| rng.gen::<u64>() & mask).collect()
+                })
+                .collect();
+            (count, drawn)
+        })
+        .collect();
+    let hits = par::run_indexed(batches.len(), |b| {
+        let (count, drawn) = &batches[b];
+        let mut state = BatchState::zeros(num_lines, *count);
+        for (lines, values) in chunks.iter().zip(drawn) {
+            state.load_register(lines, values);
+        }
+        make_check()(&mut state, Starts::Drawn(drawn))
+    });
+    hits.into_iter().flatten().next()
 }
 
 /// Transposed lane word for value-bit `i` of the 64 consecutive values
@@ -162,10 +298,9 @@ impl BatchState {
 
     /// Resets the batch to all-zero lanes for `num_states` states,
     /// **reusing** the lane allocation (capacity permitting). This is the
-    /// buffer-recycling entry point for `consecutive_batches`-style loops
-    /// (exhaustive verification, permutation extraction, optimizer
-    /// replay): one `BatchState` per worker, reset per batch, instead of
-    /// a fresh heap allocation per batch.
+    /// buffer-recycling entry point of the exhaustive sweep driver and of
+    /// permutation extraction: one `BatchState` per span job, reset per
+    /// batch, instead of a fresh heap allocation per batch.
     pub fn reset(&mut self, num_states: usize) {
         self.num_states = num_states;
         self.words_per_line = num_states.div_ceil(64).max(1);
@@ -218,6 +353,36 @@ impl BatchState {
             // Only reachable for the tail word (or an empty batch).
             (1u64 << (self.num_states % 64)) - 1
         }
+    }
+
+    /// The first state in which `self` and a same-shape batch differ on
+    /// any line (phantom states ignored).
+    pub(crate) fn first_difference(&self, other: &Self) -> Option<usize> {
+        debug_assert_eq!(
+            (self.num_lines, self.num_states),
+            (other.num_lines, other.num_states)
+        );
+        let wpl = self.words_per_line;
+        let mut diff = vec![0u64; wpl];
+        for (a, b) in self.lanes.chunks(wpl).zip(other.lanes.chunks(wpl)) {
+            for ((d, x), y) in diff.iter_mut().zip(a).zip(b) {
+                *d |= x ^ y;
+            }
+        }
+        diff.iter().enumerate().find_map(|(w, &d)| {
+            let d = d & self.word_mask(w);
+            (d != 0).then(|| w * 64 + d.trailing_zeros() as usize)
+        })
+    }
+
+    /// State `state` over all lines, one word per 64-line chunk: line `l`
+    /// is bit `l % 64` of word `l / 64`.
+    pub(crate) fn state_words(&self, state: usize) -> Vec<u64> {
+        let mut words = vec![0u64; self.num_lines.div_ceil(64)];
+        for line in 0..self.num_lines {
+            words[line / 64] |= u64::from(self.get(line, state)) << (line % 64);
+        }
+        words
     }
 
     /// Value of `line` in state `state`.
@@ -285,7 +450,7 @@ impl BatchState {
     ///
     /// Panics if more than 64 lines are addressed, a line is out of
     /// range, or `base` is not a multiple of 64 (consecutive loads start
-    /// on a lane-word boundary; `consecutive_batches` guarantees this).
+    /// on a lane-word boundary; `consecutive_batches_in` guarantees this).
     pub fn load_consecutive(&mut self, lines: &[usize], base: u64) {
         assert!(lines.len() <= 64, "register too wide");
         assert_eq!(base % 64, 0, "consecutive loads start on a word boundary");
@@ -601,13 +766,101 @@ mod tests {
     #[test]
     fn consecutive_batches_tile_the_range() {
         let mut expected = 0u64;
-        for (base, count) in consecutive_batches(2 * BATCH_STATES as u64 + 100) {
+        for (base, count) in consecutive_batches_in(0, 2 * BATCH_STATES as u64 + 100) {
             assert_eq!(base, expected, "ranges are contiguous");
             assert!(count > 0 && count <= BATCH_STATES);
             expected += count as u64;
         }
         assert_eq!(expected, 2 * BATCH_STATES as u64 + 100);
-        assert_eq!(consecutive_batches(0).count(), 0);
+        assert_eq!(consecutive_batches_in(0, 0).count(), 0);
+    }
+
+    #[test]
+    fn exhaustive_sweep_returns_the_first_hit_at_any_worker_count() {
+        // 14 register lines = four 4 096-state spans; hits are planted in
+        // spans 1, 2 and 3 (and twice in span 3), none in span 0.
+        let register: Vec<usize> = (1..15).collect();
+        let planted = [13_000u64, 5_000, 9_000, 12_500];
+        let sweep = || {
+            first_exhaustive(16, &register, || {
+                |state: &mut BatchState, starts: Starts<'_>| {
+                    let values = state.read_register(&register);
+                    assert!(
+                        state.lane(0).iter().chain(state.lane(15)).all(|&w| w == 0),
+                        "unloaded lines stay zero"
+                    );
+                    values.iter().enumerate().find_map(|(k, &v)| {
+                        assert_eq!(v, starts.value(0, k), "lanes hold the handed starts");
+                        planted.contains(&v).then_some(v)
+                    })
+                }
+            })
+        };
+        for cap in [1, 4] {
+            assert_eq!(par::with_worker_cap(cap, sweep), Some(5_000), "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn sampled_sweep_draws_the_serial_stream_per_batch_and_chunk() {
+        // A 70-line register (chunks of 64 and 6 lines) over 2 500
+        // samples: two full batches and a ragged one.
+        let register: Vec<usize> = (2..72).collect();
+        let mut rng = StdRng::seed_from_u64(7);
+        let expected: Vec<Vec<Vec<u64>>> = [1024, 1024, 452]
+            .iter()
+            .map(|&count| {
+                [u64::MAX, (1 << 6) - 1]
+                    .iter()
+                    .map(|&mask| (0..count).map(|_| rng.gen::<u64>() & mask).collect())
+                    .collect()
+            })
+            .collect();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let first = first_sampled(72, &register, 7, 2_500, || {
+            |state: &mut BatchState, starts: Starts<'_>| {
+                let Starts::Drawn(drawn) = starts else {
+                    panic!("sampled sweeps hand drawn values")
+                };
+                for (lines, values) in register.chunks(64).zip(drawn) {
+                    assert_eq!(&state.read_register(lines), values, "lanes hold the draws");
+                }
+                assert_eq!(state.read_register(&[0, 1]), vec![0; state.num_states()]);
+                seen.lock().unwrap().push(drawn.to_vec());
+                Some(starts.value(1, 0))
+            }
+        });
+        assert_eq!(first, Some(expected[0][1][0]), "first hit in draw order");
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|drawn| expected.iter().position(|e| e == drawn));
+        assert_eq!(seen, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-line register")]
+    fn exhaustive_sweep_rejects_a_64_line_register() {
+        // `assert!`, not `debug_assert!`: a wrapped `1 << 64` once let
+        // verification return `Verified` after checking one state.
+        let register: Vec<usize> = (0..64).collect();
+        first_exhaustive(64, &register, || {
+            |_: &mut BatchState, _: Starts<'_>| Some(())
+        });
+    }
+
+    #[test]
+    fn start_and_end_states_read_back_per_chunk() {
+        let register = [3, 70, 65];
+        let drawn = [vec![0b101, 0b010]];
+        let starts = Starts::Drawn(&drawn);
+        assert_eq!(starts.state_words(&register, 72, 0), vec![1 << 3, 1 << 1]);
+        assert_eq!(starts.state_words(&register, 72, 1), vec![0, 1 << 6]);
+        let mut a = BatchState::zeros(72, 2);
+        a.load_register(&register, &[0b101, 0b010]);
+        assert_eq!(a.state_words(1), starts.state_words(&register, 72, 1));
+        let mut b = a.clone();
+        assert_eq!(a.first_difference(&b), None);
+        b.set(71, 1, true);
+        assert_eq!(a.first_difference(&b), Some(1));
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! golden model, exhaustively when the input space is small and with
 //! randomized sampling otherwise.
 //!
-//! Replay runs on the bit-parallel [`crate::batchsim`] engine by default:
-//! both exhaustive enumeration and random sampling proceed in
-//! [`BATCH_STATES`]-state batches, so every gate is applied to 64 states
-//! per lane word at once. When a batch flags a discrepancy, the batch is
-//! re-run scalar, in order, to recover the exact witness input — the
-//! reported [`VerifyOutcome::Mismatch`] / [`VerifyOutcome::DirtyLine`] is
-//! identical to what a pure scalar run ([`VerifyOptions::batch`] `=
-//! false`) would produce.
+//! Replay runs on the bit-parallel [`crate::batchsim`] engine by default,
+//! through the same two sweep drivers the optimizer's soundness gates use
+//! (exhaustive spans of consecutive inputs, or seeded pre-drawn samples):
+//! both proceed in [`crate::batchsim::BATCH_STATES`]-state batches, so
+//! every gate is applied to 64 states per lane word at once. When a batch
+//! flags a discrepancy, the batch is re-run scalar, in order, to recover
+//! the exact witness input — the reported [`VerifyOutcome::Mismatch`] /
+//! [`VerifyOutcome::DirtyLine`] is identical to what a pure scalar run
+//! ([`VerifyOptions::batch`] `= false`) would produce.
 //!
 //! Exhaustive enumeration requires `2^n` to be representable *and*
 //! affordable: with a full 64-bit interface the space can only ever be
@@ -22,11 +23,13 @@
 //! builds to a one-iteration loop — `verify_computes` then returned
 //! [`VerifyOutcome::Verified`] without checking anything.)
 
-use crate::batchsim::{consecutive_batches_in, span_jobs, BatchState, BATCH_STATES};
+use crate::batchsim::{first_exhaustive, first_sampled, BatchState, Starts};
 use crate::circuit::{Circuit, TooWideError, PERMUTATION_LINE_LIMIT};
 use crate::state::BitState;
-use qda_logic::par;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Seed of the random inputs [`verify_computes`] samples.
+const VERIFY_SEED: u64 = 0xC0FFEE;
 
 /// What to check and how hard to try.
 #[derive(Clone, Copy, Debug)]
@@ -107,48 +110,103 @@ impl VerifyOutcome {
     }
 }
 
-/// Replays one input scalar (one basis state, one gate at a time) and
-/// checks outputs plus the optional line invariants.
-fn check_scalar<F: Fn(u64) -> u64>(
-    circuit: &Circuit,
-    input_lines: &[usize],
-    output_lines: &[usize],
-    oracle: &F,
-    options: &VerifyOptions,
-    x: u64,
-) -> VerifyOutcome {
-    let mut state = BitState::zeros(circuit.num_lines());
-    state.write_register(input_lines, x);
-    circuit.apply(&mut state);
-    let actual = state.read_register(output_lines);
-    let expected = oracle(x);
-    if actual != expected {
-        return VerifyOutcome::Mismatch {
-            input: x,
-            expected,
-            actual,
-        };
-    }
-    if options.check_ancilla_clean || options.check_inputs_preserved {
-        for line in 0..circuit.num_lines() {
-            let is_input = input_lines.contains(&line);
-            let is_output = output_lines.contains(&line);
-            if is_output {
-                continue;
-            }
-            if is_input {
-                if options.check_inputs_preserved {
-                    let idx = input_lines.iter().position(|&l| l == line).expect("input");
-                    if state.get(line) != ((x >> idx) & 1 == 1) {
-                        return VerifyOutcome::DirtyLine { input: x, line };
-                    }
+/// One [`verify_computes`] question: does `circuit`, started with an input
+/// on `input_lines` and zeros elsewhere, leave `oracle`'s answer on
+/// `output_lines` (and, where the options ask, its ancillae and inputs as
+/// they started)?
+struct Check<'a, F> {
+    circuit: &'a Circuit,
+    input_lines: &'a [usize],
+    output_lines: &'a [usize],
+    oracle: F,
+    options: &'a VerifyOptions,
+}
+
+impl<F: Fn(u64) -> u64> Check<'_, F> {
+    /// Replays input `x` scalar (one basis state, one gate at a time);
+    /// returns the failure, if any.
+    fn scalar(&self, x: u64) -> Option<VerifyOutcome> {
+        let (circuit, input_lines, output_lines) =
+            (self.circuit, self.input_lines, self.output_lines);
+        let options = self.options;
+        let mut state = BitState::zeros(circuit.num_lines());
+        state.write_register(input_lines, x);
+        circuit.apply(&mut state);
+        let actual = state.read_register(output_lines);
+        let expected = (self.oracle)(x);
+        if actual != expected {
+            return Some(VerifyOutcome::Mismatch {
+                input: x,
+                expected,
+                actual,
+            });
+        }
+        if options.check_ancilla_clean || options.check_inputs_preserved {
+            for line in 0..circuit.num_lines() {
+                let is_input = input_lines.contains(&line);
+                let is_output = output_lines.contains(&line);
+                if is_output {
+                    continue;
                 }
-            } else if options.check_ancilla_clean && state.get(line) {
-                return VerifyOutcome::DirtyLine { input: x, line };
+                if is_input {
+                    if options.check_inputs_preserved {
+                        let idx = input_lines.iter().position(|&l| l == line).expect("input");
+                        if state.get(line) != ((x >> idx) & 1 == 1) {
+                            return Some(VerifyOutcome::DirtyLine { input: x, line });
+                        }
+                    }
+                } else if options.check_ancilla_clean && state.get(line) {
+                    return Some(VerifyOutcome::DirtyLine { input: x, line });
+                }
             }
         }
+        None
     }
-    VerifyOutcome::Verified
+
+    /// Runs one loaded batch of a sweep bit-parallel; on any discrepancy
+    /// the batch's inputs are replayed scalar, in order, so the reported
+    /// failure is exactly the one a pure scalar run would find.
+    fn batch(&self, state: &mut BatchState, starts: Starts<'_>) -> Option<VerifyOutcome> {
+        let (input_lines, output_lines) = (self.input_lines, self.output_lines);
+        let mut inputs = (0..state.num_states()).map(|k| starts.value(0, k));
+        // Snapshot the lanes the preserved-inputs check compares against.
+        let preserved: Vec<(usize, Vec<u64>)> = if self.options.check_inputs_preserved {
+            input_lines
+                .iter()
+                .filter(|l| !output_lines.contains(l))
+                .map(|&l| (l, state.lane(l).to_vec()))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        self.circuit.apply_batch(state);
+
+        let actual = state.read_register(output_lines);
+        let mut clean = actual
+            .iter()
+            .zip(inputs.clone())
+            .all(|(&a, x)| a == (self.oracle)(x));
+        if clean {
+            clean = preserved
+                .iter()
+                .all(|(l, before)| lanes_equal(state, state.lane(*l), before));
+        }
+        if clean && self.options.check_ancilla_clean {
+            let zero = vec![0u64; state.words_per_line()];
+            clean = (0..self.circuit.num_lines())
+                .filter(|l| !output_lines.contains(l) && !input_lines.contains(l))
+                .all(|l| lanes_equal(state, state.lane(l), &zero));
+        }
+        if clean {
+            return None;
+        }
+        let failure = inputs.find_map(|x| self.scalar(x));
+        assert!(
+            failure.is_some(),
+            "batch simulation flagged a failure that scalar replay cannot reproduce"
+        );
+        failure
+    }
 }
 
 /// Whether two lanes agree on every valid (non-phantom) state bit.
@@ -157,113 +215,6 @@ fn lanes_equal(state: &BatchState, a: &[u64], b: &[u64]) -> bool {
         .zip(b)
         .enumerate()
         .all(|(w, (x, y))| (x ^ y) & state.word_mask(w) == 0)
-}
-
-/// Checks one batch of arbitrary inputs bit-parallel (the sampling
-/// path); on any discrepancy the batch is replayed scalar, in order, so
-/// the reported witness is exactly the one a pure scalar run would find.
-fn check_batch<F: Fn(u64) -> u64>(
-    circuit: &Circuit,
-    input_lines: &[usize],
-    output_lines: &[usize],
-    oracle: &F,
-    options: &VerifyOptions,
-    inputs: &[u64],
-) -> VerifyOutcome {
-    let mut state = BatchState::zeros(circuit.num_lines(), inputs.len());
-    state.load_register(input_lines, inputs);
-    check_loaded_batch(
-        circuit,
-        input_lines,
-        output_lines,
-        oracle,
-        options,
-        &mut state,
-        inputs.iter().copied(),
-    )
-}
-
-/// Checks the consecutive inputs `base..base + count` bit-parallel in a
-/// caller-provided (reused) batch buffer. The inputs are never
-/// materialized: the lanes are synthesized in place by
-/// [`BatchState::load_consecutive`].
-#[allow(clippy::too_many_arguments)]
-fn check_consecutive_batch<F: Fn(u64) -> u64>(
-    circuit: &Circuit,
-    input_lines: &[usize],
-    output_lines: &[usize],
-    oracle: &F,
-    options: &VerifyOptions,
-    state: &mut BatchState,
-    base: u64,
-    count: usize,
-) -> VerifyOutcome {
-    state.reset(count);
-    state.load_consecutive(input_lines, base);
-    check_loaded_batch(
-        circuit,
-        input_lines,
-        output_lines,
-        oracle,
-        options,
-        state,
-        base..base + count as u64,
-    )
-}
-
-/// The shared tail of the two batch checkers: runs a loaded batch and,
-/// on any discrepancy, replays the same inputs scalar, in order.
-fn check_loaded_batch<F, I>(
-    circuit: &Circuit,
-    input_lines: &[usize],
-    output_lines: &[usize],
-    oracle: &F,
-    options: &VerifyOptions,
-    state: &mut BatchState,
-    inputs: I,
-) -> VerifyOutcome
-where
-    F: Fn(u64) -> u64,
-    I: Iterator<Item = u64> + Clone,
-{
-    // Snapshot the lanes the preserved-inputs check compares against.
-    let preserved: Vec<(usize, Vec<u64>)> = if options.check_inputs_preserved {
-        input_lines
-            .iter()
-            .filter(|l| !output_lines.contains(l))
-            .map(|&l| (l, state.lane(l).to_vec()))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    circuit.apply_batch(state);
-
-    let actual = state.read_register(output_lines);
-    let mut clean = actual
-        .iter()
-        .zip(inputs.clone())
-        .all(|(&a, x)| a == oracle(x));
-    if clean {
-        clean = preserved
-            .iter()
-            .all(|(l, before)| lanes_equal(state, state.lane(*l), before));
-    }
-    if clean && options.check_ancilla_clean {
-        let zero = vec![0u64; state.words_per_line()];
-        clean = (0..circuit.num_lines())
-            .filter(|l| !output_lines.contains(l) && !input_lines.contains(l))
-            .all(|l| lanes_equal(state, state.lane(l), &zero));
-    }
-    if clean {
-        return VerifyOutcome::Verified;
-    }
-    for x in inputs {
-        let r = check_scalar(circuit, input_lines, output_lines, oracle, options, x);
-        if !r.is_ok() {
-            return r;
-        }
-    }
-    unreachable!("batch simulation flagged a failure that scalar replay cannot reproduce")
 }
 
 /// Checks that `circuit` computes `oracle` when `input_lines` carry the
@@ -280,12 +231,12 @@ where
 /// [`VerifyOptions::batch`] is off, and report the same witness either
 /// way.
 ///
-/// Batch sweeps are sharded across the worker pool (`qda_logic::par`):
-/// exhaustive enumeration hands each pool job a span of consecutive
-/// batches (swept with one reused [`BatchState`]), the sampling path
-/// hands each job one pre-drawn batch; results fold in span order taking
-/// the first failure, so the outcome — witness included — is
-/// byte-identical to the serial sweep at any worker count.
+/// Batch sweeps run on the [`crate::batchsim`] sweep drivers, which shard
+/// them across the worker pool (`qda_logic::par`) — exhaustive
+/// enumeration in spans of consecutive batches, sampling one pre-drawn
+/// batch per job — and keep the first failure in input order, so the
+/// outcome, witness included, is byte-identical to the serial sweep at
+/// any worker count.
 ///
 /// # Panics
 ///
@@ -299,94 +250,47 @@ pub fn verify_computes<F: Fn(u64) -> u64 + Sync>(
 ) -> VerifyOutcome {
     assert!(input_lines.len() <= 64 && output_lines.len() <= 64);
     let n = input_lines.len();
-    if n < 64 && n <= options.exhaustive_limit {
-        let total = 1u64 << n;
-        if options.batch {
-            let (span, jobs) = span_jobs(total);
-            let spans = par::run_indexed(jobs, |job| {
-                let lo = job as u64 * span;
-                let hi = (lo + span).min(total);
-                let mut state = BatchState::zeros(circuit.num_lines(), 0);
-                for (base, count) in consecutive_batches_in(lo, hi) {
-                    let r = check_consecutive_batch(
-                        circuit,
-                        input_lines,
-                        output_lines,
-                        &oracle,
-                        options,
-                        &mut state,
-                        base,
-                        count,
-                    );
-                    if !r.is_ok() {
-                        return r;
-                    }
-                }
-                VerifyOutcome::Verified
-            });
-            for r in spans {
-                if !r.is_ok() {
-                    return r;
-                }
-            }
-        } else {
-            for x in 0..total {
-                let r = check_scalar(circuit, input_lines, output_lines, &oracle, options, x);
-                if !r.is_ok() {
-                    return r;
-                }
-            }
+    let exhaustive = n < 64 && n <= options.exhaustive_limit;
+    let check = Check {
+        circuit,
+        input_lines,
+        output_lines,
+        oracle,
+        options,
+    };
+    let make_check = || |state: &mut BatchState, starts: Starts<'_>| check.batch(state, starts);
+    let failure = match (exhaustive, options.batch) {
+        (true, true) => first_exhaustive(circuit.num_lines(), input_lines, make_check),
+        (true, false) => (0..1u64 << n).find_map(|x| check.scalar(x)),
+        (false, true) => first_sampled(
+            circuit.num_lines(),
+            input_lines,
+            VERIFY_SEED,
+            options.random_samples,
+            make_check,
+        ),
+        (false, false) => {
+            // The stream `first_sampled` draws for a one-chunk register.
+            let mut rng = StdRng::seed_from_u64(VERIFY_SEED);
+            let mask = u64::MAX >> (64 - n);
+            (0..options.random_samples).find_map(|_| check.scalar(rng.gen::<u64>() & mask))
         }
+    };
+    failure.unwrap_or(if exhaustive {
         VerifyOutcome::Verified
     } else {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        if options.batch {
-            // Draw every sample up front (same RNG stream as the serial
-            // loop), then shard whole batches across the pool.
-            let mut batches: Vec<Vec<u64>> = Vec::new();
-            let mut remaining = options.random_samples;
-            while remaining > 0 {
-                let take = remaining.min(BATCH_STATES as u64);
-                batches.push((0..take).map(|_| rng.gen::<u64>() & mask).collect());
-                remaining -= take;
-            }
-            let results = par::run_indexed(batches.len(), |bi| {
-                check_batch(
-                    circuit,
-                    input_lines,
-                    output_lines,
-                    &oracle,
-                    options,
-                    &batches[bi],
-                )
-            });
-            for r in results {
-                if !r.is_ok() {
-                    return r;
-                }
-            }
-        } else {
-            for _ in 0..options.random_samples {
-                let x: u64 = rng.gen::<u64>() & mask;
-                let r = check_scalar(circuit, input_lines, output_lines, &oracle, options, x);
-                if !r.is_ok() {
-                    return r;
-                }
-            }
-        }
         VerifyOutcome::ProbablyCorrect {
             samples: options.random_samples,
         }
-    }
+    })
 }
 
 /// Checks that a circuit realizes a given permutation over **all** its
 /// lines (used by transformation-based synthesis, whose specification is a
-/// reversible function on the full line space). Runs in bit-parallel
-/// batches over lanes synthesized in place
-/// ([`BatchState::load_consecutive`]); a mismatch witness is re-confirmed
-/// by scalar simulation.
+/// reversible function on the full line space). Runs on the exhaustive
+/// [`crate::batchsim`] sweep driver, in bit-parallel batches over lanes
+/// synthesized in place ([`BatchState::load_consecutive`]); a mismatch
+/// witness is re-confirmed by scalar simulation.
 ///
 /// # Errors
 ///
@@ -412,49 +316,36 @@ pub fn verify_permutation(circuit: &Circuit, perm: &[u64]) -> Result<VerifyOutco
         circuit.num_lines()
     );
     let all_lines: Vec<usize> = (0..circuit.num_lines()).collect();
-    let (span, jobs) = span_jobs(size);
-    let spans = par::run_indexed(jobs, |job| {
-        let lo = job as u64 * span;
-        let hi = (lo + span).min(size);
-        let mut state = BatchState::zeros(circuit.num_lines(), 0);
-        for (base, count) in consecutive_batches_in(lo, hi) {
-            state.reset(count);
-            state.load_consecutive(&all_lines, base);
-            circuit.apply_batch(&mut state);
+    let mismatch = first_exhaustive(circuit.num_lines(), &all_lines, || {
+        |state: &mut BatchState, starts: Starts<'_>| {
+            circuit.apply_batch(state);
             let actual = state.read_register(&all_lines);
-            for (k, input) in (base..base + count as u64).enumerate() {
+            actual.iter().enumerate().find_map(|(k, &got)| {
+                let input = starts.value(0, k);
                 let expected = perm[input as usize];
-                if actual[k] != expected {
-                    // Scalar re-run: report a witness independent of the
-                    // batch engine — and if the scalar value disagrees with
-                    // the batch value *and* matches the permutation, the
-                    // batch engine itself is broken; fail loudly instead of
-                    // returning an incoherent Mismatch.
-                    let scalar = circuit.simulate_u64(input);
-                    assert!(
-                        scalar != expected,
-                        "batch simulation flagged input {input} (got {}, expected {expected}) \
-                         but scalar simulation agrees with the permutation",
-                        actual[k]
-                    );
-                    return VerifyOutcome::Mismatch {
-                        input,
-                        expected,
-                        actual: scalar,
-                    };
+                if got == expected {
+                    return None;
                 }
-            }
+                // Scalar re-run: report a witness independent of the
+                // batch engine — and if the scalar value disagrees with
+                // the batch value *and* matches the permutation, the
+                // batch engine itself is broken; fail loudly instead of
+                // returning an incoherent Mismatch.
+                let scalar = circuit.simulate_u64(input);
+                assert!(
+                    scalar != expected,
+                    "batch simulation flagged input {input} (got {got}, expected {expected}) \
+                     but scalar simulation agrees with the permutation"
+                );
+                Some(VerifyOutcome::Mismatch {
+                    input,
+                    expected,
+                    actual: scalar,
+                })
+            })
         }
-        VerifyOutcome::Verified
     });
-    // Spans fold in index order, so the first failure is the same witness
-    // the serial sweep would report.
-    for r in spans {
-        if !r.is_ok() {
-            return Ok(r);
-        }
-    }
-    Ok(VerifyOutcome::Verified)
+    Ok(mismatch.unwrap_or(VerifyOutcome::Verified))
 }
 
 #[cfg(test)]

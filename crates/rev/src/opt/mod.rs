@@ -74,11 +74,10 @@
 
 pub mod rules;
 
-use crate::batchsim::{consecutive_batches_in, span_jobs, BatchState, BATCH_STATES};
+use crate::batchsim::{first_exhaustive, first_sampled, BatchState, Starts};
 use crate::circuit::Circuit;
 use crate::packed::{GateArena, PackedGateBuf};
 use qda_logic::par;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use rules::{MergeRule, RewriteCost};
 use std::collections::VecDeque;
 use std::fmt;
@@ -90,6 +89,9 @@ pub const EXHAUSTIVE_LINE_LIMIT: usize = 16;
 /// Number of random full-width states used to check circuits wider than
 /// [`EXHAUSTIVE_LINE_LIMIT`].
 pub const SAMPLED_STATES: u64 = 4096;
+
+/// Seed of the random start states the equivalence gates sample.
+const SAMPLE_SEED: u64 = 0x0917_C3EC;
 
 /// Tuning knobs of the peephole pass.
 #[derive(Clone, Copy, Debug)]
@@ -569,95 +571,7 @@ impl fmt::Display for OptMismatch {
 ///
 /// Panics if the circuits differ in line count.
 pub fn equivalence_witness(original: &Circuit, optimized: &Circuit) -> Option<OptMismatch> {
-    assert_eq!(
-        original.num_lines(),
-        optimized.num_lines(),
-        "equivalence check requires equal line counts"
-    );
-    let n = original.num_lines();
-    if n <= EXHAUSTIVE_LINE_LIMIT {
-        let all_lines: Vec<usize> = (0..n).collect();
-        let total = 1u64 << n;
-        let (span, jobs) = span_jobs(total);
-        let spans = par::run_indexed(jobs, |job| {
-            let lo = job as u64 * span;
-            let hi = (lo + span).min(total);
-            let mut sa = BatchState::zeros(n, 0);
-            let mut sb = BatchState::zeros(n, 0);
-            for (base, count) in consecutive_batches_in(lo, hi) {
-                sa.reset(count);
-                sa.load_consecutive(&all_lines, base);
-                sb.copy_from(&sa);
-                original.apply_batch(&mut sa);
-                optimized.apply_batch(&mut sb);
-                let a = sa.read_register(&all_lines);
-                let b = sb.read_register(&all_lines);
-                for (k, x) in (base..base + count as u64).enumerate() {
-                    if a[k] != b[k] {
-                        return Some(OptMismatch {
-                            input: vec![x],
-                            original: vec![a[k]],
-                            optimized: vec![b[k]],
-                        });
-                    }
-                }
-            }
-            None
-        });
-        // Spans fold in index order: the first witness is the one the
-        // serial sweep would report.
-        return spans.into_iter().flatten().next();
-    }
-    let all_lines: Vec<usize> = (0..n).collect();
-    let chunks: Vec<&[usize]> = all_lines.chunks(64).collect();
-    // Draw every sample up front (same RNG stream as the serial loop),
-    // then shard whole batches across the pool.
-    let mut rng = StdRng::seed_from_u64(0x0917_C3EC);
-    let mut batches: Vec<Vec<Vec<u64>>> = Vec::new();
-    let mut remaining = SAMPLED_STATES;
-    while remaining > 0 {
-        let take = remaining.min(BATCH_STATES as u64) as usize;
-        batches.push(
-            chunks
-                .iter()
-                .map(|lines| {
-                    let mask = if lines.len() == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << lines.len()) - 1
-                    };
-                    (0..take).map(|_| rng.gen::<u64>() & mask).collect()
-                })
-                .collect(),
-        );
-        remaining -= take as u64;
-    }
-    let results = par::run_indexed(batches.len(), |bi| {
-        let chunk_values = &batches[bi];
-        let take = chunk_values[0].len();
-        let mut sa = BatchState::zeros(n, take);
-        for (lines, values) in chunks.iter().zip(chunk_values) {
-            sa.load_register(lines, values);
-        }
-        let mut sb = BatchState::zeros(n, 0);
-        sb.copy_from(&sa);
-        original.apply_batch(&mut sa);
-        optimized.apply_batch(&mut sb);
-        let outs_a: Vec<Vec<u64>> = chunks.iter().map(|lines| sa.read_register(lines)).collect();
-        let outs_b: Vec<Vec<u64>> = chunks.iter().map(|lines| sb.read_register(lines)).collect();
-        (0..take).find_map(|k| {
-            if outs_a.iter().zip(&outs_b).any(|(a, b)| a[k] != b[k]) {
-                Some(OptMismatch {
-                    input: chunk_values.iter().map(|v| v[k]).collect(),
-                    original: outs_a.iter().map(|v| v[k]).collect(),
-                    optimized: outs_b.iter().map(|v| v[k]).collect(),
-                })
-            } else {
-                None
-            }
-        })
-    });
-    results.into_iter().flatten().next()
+    equivalence_witness_assuming(original, optimized, &[])
 }
 
 /// [`equivalence_witness`] restricted to the **assumed state space**:
@@ -669,8 +583,10 @@ pub fn equivalence_witness(original: &Circuit, optimized: &Circuit) -> Option<Op
 ///
 /// Exhaustive over all `2^f` assignments of the `f` free (unassumed)
 /// lines when `f ≤` [`EXHAUSTIVE_LINE_LIMIT`], otherwise
-/// [`SAMPLED_STATES`] seeded-random assignments of the free lines.
-/// With an empty `zero_lines` this is exactly [`equivalence_witness`].
+/// [`SAMPLED_STATES`] seeded-random assignments of the free lines, drawn
+/// per 64-line chunk of them. Both sweeps run on the
+/// [`crate::batchsim`] sweep drivers and report the first diverging
+/// state in sweep order at any worker count.
 ///
 /// # Panics
 ///
@@ -681,9 +597,6 @@ pub fn equivalence_witness_assuming(
     optimized: &Circuit,
     zero_lines: &[usize],
 ) -> Option<OptMismatch> {
-    if zero_lines.is_empty() {
-        return equivalence_witness(original, optimized);
-    }
     assert_eq!(
         original.num_lines(),
         optimized.num_lines(),
@@ -695,83 +608,28 @@ pub fn equivalence_witness_assuming(
         zero[l] = true;
     }
     let free_lines: Vec<usize> = (0..n).filter(|&l| !zero[l]).collect();
-    let all_lines: Vec<usize> = (0..n).collect();
-    let chunks: Vec<&[usize]> = all_lines.chunks(64).collect();
-    // Compares one batch of prepared start states (in a caller-provided,
-    // reused pair of buffers) and returns a witness on the first
-    // divergence.
-    let run_batch = |sa: &mut BatchState, sb: &mut BatchState, take: usize| {
-        sb.copy_from(sa);
-        let ins: Vec<Vec<u64>> = chunks.iter().map(|lines| sa.read_register(lines)).collect();
-        original.apply_batch(sa);
-        optimized.apply_batch(sb);
-        let outs_a: Vec<Vec<u64>> = chunks.iter().map(|lines| sa.read_register(lines)).collect();
-        let outs_b: Vec<Vec<u64>> = chunks.iter().map(|lines| sb.read_register(lines)).collect();
-        (0..take).find_map(|k| {
-            if outs_a.iter().zip(&outs_b).any(|(a, b)| a[k] != b[k]) {
-                Some(OptMismatch {
-                    input: ins.iter().map(|v| v[k]).collect(),
-                    original: outs_a.iter().map(|v| v[k]).collect(),
-                    optimized: outs_b.iter().map(|v| v[k]).collect(),
-                })
-            } else {
-                None
-            }
-        })
+    // Each job runs both circuits from the same start states, the
+    // rewritten one in a spare buffer it reuses across its batches.
+    let make_check = || {
+        let free_lines = &free_lines;
+        let mut spare = BatchState::zeros(n, 0);
+        move |state: &mut BatchState, starts: Starts<'_>| {
+            spare.copy_from(state);
+            original.apply_batch(state);
+            optimized.apply_batch(&mut spare);
+            let k = state.first_difference(&spare)?;
+            Some(OptMismatch {
+                input: starts.state_words(free_lines, n, k),
+                original: state.state_words(k),
+                optimized: spare.state_words(k),
+            })
+        }
     };
     if free_lines.len() <= EXHAUSTIVE_LINE_LIMIT {
-        let total = 1u64 << free_lines.len();
-        let (span, jobs) = span_jobs(total);
-        let spans = par::run_indexed(jobs, |job| {
-            let lo = job as u64 * span;
-            let hi = (lo + span).min(total);
-            let mut sa = BatchState::zeros(n, 0);
-            let mut sb = BatchState::zeros(n, 0);
-            for (base, count) in consecutive_batches_in(lo, hi) {
-                sa.reset(count);
-                sa.load_consecutive(&free_lines, base);
-                if let Some(w) = run_batch(&mut sa, &mut sb, count) {
-                    return Some(w);
-                }
-            }
-            None
-        });
-        return spans.into_iter().flatten().next();
+        first_exhaustive(n, &free_lines, make_check)
+    } else {
+        first_sampled(n, &free_lines, SAMPLE_SEED, SAMPLED_STATES, make_check)
     }
-    let free_chunks: Vec<&[usize]> = free_lines.chunks(64).collect();
-    // Same up-front draw as `equivalence_witness`: the RNG stream is
-    // identical to the serial loop's, one whole batch per pool job.
-    let mut rng = StdRng::seed_from_u64(0x0917_C3EC);
-    let mut batches: Vec<Vec<Vec<u64>>> = Vec::new();
-    let mut remaining = SAMPLED_STATES;
-    while remaining > 0 {
-        let take = remaining.min(BATCH_STATES as u64) as usize;
-        batches.push(
-            free_chunks
-                .iter()
-                .map(|lines| {
-                    let mask = if lines.len() == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << lines.len()) - 1
-                    };
-                    (0..take).map(|_| rng.gen::<u64>() & mask).collect()
-                })
-                .collect(),
-        );
-        remaining -= take as u64;
-    }
-    let results = par::run_indexed(batches.len(), |bi| {
-        let values = &batches[bi];
-        let take = values[0].len();
-        let mut sa = BatchState::zeros(n, take);
-        for (lines, vals) in free_chunks.iter().zip(values) {
-            sa.load_register(lines, vals);
-        }
-        let mut sb = BatchState::zeros(n, 0);
-        run_batch(&mut sa, &mut sb, take)
-    });
-    results.into_iter().flatten().next()
 }
 
 /// [`optimize`], then machine-check the rewritten circuit against the

@@ -183,14 +183,6 @@ impl<'a> PackedGate<'a> {
             || self.controls_conflict(other)
     }
 
-    /// Support mask word `w`: controls plus the target bit.
-    #[must_use]
-    pub fn support_word(&self, w: usize) -> u64 {
-        let t = self.target();
-        let target_bit = if t / 64 == w { 1u64 << (t % 64) } else { 0 };
-        self.ctrl[w] | target_bit
-    }
-
     /// Materializes the legacy [`Gate`] view (API boundaries and
     /// diagnostics only — allocates).
     #[must_use]

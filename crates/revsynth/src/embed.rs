@@ -46,11 +46,6 @@ impl Embedding {
         &self.permutation
     }
 
-    /// Consumes the embedding, returning the permutation.
-    pub fn into_permutation(self) -> Vec<u64> {
-        self.permutation
-    }
-
     /// The embedded output for original input `x` (low `m` bits are
     /// `f(x)`).
     pub fn apply(&self, x: u64) -> u64 {
