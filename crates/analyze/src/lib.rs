@@ -37,7 +37,7 @@ pub use depth::DepthMetrics;
 pub use diag::{Code, Diagnostic, Severity, Span};
 pub use interface::CircuitInterface;
 
-use qda_rev::cost::t_count_gate;
+use qda_rev::cost::t_count_mct;
 use qda_rev::{Circuit, Gate, GateArena};
 
 /// Static metrics computed alongside the diagnostics.
@@ -177,7 +177,7 @@ fn metrics_of(num_lines: usize, gates: &[Gate]) -> Metrics {
     Metrics {
         num_lines,
         num_gates: gates.len(),
-        t_count: gates.iter().map(t_count_gate).sum(),
+        t_count: gates.iter().map(|g| t_count_mct(g.num_controls())).sum(),
         depth: DepthMetrics::default(),
     }
 }

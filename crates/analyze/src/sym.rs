@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use qda_rev::{Control, Gate, PackedGate};
+use qda_rev::PackedGate;
 
 use crate::interface::CircuitInterface;
 
@@ -175,21 +175,12 @@ impl SymState {
         &self.vals[line]
     }
 
-    /// Advances the state across one gate: the target is XORed with the
-    /// product of the (polarity-adjusted) control values.
-    pub fn apply(&mut self, gate: &Gate) {
-        self.apply_controls(gate.controls().iter().copied(), gate.target());
-    }
-
-    /// [`SymState::apply`] on a packed gate view — the controls are
-    /// decoded straight from the mask words, no [`Gate`] materialized.
+    /// Advances the state across one packed gate: the target is XORed
+    /// with the product of the (polarity-adjusted) control values, decoded
+    /// straight from the mask words.
     pub fn apply_packed(&mut self, gate: &PackedGate<'_>) {
-        self.apply_controls(gate.controls(), gate.target());
-    }
-
-    fn apply_controls(&mut self, controls: impl Iterator<Item = Control>, target: usize) {
         let mut product = LineVal::one();
-        for c in controls {
+        for c in gate.controls() {
             let v = &self.vals[c.line()];
             let factor = if c.is_positive() {
                 v.clone()
@@ -201,6 +192,7 @@ impl SymState {
                 break;
             }
         }
+        let target = gate.target();
         self.vals[target] = self.vals[target].xor(&product);
     }
 
@@ -238,11 +230,15 @@ mod tests {
 
     #[test]
     fn negative_controls_and_nots_track_constants() {
+        let mut c = Circuit::new(3);
+        c.not(1); // line 1: 0 -> 1
+        c.mct(vec![qda_rev::Control::negative(2)], 1);
         let mut s = SymState::for_interface(&iface(3, 1));
-        s.apply(&Gate::not(1)); // line 1: 0 -> 1
+        let mut gates = c.packed().iter();
+        s.apply_packed(&gates.next().unwrap().1);
         assert!(s.value(1).is_one());
         // Negative control on line 2 (still 0) always fires.
-        s.apply(&Gate::mct(vec![qda_rev::Control::negative(2)], 1));
+        s.apply_packed(&gates.next().unwrap().1);
         assert!(s.value(1).is_zero(), "1 xor 1 = 0");
     }
 

@@ -221,12 +221,20 @@ mod tests {
 
     #[test]
     fn generators_scale_to_large_n() {
-        // Parse + elaborate only (no exhaustive simulation).
-        let src = intdiv_verilog(64);
-        let aig = elaborate(&parse_module(&src).unwrap()).unwrap();
-        assert_eq!(aig.num_pis(), 64);
-        let src = newton_verilog(32);
-        let aig = elaborate(&parse_module(&src).unwrap()).unwrap();
-        assert_eq!(aig.num_pis(), 32);
+        // Parse + elaborate only (no exhaustive simulation). n = 128, the
+        // daemon's largest, must fit the front end's bounds.
+        let worker = std::thread::Builder::new().stack_size(qda_verilog::STACK_BYTES);
+        let sizes = worker.spawn(|| {
+            for (src, n) in [
+                (intdiv_verilog(64), 64),
+                (intdiv_verilog(128), 128),
+                (newton_verilog(32), 32),
+                (newton_verilog(128), 128),
+            ] {
+                let aig = elaborate(&parse_module(&src).unwrap()).unwrap();
+                assert_eq!(aig.num_pis(), n);
+            }
+        });
+        sizes.unwrap().join().unwrap();
     }
 }

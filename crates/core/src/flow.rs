@@ -62,7 +62,7 @@ use qda_rev::cost::CircuitCost;
 use qda_rev::equiv::{verify_computes, VerifyOptions, VerifyOutcome};
 use qda_rev::opt::{optimize_checked_assuming, OptMismatch, OptOptions, OptStats};
 use qda_rev::resynth::{ResynthOptions, ResynthStats};
-use qda_revsynth::embed::optimum_embedding;
+use qda_revsynth::embed::{minimum_additional_lines, optimum_embedding};
 use qda_revsynth::esop::{synthesize_esop, EsopSynthOptions};
 use qda_revsynth::hierarchical::{synthesize_xmg, CleanupStrategy, HierarchicalOptions};
 use qda_revsynth::resynth::resynthesize_circuit_checked;
@@ -836,6 +836,22 @@ impl Default for FunctionalFlow {
     }
 }
 
+impl FunctionalFlow {
+    /// Rejects an embedding wider than `max_lines` with the same typed
+    /// error the simulation layer raises for over-wide explicit
+    /// permutations, surfaced as a flow error instead of a process abort.
+    fn check_lines(&self, lines: usize) -> Result<(), FlowError> {
+        if lines > self.max_lines {
+            return Err(TooWideError {
+                lines,
+                limit: self.max_lines,
+            }
+            .into());
+        }
+        Ok(())
+    }
+}
+
 impl Flow for FunctionalFlow {
     fn name(&self) -> String {
         "functional (embedding + TBS)".into()
@@ -848,24 +864,18 @@ impl Flow for FunctionalFlow {
     /// Rejects instances beyond the explicit-permutation guard before any
     /// work is spent on them.
     fn precheck(&self, design: &Design) -> Result<(), FlowError> {
-        let lines = design.bits().saturating_mul(2).saturating_sub(1);
-        if lines > self.max_lines {
-            // The same typed error the simulation layer raises for
-            // over-wide explicit permutations, surfaced as a flow error
-            // instead of a process abort.
-            return Err(TooWideError {
-                lines,
-                limit: self.max_lines,
-            }
-            .into());
-        }
-        Ok(())
+        self.check_lines(design.bits().saturating_mul(2).saturating_sub(1))
     }
 
     fn synthesize(&self, design: &Design, aig: &Aig) -> Result<Synthesized, FlowError> {
         // "collapse": the explicit truth table is the BDD's semantics; the
         // embedding enumerates it either way.
-        let embedding = optimum_embedding(&aig.to_truth_tables());
+        let tables = aig.to_truth_tables();
+        // The precheck bounds the reciprocal's `2n − 1` lines; a design
+        // with more outputs than inputs needs `max(n, m + g)`.
+        let garbage = minimum_additional_lines(&tables);
+        self.check_lines(tables.num_vars().max(tables.num_outputs() + garbage))?;
+        let embedding = optimum_embedding(&tables);
         let circuit = transformation_based_synthesis(embedding.permutation(), self.direction);
         // In-place circuit: inputs on the low n lines, outputs on the low
         // m lines (our embedding convention).
@@ -1162,6 +1172,18 @@ mod tests {
         };
         assert_eq!(error.lines, 31);
         assert_eq!(error.limit, 25);
+        // 12 inputs pass the `2n − 1` precheck, but 28 outputs need 28
+        // lines: refused before the 2^28-entry embedding is built.
+        let mut aig = Aig::new(12);
+        for i in 0..28 {
+            let input = aig.pi(i % 12);
+            aig.add_po(input);
+        }
+        let r = FunctionalFlow::default().synthesize(&Design::external(12), &aig);
+        let Err(FlowError::CircuitTooWide { error }) = r else {
+            panic!("expected a typed too-wide error for 28 outputs");
+        };
+        assert_eq!((error.lines, error.limit), (28, 25));
     }
 
     #[test]

@@ -47,7 +47,6 @@
 //! assert_eq!(out[0b11], 0); // 1 ^ 1
 //! ```
 
-use crate::gate::Gate;
 use crate::packed::{GateArena, PackedGate};
 use qda_logic::par;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -498,76 +497,6 @@ impl BatchState {
         values
     }
 
-    /// Applies one MPMCT gate to all states at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate references a line outside the batch.
-    pub fn apply(&mut self, gate: &Gate) {
-        assert!(
-            gate.max_line() < self.num_lines,
-            "gate {gate} exceeds {} lines",
-            self.num_lines
-        );
-        let wpl = self.words_per_line;
-        let target = gate.target() * wpl;
-        for w in 0..wpl {
-            let mut fire = u64::MAX;
-            for c in gate.controls() {
-                let lane = self.lanes[c.line() * wpl + w];
-                fire &= if c.is_positive() { lane } else { !lane };
-            }
-            self.lanes[target + w] ^= fire;
-        }
-    }
-
-    /// Applies one packed MPMCT gate to all states at once, reusing a
-    /// caller-provided scratch buffer for the fire mask (one word per
-    /// lane word). Unlike [`BatchState::apply`] this decodes no gate:
-    /// the control lanes named by the packed masks are AND-ed straight
-    /// into `fire`, then XOR-ed into the target lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate references a line outside the batch or the
-    /// scratch buffer is not [`BatchState::words_per_line`] words.
-    pub fn apply_packed(&mut self, gate: &PackedGate<'_>, fire: &mut [u64]) {
-        assert!(
-            gate.target() < self.num_lines,
-            "gate target {} exceeds {} lines",
-            gate.target(),
-            self.num_lines
-        );
-        let wpl = self.words_per_line;
-        assert_eq!(
-            fire.len(),
-            wpl,
-            "scratch buffer holds one word per lane word"
-        );
-        fire.fill(u64::MAX);
-        for c in gate.controls() {
-            let line = c.line();
-            assert!(
-                line < self.num_lines,
-                "control line {line} exceeds the batch"
-            );
-            let lane = &self.lanes[line * wpl..(line + 1) * wpl];
-            if c.is_positive() {
-                for (f, &l) in fire.iter_mut().zip(lane) {
-                    *f &= l;
-                }
-            } else {
-                for (f, &l) in fire.iter_mut().zip(lane) {
-                    *f &= !l;
-                }
-            }
-        }
-        let target = gate.target() * wpl;
-        for (w, f) in fire.iter().enumerate() {
-            self.lanes[target + w] ^= f;
-        }
-    }
-
     /// Applies a whole gate cascade to all states, block-major: for each
     /// [`LANE_CHUNK`]-word block of the lanes, every gate is applied to
     /// that block before moving on (states are independent, so the
@@ -700,7 +629,7 @@ mod tests {
         let inputs: Vec<u64> = (0..8).collect();
         let mut b = BatchState::zeros(3, inputs.len());
         b.load_register(&[0, 1, 2], &inputs);
-        b.apply(&g);
+        b.apply_arena(&GateArena::from_gates(3, std::slice::from_ref(&g)));
         let out = b.read_register(&[0, 1, 2]);
         for (k, &x) in inputs.iter().enumerate() {
             assert_eq!(out[k], g.apply_u64(x), "input {x}");
@@ -760,7 +689,7 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn rejects_out_of_range_gates() {
         let mut b = BatchState::zeros(2, 4);
-        b.apply(&Gate::toffoli(0, 1, 2));
+        b.apply_arena(&GateArena::from_gates(3, &[Gate::toffoli(0, 1, 2)]));
     }
 
     #[test]
@@ -918,19 +847,22 @@ mod tests {
     fn apply_arena_matches_per_gate_apply_across_widths() {
         // Word counts covering: sub-chunk tail only (1, 2), exactly one
         // chunk (8), chunks + tail (19), and the hot two-chunk shape (16).
+        // The reference replays every state alone through the scalar
+        // engine.
+        let c = wide_cascade();
         for states in [40, 100, 8 * 64, 19 * 64 - 5, BATCH_STATES] {
-            let c = wide_cascade();
-            let mut by_arena = BatchState::zeros(70, states);
+            let mut batch = BatchState::zeros(70, states);
             for s in 0..states {
-                by_arena.set(s % 70, s, s % 3 == 0);
+                batch.set(s % 70, s, s % 3 == 0);
             }
-            let mut by_gate = by_arena.clone();
-            by_arena.apply_arena(c.packed());
-            let mut fire = vec![0u64; by_gate.words_per_line()];
-            for (_, g) in c.packed().iter() {
-                by_gate.apply_packed(&g, &mut fire);
+            batch.apply_arena(c.packed());
+            for s in 0..states {
+                let mut state = BitState::zeros(70);
+                state.set(s % 70, s % 3 == 0);
+                c.apply(&mut state);
+                let agree = (0..70).all(|line| batch.get(line, s) == state.get(line));
+                assert!(agree, "{states} states, state {s}");
             }
-            assert_eq!(by_arena, by_gate, "{states} states");
         }
     }
 
@@ -970,20 +902,5 @@ mod tests {
         let mut b = BatchState::zeros(9, 3);
         b.copy_from(&a);
         assert_eq!(b, a.clone());
-    }
-
-    #[test]
-    fn packed_apply_agrees_with_gate_apply() {
-        use crate::packed::PackedGateBuf;
-        let g = Gate::mct(vec![Control::positive(0), Control::negative(3)], 2);
-        let packed = PackedGateBuf::from_gate(&g, 1);
-        let inputs: Vec<u64> = (0..100).map(|k| k % 16).collect();
-        let mut by_gate = BatchState::zeros(4, inputs.len());
-        by_gate.load_register(&[0, 1, 2, 3], &inputs);
-        let mut by_mask = by_gate.clone();
-        by_gate.apply(&g);
-        let mut fire = vec![0u64; by_mask.words_per_line()];
-        by_mask.apply_packed(&packed.view(), &mut fire);
-        assert_eq!(by_mask, by_gate);
     }
 }

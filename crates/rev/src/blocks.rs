@@ -109,27 +109,27 @@ pub fn cuccaro_add(
     validate_adder_roles(circuit, a, b, ancilla, carry_out, control);
     let n = a.len();
     // Gate helpers: `plain` gates self-cancel when the control is off,
-    // `ctl` gates write into the result and carry the extra control.
-    let ctl = |circuit: &mut Circuit, gate: Gate| match control {
-        Some(c) => circuit.add_gate(gate.with_control(c)),
-        None => circuit.add_gate(gate),
+    // `ctl` CNOTs write into the result and carry the extra control.
+    let ctl = |circuit: &mut Circuit, source: usize, target: usize| {
+        let controls = std::iter::once(Control::positive(source)).chain(control);
+        circuit.add_gate(Gate::mct(controls.collect(), target));
     };
     // Carry lines: c_0 = ancilla, c_i = a[i-1] for i >= 1.
     let carry = |i: usize| if i == 0 { ancilla } else { a[i - 1] };
     // MAJ sweep.
     for i in 0..n {
-        ctl(circuit, Gate::cnot(a[i], b[i]));
+        ctl(circuit, a[i], b[i]);
         circuit.cnot(a[i], carry(i));
         circuit.toffoli(carry(i), b[i], a[i]);
     }
     if let Some(z) = carry_out {
-        ctl(circuit, Gate::cnot(a[n - 1], z));
+        ctl(circuit, a[n - 1], z);
     }
     // UMA sweep (reverse order).
     for i in (0..n).rev() {
         circuit.toffoli(carry(i), b[i], a[i]);
         circuit.cnot(a[i], carry(i));
-        ctl(circuit, Gate::cnot(carry(i), b[i]));
+        ctl(circuit, carry(i), b[i]);
     }
 }
 

@@ -175,18 +175,6 @@ impl Circuit {
         }
     }
 
-    /// Appends `other` with its line `i` mapped onto `map[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map is too short or maps outside this circuit.
-    pub fn extend_remapped(&mut self, other: &Circuit, map: &[usize]) {
-        assert!(map.len() >= other.num_lines, "map too short");
-        for g in other.gates() {
-            self.add_gate(g.remapped(map));
-        }
-    }
-
     /// The inverse circuit. MPMCT gates are self-inverse, so this is just
     /// the reversed cascade.
     #[must_use]
@@ -470,16 +458,6 @@ mod tests {
             assert!(!seen[y as usize], "not a permutation");
             seen[y as usize] = true;
         }
-    }
-
-    #[test]
-    fn extend_remapped_relocates_gates() {
-        let mut inner = Circuit::new(2);
-        inner.cnot(0, 1);
-        let mut outer = Circuit::new(5);
-        outer.extend_remapped(&inner, &[4, 2]);
-        assert_eq!(outer.gates()[0].target(), 2);
-        assert_eq!(outer.gates()[0].controls()[0].line(), 4);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! with X gates, which are Clifford.
 
 use crate::circuit::Circuit;
-use crate::gate::Gate;
 use std::fmt;
 
 /// T-count of a single MPMCT gate with `controls` controls.
@@ -39,11 +38,6 @@ pub fn t_count_mct(controls: usize) -> u64 {
         0 | 1 => 0,
         c => 8 * c as u64 - 9,
     }
-}
-
-/// T-count of one gate.
-pub fn t_count_gate(gate: &Gate) -> u64 {
-    t_count_mct(gate.num_controls())
 }
 
 /// Aggregated cost figures of a reversible circuit — the columns of the
@@ -112,7 +106,6 @@ impl fmt::Display for CircuitCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::Circuit;
     use crate::gate::Control;
 
     #[test]
@@ -126,9 +119,11 @@ mod tests {
 
     #[test]
     fn negative_controls_cost_nothing_extra() {
-        let pos = Gate::toffoli(0, 1, 2);
-        let neg = Gate::mct(vec![Control::negative(0), Control::negative(1)], 2);
-        assert_eq!(t_count_gate(&pos), t_count_gate(&neg));
+        let mut pos = Circuit::new(3);
+        pos.toffoli(0, 1, 2);
+        let mut neg = Circuit::new(3);
+        neg.mct(vec![Control::negative(0), Control::negative(1)], 2);
+        assert_eq!(CircuitCost::of(&pos).t_count, CircuitCost::of(&neg).t_count);
     }
 
     #[test]

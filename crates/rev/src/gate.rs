@@ -1,4 +1,8 @@
-//! Mixed-polarity multiple-controlled Toffoli gates.
+//! Mixed-polarity multiple-controlled Toffoli gates: the validated
+//! construction and display view. [`Gate::apply_u64`] is the scalar
+//! reference the packed IR is tested against; every gate relation the
+//! passes use is defined once, in [`crate::packed`] and
+//! [`crate::opt::rules`].
 
 use std::fmt;
 
@@ -85,11 +89,8 @@ impl std::error::Error for GateError {}
 ///
 /// Controls are kept sorted by line, so structural equality (`==`) is
 /// canonical — two gates constructed from the same control set in any
-/// order compare equal, which is what lets the peephole optimizer
-/// ([`crate::opt`]) detect cancelling pairs structurally (and what backs
-/// the binary-search [`Gate::control_on`] lookup its commutation
-/// analysis runs on). The derived `Ord` is the matching total order, for
-/// callers that need canonically sorted gate sequences.
+/// order compare equal. The derived `Ord` is the matching total order,
+/// for callers that need canonically sorted gate sequences.
 ///
 /// # Example
 ///
@@ -205,30 +206,12 @@ impl Gate {
         }
     }
 
-    /// Returns a copy with every line shifted by `offset` (for circuit
-    /// composition).
-    #[must_use]
-    pub fn shifted(&self, offset: usize) -> Gate {
-        Gate {
-            controls: self
-                .controls
-                .iter()
-                .map(|c| Control {
-                    line: c.line + offset as u32,
-                    positive: c.positive,
-                })
-                .collect(),
-            target: self.target + offset as u32,
-        }
-    }
-
     /// Returns a copy with lines remapped through `map` (`map[old] = new`).
     ///
     /// The result is re-canonicalized: a non-monotonic map reorders the
-    /// control list, and the sorted-controls invariant behind
-    /// [`Gate::control_on`] / [`Gate::controls_conflict`] must survive the
-    /// remap (it used not to — resynthesis splices remap through
-    /// arbitrary window orders).
+    /// control list, and the sorted-controls invariant behind structural
+    /// equality must survive the remap (resynthesis window extraction
+    /// remaps through arbitrary window orders).
     ///
     /// # Panics
     ///
@@ -253,95 +236,6 @@ impl Gate {
             "remap of {self} collides two controls onto one line"
         );
         gate
-    }
-
-    /// Returns a copy with one extra control added.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contradictions (same line, mixed polarity, or control on
-    /// the target).
-    #[must_use]
-    pub fn with_control(&self, extra: Control) -> Gate {
-        let mut controls = self.controls.clone();
-        controls.push(extra);
-        Gate::mct(controls, self.target())
-    }
-
-    /// The control this gate places on `line`, if any (controls are
-    /// sorted by line, so this is a binary search).
-    pub fn control_on(&self, line: usize) -> Option<Control> {
-        self.controls
-            .binary_search_by_key(&(line as u32), |c| c.line)
-            .ok()
-            .map(|i| self.controls[i])
-    }
-
-    /// Whether the gate reads or writes `line` (as control or target).
-    pub fn acts_on(&self, line: usize) -> bool {
-        self.target() == line || self.control_on(line).is_some()
-    }
-
-    /// Whether both gates place a control on a common line with opposite
-    /// polarity. Such gates can never fire on the same state, which is why
-    /// they always commute (see [`crate::opt::rules::commutes`]).
-    pub fn controls_conflict(&self, other: &Gate) -> bool {
-        // Merge-join over the two sorted control lists.
-        let (mut i, mut j) = (0, 0);
-        while i < self.controls.len() && j < other.controls.len() {
-            let (a, b) = (self.controls[i], other.controls[j]);
-            match a.line.cmp(&b.line) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if a.positive != b.positive {
-                        return true;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        false
-    }
-
-    /// Returns a copy with the polarity of the control on `line` flipped
-    /// (the effect of conjugating the gate with a NOT on `line`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate has no control on `line`.
-    #[must_use]
-    pub fn with_flipped_control(&self, line: usize) -> Gate {
-        let i = self
-            .controls
-            .binary_search_by_key(&(line as u32), |c| c.line)
-            .unwrap_or_else(|_| panic!("gate {self} has no control on line {line}"));
-        let mut controls = self.controls.clone();
-        controls[i].positive = !controls[i].positive;
-        Gate {
-            controls,
-            target: self.target,
-        }
-    }
-
-    /// Returns a copy with the control on `line` removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate has no control on `line`.
-    #[must_use]
-    pub fn without_control(&self, line: usize) -> Gate {
-        let i = self
-            .controls
-            .binary_search_by_key(&(line as u32), |c| c.line)
-            .unwrap_or_else(|_| panic!("gate {self} has no control on line {line}"));
-        let mut controls = self.controls.clone();
-        controls.remove(i);
-        Gate {
-            controls,
-            target: self.target,
-        }
     }
 
     /// Largest line index referenced by the gate.
@@ -371,6 +265,13 @@ impl fmt::Display for Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opt::rules::merge_packed;
+    use crate::packed::{GateArena, PackedGateBuf};
+
+    /// The one-word packed form, where control lookup and conflict live.
+    fn packed(g: &Gate) -> PackedGateBuf {
+        PackedGateBuf::from_gate(g, 1)
+    }
 
     #[test]
     fn not_cnot_toffoli_shortcuts() {
@@ -410,20 +311,12 @@ mod tests {
     #[test]
     fn shifting_and_remapping() {
         let g = Gate::toffoli(0, 1, 2);
-        let s = g.shifted(10);
+        let s = g.remapped(&[10, 11, 12]);
         assert_eq!(s.target(), 12);
         assert_eq!(s.controls()[0].line(), 10);
         let r = g.remapped(&[5, 4, 3]);
         assert_eq!(r.target(), 3);
         assert_eq!(r.max_line(), 5);
-    }
-
-    #[test]
-    fn with_control_extends() {
-        let g = Gate::cnot(0, 1).with_control(Control::negative(2));
-        assert_eq!(g.num_controls(), 2);
-        assert!(g.fires(0b001));
-        assert!(!g.fires(0b101));
     }
 
     #[test]
@@ -458,53 +351,58 @@ mod tests {
     #[test]
     fn control_lookup_hits_and_misses() {
         let g = Gate::mct(vec![Control::positive(0), Control::negative(4)], 2);
-        assert_eq!(g.control_on(0), Some(Control::positive(0)));
-        assert_eq!(g.control_on(4), Some(Control::negative(4)));
-        assert_eq!(g.control_on(2), None, "target is not a control");
-        assert_eq!(g.control_on(3), None);
-        assert!(g.acts_on(0) && g.acts_on(2) && g.acts_on(4));
-        assert!(!g.acts_on(1));
+        let g = packed(&g);
+        let v = g.view();
+        assert_eq!(v.control_on(0), Some(true));
+        assert_eq!(v.control_on(4), Some(false));
+        assert_eq!(v.control_on(2), None, "target is not a control");
+        assert_eq!(v.control_on(3), None);
+        assert!(v.acts_on(0) && v.acts_on(2) && v.acts_on(4));
+        assert!(!v.acts_on(1));
         // Degenerate 0-control NOT acts only on its target.
-        let not = Gate::not(1);
-        assert_eq!(not.control_on(1), None);
-        assert!(not.acts_on(1) && !not.acts_on(0));
+        let not = packed(&Gate::not(1));
+        assert_eq!(not.view().control_on(1), None);
+        assert!(not.view().acts_on(1) && !not.view().acts_on(0));
     }
 
     #[test]
     fn conflict_detection_over_overlapping_control_sets() {
+        let conflict = |a: &Gate, b: &Gate| packed(a).view().controls_conflict(&packed(b).view());
         let a = Gate::mct(vec![Control::positive(0), Control::negative(1)], 5);
         let b = Gate::mct(vec![Control::positive(1), Control::positive(2)], 6);
-        assert!(a.controls_conflict(&b), "line 1 with opposite polarity");
-        assert!(b.controls_conflict(&a), "conflict is symmetric");
+        assert!(conflict(&a, &b), "line 1 with opposite polarity");
+        assert!(conflict(&b, &a), "conflict is symmetric");
         let c = Gate::mct(vec![Control::negative(1), Control::positive(3)], 6);
-        assert!(!a.controls_conflict(&c), "line 1 agrees on polarity");
+        assert!(!conflict(&a, &c), "line 1 agrees on polarity");
         // Negative-control-only gates conflict exactly on polarity.
         let neg = Gate::mct(vec![Control::negative(0), Control::negative(2)], 5);
         let neg2 = Gate::mct(vec![Control::negative(0)], 6);
-        assert!(!neg.controls_conflict(&neg2));
-        assert!(neg.controls_conflict(&Gate::mct(vec![Control::positive(2)], 6)));
+        assert!(!conflict(&neg, &neg2));
+        assert!(conflict(&neg, &Gate::mct(vec![Control::positive(2)], 6)));
         // A NOT has no controls: never conflicts, not even with itself.
-        assert!(!Gate::not(0).controls_conflict(&Gate::not(0)));
-        assert!(!Gate::not(0).controls_conflict(&a));
+        assert!(!conflict(&Gate::not(0), &Gate::not(0)));
+        assert!(!conflict(&Gate::not(0), &a));
     }
 
     #[test]
     fn flip_and_remove_controls() {
+        // Flipping edits the arena in place; the polarity merge of a gate
+        // and its flipped copy removes the control.
         let g = Gate::mct(vec![Control::positive(0), Control::negative(2)], 1);
-        let flipped = g.with_flipped_control(2);
-        assert_eq!(flipped.control_on(2), Some(Control::positive(2)));
-        assert_eq!(flipped.control_on(0), Some(Control::positive(0)));
-        assert_eq!(flipped.with_flipped_control(2), g, "flip is an involution");
-        let dropped = g.without_control(2);
-        assert_eq!(dropped.num_controls(), 1);
-        assert_eq!(dropped.control_on(2), None);
-        assert_eq!(dropped.target(), 1);
+        let mut arena = GateArena::from_gates(3, std::slice::from_ref(&g));
+        arena.flip_polarity(0, 2);
+        let flipped = Gate::mct(vec![Control::positive(0), Control::positive(2)], 1);
+        assert_eq!(arena.materialize(0), flipped);
+        let (dropped, _) = merge_packed(&packed(&g).view(), &arena.gate(0)).expect("polarity");
+        assert_eq!(dropped.view().to_gate(), Gate::cnot(0, 1));
+        arena.flip_polarity(0, 2);
+        assert_eq!(arena.materialize(0), g, "flip is an involution");
     }
 
     #[test]
     #[should_panic(expected = "no control on line")]
     fn flipping_a_missing_control_is_loud() {
-        let _ = Gate::cnot(0, 1).with_flipped_control(1);
+        GateArena::from_gates(2, &[Gate::cnot(0, 1)]).flip_polarity(0, 1);
     }
 
     #[test]
@@ -536,13 +434,14 @@ mod tests {
     #[test]
     fn remapping_recanonicalizes_control_order() {
         // A decreasing map reverses the line order; the remapped gate must
-        // still keep its controls sorted or `control_on` silently breaks.
+        // still keep its controls sorted or structural equality breaks.
         let g = Gate::mct(vec![Control::positive(0), Control::negative(1)], 2);
         let r = g.remapped(&[5, 4, 3]);
-        assert_eq!(r.control_on(4), Some(Control::negative(4)));
-        assert_eq!(r.control_on(5), Some(Control::positive(5)));
-        let lines: Vec<usize> = r.controls().iter().map(|c| c.line()).collect();
-        assert_eq!(lines, vec![4, 5], "controls sorted after remap");
+        assert_eq!(
+            r.controls(),
+            &[Control::negative(4), Control::positive(5)],
+            "controls sorted after remap"
+        );
         // Remapping with the inverse map round-trips.
         let mut inv = vec![0; 6];
         for (old, &new) in [5usize, 4, 3].iter().enumerate() {

@@ -8,11 +8,12 @@
 //! fuse. This module removes that redundancy with a **worklist-driven,
 //! windowed peephole pass**:
 //!
-//! * [`rules::commutes`] — commutation analysis over gate pairs (equal
-//!   targets, disjoint target/support, or conflicting controls);
+//! * [`PackedGate::commutes_with`](crate::packed::PackedGate::commutes_with)
+//!   — commutation analysis over gate pairs (equal targets, disjoint
+//!   target/support, or conflicting controls);
 //! * **cancellation** — two equal gates that can be brought adjacent by
 //!   commutation annihilate (MPMCT gates are self-inverse);
-//! * [`rules::merge`] — control-merge templates: two gates equal except
+//! * [`rules::merge_packed`] — control-merge templates: two gates equal except
 //!   one control's polarity fuse without that control, and a gate whose
 //!   control set extends another's by one control is absorbed into it
 //!   with the extra control flipped;
@@ -42,7 +43,8 @@
 //! neighbourhood, keeping the whole pass near-linear in circuit size.
 //! All gate storage is the packed [`crate::packed::GateArena`]:
 //! commutation, conflict and the merge templates are whole-word mask
-//! operations, never control-vector walks.
+//! operations, defined once on the packed form; the legacy
+//! [`crate::gate::Gate`] only builds and displays gates.
 //!
 //! Every rule preserves the function on the **full line space** —
 //! ancillae and garbage lines included — and [`optimize_checked`]

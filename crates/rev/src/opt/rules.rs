@@ -1,35 +1,18 @@
 //! The rewrite-rule catalogue of the peephole optimizer: sound local
-//! identities over MPMCT gate pairs, plus the cost-aware acceptance
-//! policy that decides whether a structurally applicable rewrite may
-//! fire.
+//! identities over packed MPMCT gate pairs, plus the cost-aware
+//! acceptance policy that decides whether a structurally applicable
+//! rewrite may fire.
 //!
-//! Every rule is a *semantic equivalence on the full line space* (not
-//! just on designated input/output lines), so the optimizer preserves
-//! ancilla cleanliness and input preservation for free. The unit tests
-//! below check each rule exhaustively against scalar simulation.
+//! Commutation is [`PackedGate::commutes_with`], control merging is
+//! [`merge_packed`] and costing is [`RewriteCost::of_controls`]. Every
+//! rule is a *semantic equivalence on the full line space* (not just on
+//! designated input/output lines), so the optimizer preserves ancilla
+//! cleanliness and input preservation for free. The unit tests below
+//! check each rule exhaustively against the scalar interpreter
+//! [`crate::gate::Gate::apply_u64`].
 
-use crate::cost::{t_count_gate, t_count_mct};
-use crate::gate::Gate;
+use crate::cost::t_count_mct;
 use crate::packed::{PackedGate, PackedGateBuf};
-
-/// Whether two adjacent gates may be swapped without changing the circuit
-/// function. Three sufficient (and individually exhaustive-tested)
-/// conditions:
-///
-/// 1. **Equal targets** — both gates only XOR into the same line, and
-///    neither fire condition can read that line (a target is never among
-///    its own gate's controls).
-/// 2. **Disjoint target/support** — neither target appears in the other
-///    gate's support (controls or target), so neither gate can change the
-///    other's fire condition.
-/// 3. **Conflicting controls** — the gates share a control line with
-///    opposite polarity, so they can never fire on the same state; the
-///    firing one is the same whichever order they run in.
-pub fn commutes(a: &Gate, b: &Gate) -> bool {
-    a.target() == b.target()
-        || (!a.acts_on(b.target()) && !b.acts_on(a.target()))
-        || a.controls_conflict(b)
-}
 
 /// Which rewrite rule produced a gate-pair rewrite.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -48,57 +31,7 @@ pub enum MergeRule {
 /// Returns the fused gate and the rule that applied, or `None` when no
 /// control-merge template matches. Equal gates are *not* merged — they
 /// cancel outright, which the optimizer handles as its own (cheaper)
-/// rule.
-pub fn merge(a: &Gate, b: &Gate) -> Option<(Gate, MergeRule)> {
-    if a.target() != b.target() {
-        return None;
-    }
-    let (ca, cb) = (a.controls(), b.controls());
-    if ca.len() == cb.len() {
-        // Same lines, polarity differing on exactly one of them.
-        let mut differing = None;
-        for (x, y) in ca.iter().zip(cb) {
-            if x.line() != y.line() {
-                return None;
-            }
-            if x.is_positive() != y.is_positive() {
-                if differing.is_some() {
-                    return None;
-                }
-                differing = Some(x.line());
-            }
-        }
-        let line = differing?; // equal gates cancel instead
-        Some((a.without_control(line), MergeRule::Polarity))
-    } else if ca.len().abs_diff(cb.len()) == 1 {
-        let (small, large) = if ca.len() < cb.len() { (a, b) } else { (b, a) };
-        // Every small control must appear identically in the large gate,
-        // leaving exactly one extra control.
-        let mut extra = None;
-        let mut i = 0;
-        let small_controls = small.controls();
-        for c in large.controls() {
-            if i < small_controls.len() && small_controls[i].line() == c.line() {
-                if small_controls[i].is_positive() != c.is_positive() {
-                    return None;
-                }
-                i += 1;
-            } else {
-                if extra.is_some() {
-                    return None;
-                }
-                extra = Some(*c);
-            }
-        }
-        let extra = extra.filter(|_| i == small_controls.len())?;
-        Some((large.with_flipped_control(extra.line()), MergeRule::Subset))
-    } else {
-        None
-    }
-}
-
-/// [`merge`] over packed gates: both templates reduce to a handful of
-/// whole-word mask operations instead of walking control vectors.
+/// rule. Both templates are a handful of whole-word mask operations:
 ///
 /// * **Polarity** — control masks equal, polarity masks differing in
 ///   exactly one bit: drop that bit from both masks.
@@ -174,18 +107,9 @@ pub struct RewriteCost {
 }
 
 impl RewriteCost {
-    /// Costs a rewrite replacing `removed` with `added`.
-    pub fn of(removed: &[&Gate], added: &[&Gate]) -> Self {
-        Self {
-            t_removed: removed.iter().map(|g| t_count_gate(g)).sum(),
-            t_added: added.iter().map(|g| t_count_gate(g)).sum(),
-            gates_removed: removed.len(),
-            gates_added: added.len(),
-        }
-    }
-
-    /// [`RewriteCost::of`] from control counts alone (the T model only
-    /// reads the control count, so packed gates cost a popcount each).
+    /// Costs a rewrite from the control counts of the gates it takes out
+    /// and puts in (the T model only reads the control count, so a packed
+    /// gate costs a popcount).
     pub fn of_controls(removed: &[usize], added: &[usize]) -> Self {
         Self {
             t_removed: removed.iter().map(|&c| t_count_mct(c)).sum(),
@@ -210,7 +134,7 @@ impl RewriteCost {
 mod tests {
     use super::*;
     use crate::circuit::Circuit;
-    use crate::gate::Control;
+    use crate::gate::{Control, Gate};
 
     /// All valid gates on `lines` lines (every target × control subset ×
     /// polarity assignment).
@@ -242,6 +166,25 @@ mod tests {
         gates
     }
 
+    fn packed(g: &Gate) -> PackedGateBuf {
+        PackedGateBuf::from_gate(g, 1)
+    }
+
+    fn commutes(a: &Gate, b: &Gate) -> bool {
+        packed(a).view().commutes_with(&packed(b).view())
+    }
+
+    fn merge(a: &Gate, b: &Gate) -> Option<(Gate, MergeRule)> {
+        merge_packed(&packed(a).view(), &packed(b).view())
+            .map(|(m, rule)| (m.view().to_gate(), rule))
+    }
+
+    /// [`RewriteCost::of_controls`] of the gates' control counts.
+    fn cost(removed: &[&Gate], added: &[&Gate]) -> RewriteCost {
+        let counts = |gates: &[&Gate]| gates.iter().map(|g| g.num_controls()).collect::<Vec<_>>();
+        RewriteCost::of_controls(&counts(removed), &counts(added))
+    }
+
     fn pair_circuit(lines: usize, a: &Gate, b: &Gate) -> Circuit {
         let mut c = Circuit::new(lines);
         c.add_gate(a.clone());
@@ -252,8 +195,8 @@ mod tests {
     #[test]
     fn commutation_verdicts_are_sound() {
         // Exhaustive over all gate pairs on 3 lines (and a sanity count):
-        // whenever `commutes` says yes, both orders must agree on every
-        // basis state.
+        // whenever `commutes_with` says yes, both orders must agree on
+        // every basis state.
         let gates = all_gates(3);
         let mut commuting = 0u32;
         for a in &gates {
@@ -320,8 +263,8 @@ mod tests {
 
     #[test]
     fn merged_pairs_are_semantically_equal() {
-        // Exhaustive: wherever `merge` fires, the fused gate must equal
-        // the adjacent pair on every basis state.
+        // Exhaustive: wherever `merge_packed` fires, the fused gate must
+        // equal the adjacent pair on every basis state.
         let gates = all_gates(4);
         let mut fired = [0u32; 2];
         for a in &gates {
@@ -393,69 +336,26 @@ mod tests {
         let tof = Gate::toffoli(0, 1, 2);
         let cnot = Gate::cnot(0, 2);
         // T drop: accepted.
-        assert!(RewriteCost::of(&[&tof, &tof], &[]).accepted());
-        assert!(RewriteCost::of(&[&tof, &cnot], &[&tof]).accepted());
+        assert!(cost(&[&tof, &tof], &[]).accepted());
+        assert!(cost(&[&tof, &cnot], &[&tof]).accepted());
         // T tie, gate drop: accepted.
-        assert!(RewriteCost::of(&[&cnot, &cnot], &[]).accepted());
-        assert!(RewriteCost::of(&[&cnot, &cnot], &[&Gate::not(2)]).accepted());
+        assert!(cost(&[&cnot, &cnot], &[]).accepted());
+        assert!(cost(&[&cnot, &cnot], &[&Gate::not(2)]).accepted());
         // No improvement on either axis: rejected.
-        assert!(!RewriteCost::of(&[&cnot], &[&cnot]).accepted());
+        assert!(!cost(&[&cnot], &[&cnot]).accepted());
         // T regression, even with fewer gates: rejected.
-        assert!(!RewriteCost::of(&[&cnot, &cnot], &[&tof]).accepted());
-    }
-
-    #[test]
-    fn packed_merge_agrees_with_the_legacy_template_exhaustively() {
-        // Every gate pair on 4 lines: the mask-level templates must fire
-        // exactly where the control-vector templates fire, with the same
-        // rule and the same fused gate.
-        let gates = all_gates(4);
-        for a in &gates {
-            for b in &gates {
-                let pa = PackedGateBuf::from_gate(a, 1);
-                let pb = PackedGateBuf::from_gate(b, 1);
-                match (merge(a, b), merge_packed(&pa.view(), &pb.view())) {
-                    (None, None) => {}
-                    (Some((g, r)), Some((p, pr))) => {
-                        assert_eq!(r, pr, "{a} · {b}");
-                        assert_eq!(p.view().to_gate(), g, "{a} · {b}");
-                    }
-                    (legacy, packed) => {
-                        panic!("{a} · {b}: legacy {legacy:?} vs packed {packed:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_commutation_agrees_with_the_legacy_rule_exhaustively() {
-        let gates = all_gates(3);
-        for a in &gates {
-            for b in &gates {
-                let pa = PackedGateBuf::from_gate(a, 1);
-                let pb = PackedGateBuf::from_gate(b, 1);
-                assert_eq!(
-                    pa.view().commutes_with(&pb.view()),
-                    commutes(a, b),
-                    "{a} vs {b}"
-                );
-            }
-        }
+        assert!(!cost(&[&cnot, &cnot], &[&tof]).accepted());
     }
 
     #[test]
     fn control_count_costing_matches_gate_costing() {
-        let tof = Gate::toffoli(0, 1, 2);
-        let cnot = Gate::cnot(0, 2);
-        assert_eq!(
-            RewriteCost::of(&[&tof, &cnot], &[&tof]),
-            RewriteCost::of_controls(&[2, 1], &[2])
-        );
-        assert_eq!(
-            RewriteCost::of(&[&cnot, &cnot], &[]),
-            RewriteCost::of_controls(&[1, 1], &[])
-        );
+        // Costing a rewrite from control counts agrees with costing the
+        // same gates as a circuit.
+        let (tof, cnot) = (Gate::toffoli(0, 1, 2), Gate::cnot(0, 2));
+        let circuit = pair_circuit(3, &tof, &cnot).cost();
+        let rewrite = cost(&[&tof, &cnot], &[]);
+        assert_eq!(rewrite.t_removed, circuit.t_count);
+        assert_eq!(rewrite.gates_removed, circuit.gates);
     }
 
     #[test]
@@ -466,13 +366,10 @@ mod tests {
         for a in &gates {
             for b in &gates {
                 if a == b {
-                    assert!(RewriteCost::of(&[a, b], &[]).accepted(), "cancel {a}");
+                    assert!(cost(&[a, b], &[]).accepted(), "cancel {a}");
                 }
                 if let Some((m, rule)) = merge(a, b) {
-                    assert!(
-                        RewriteCost::of(&[a, b], &[&m]).accepted(),
-                        "{rule:?}: {a} · {b} → {m}"
-                    );
+                    assert!(cost(&[a, b], &[&m]).accepted(), "{rule:?}: {a} · {b} → {m}");
                 }
             }
         }

@@ -1,7 +1,9 @@
 //! Packed-mask gate IR: the struct-of-arrays arena behind [`Circuit`](crate::circuit::Circuit).
 //!
-//! A legacy [`Gate`] drags a `Vec<Control>` heap allocation through every
-//! hot loop. The packed form flattens an MPMCT gate into a **control
+//! This is the crate's one gate IR: every gate relation the passes use is
+//! defined here or in [`crate::opt::rules`], and a legacy [`Gate`] (a
+//! sorted `Vec<Control>`) is only the validated construction and display
+//! view. The packed form flattens an MPMCT gate into a **control
 //! mask** and a **polarity mask** of `words_per_gate` `u64` words plus a
 //! target index: bit `l % 64` of word `l / 64` of the control mask says
 //! line `l` is a control, and the same bit of the polarity mask says that
@@ -29,7 +31,8 @@
 //! the `opt`/`resynth` passes edit in place (it subsumes the former
 //! `opt/window.rs` `GateList`). Slot ids are stable for the lifetime of
 //! the arena and never recycled. The legacy [`Gate`] view is materialized
-//! only at API boundaries (`io`, diagnostics, `gates()`).
+//! only at API boundaries (`io`, diagnostics, `gates()`, resynthesis
+//! window extraction).
 
 use crate::gate::{Control, Gate};
 
@@ -535,8 +538,8 @@ impl GateArena {
         self.target[id] = buf.target;
     }
 
-    /// Flips the polarity of the control `id` has on `line` (the packed
-    /// form of `Gate::with_flipped_control`, in place).
+    /// Flips the polarity of the control `id` has on `line`, in place
+    /// (the effect of conjugating the gate with a NOT on `line`).
     ///
     /// # Panics
     ///

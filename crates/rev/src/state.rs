@@ -6,7 +6,6 @@
 //! simulation of the million-line hierarchical circuits of Table IV
 //! tractable.
 
-use crate::gate::Gate;
 use crate::packed::PackedGate;
 
 /// A classical assignment to the lines of a reversible circuit.
@@ -85,17 +84,6 @@ impl BitState {
         self.words[line >> 6] ^= 1 << (line & 63);
     }
 
-    /// Applies one gate in place.
-    pub fn apply(&mut self, gate: &Gate) {
-        let fires = gate
-            .controls()
-            .iter()
-            .all(|c| self.get(c.line()) == c.is_positive());
-        if fires {
-            self.flip(gate.target());
-        }
-    }
-
     /// Applies one packed gate in place: the firing test is a masked
     /// compare over the state words (`(state ^ pol) & ctrl == 0` per
     /// word) instead of a per-control loop.
@@ -150,6 +138,7 @@ impl BitState {
 mod tests {
     use super::*;
     use crate::gate::{Control, Gate};
+    use crate::packed::PackedGateBuf;
 
     #[test]
     fn round_trip_u64() {
@@ -173,11 +162,11 @@ mod tests {
     fn gate_application_beyond_word_boundary() {
         let mut s = BitState::zeros(130);
         s.set(100, true);
-        let g = Gate::mct(vec![Control::positive(100)], 129);
-        s.apply(&g);
+        let g = PackedGateBuf::from_gate(&Gate::mct(vec![Control::positive(100)], 129), 3);
+        s.apply_packed(&g.view());
         assert!(s.get(129));
-        let h = Gate::mct(vec![Control::negative(100)], 128);
-        s.apply(&h);
+        let h = PackedGateBuf::from_gate(&Gate::mct(vec![Control::negative(100)], 128), 3);
+        s.apply_packed(&h.view());
         assert!(!s.get(128));
     }
 

@@ -578,9 +578,11 @@ pub fn serve_session(
         let cache = Arc::clone(cache);
         let stats = Arc::clone(stats);
         let config = *config;
-        threads.push(std::thread::spawn(move || {
-            worker_loop(&queue, &cache, &stats, &config);
-        }));
+        // Workers parse inline Verilog, so they get the front end's stack.
+        let worker = std::thread::Builder::new()
+            .stack_size(qda_verilog::STACK_BYTES)
+            .spawn(move || worker_loop(&queue, &cache, &stats, &config))?;
+        threads.push(worker);
     }
     let watchdog_thread = {
         let watchdog = Arc::clone(&watchdog);

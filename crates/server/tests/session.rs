@@ -69,10 +69,32 @@ fn error_kind(response: &Json) -> Option<&str> {
         .and_then(Json::as_str)
 }
 
+/// Inline Verilog that once overflowed a worker's stack (aborting the
+/// daemon) or allocated without bound, each far under the line cap.
+fn hostile_verilog() -> Vec<String> {
+    let module = |body: String| format!("module m(a, y); input a; output y; {body} endmodule");
+    let wires = (1..3_800).fold("wire w0; assign w0 = a;".to_string(), |src, i| {
+        src + &format!(" wire w{i}; assign w{i} = w{};", i - 1)
+    });
+    let wide = vec!["a"; 1_500].join(", ");
+    [
+        format!("assign y = {}a{};", "(".repeat(800), ")".repeat(800)),
+        format!("assign y = {}a{};", "{".repeat(800), "}".repeat(800)),
+        format!("{wires} assign y = w3799;"),
+        format!("assign y = {}a;", "a ? a : ".repeat(5_700)),
+        format!("assign y = {}a;", "a + ".repeat(8_200)),
+        "assign y = 99999999999'b1;".to_string(),
+        "wire [999999999:0] b; assign b = a; assign y = b[0];".to_string(),
+        format!("assign y = ^({{{wide}}} * {{{wide}}});"),
+    ]
+    .map(module)
+    .into()
+}
+
 /// The acceptance scenario of the serving shell: 20+ mixed requests —
-/// among them a panicking design, a `.numvars` allocation bomb, an
-/// over-deadline job, and the NaN-timing stats path — through one
-/// session. Every request gets a structured response, every success
+/// among them a panicking design, a `.numvars` allocation bomb, hostile
+/// inline Verilog, an over-deadline job, and the NaN-timing stats path —
+/// through one session. Every request gets a structured response, every success
 /// carries per-stage timings, and the daemon is still serving at the end.
 #[test]
 fn scripted_session_of_twenty_mixed_requests() {
@@ -83,7 +105,7 @@ fn scripted_session_of_twenty_mixed_requests() {
                       assign s = a ^ b; assign c = a & b; endmodule";
     let real_ok =
         ".numvars 3\\n.variables x0 x1 x2\\n.begin\\nt3 x0 x1 x2\\nt3 x0 x1 x2\\nt1 x0\\n.end";
-    let lines: Vec<String> = vec![
+    let mut lines: Vec<String> = vec![
         // 1: NaN-timing path — stats before any job completes must render
         // avg_wait_s as null (0/0 through the non-finite Json::fixed fix).
         r#"{"id": 1, "op": "stats"}"#.to_string(),
@@ -135,6 +157,9 @@ fn scripted_session_of_twenty_mixed_requests() {
             .to_string(),
         // 22: the ESOP factoring parameter.
         r#"{"id": 22, "design": {"generator": "INTDIV(6)"}, "flow": "esop", "p": 1}"#.to_string(),
+        // 30: 12 inputs pass the `2n − 1` precheck; 28 outputs need 28 lines.
+        r#"{"id": 30, "design": {"verilog": "module m(a, y); input [11:0] a; output [27:0] y; assign y = {a, a, a[3:0]}; endmodule"}, "flow": "functional"}"#
+            .to_string(),
         // 23: stats again — the daemon is still serving after all of the
         // above, and the counters reflect it.
         r#"{"id": 23, "op": "stats"}"#.to_string(),
@@ -142,6 +167,18 @@ fn scripted_session_of_twenty_mixed_requests() {
         gen(24, "INTDIV(4)", "esop"),
         r#"{"id": 25, "op": "shutdown"}"#.to_string(),
     ];
+    // 31, 33, …: the hostile Verilog shapes, each followed by a stats
+    // request (32, 34, …); one response per request shows the daemon
+    // answered them all.
+    let tail = lines.split_off(lines.len() - 3);
+    for (i, source) in hostile_verilog().iter().enumerate() {
+        let id = 31 + 2 * i;
+        lines.push(format!(
+            r#"{{"id": {id}, "design": {{"verilog": "{source}"}}, "flow": "esop"}}"#
+        ));
+        lines.push(format!(r#"{{"id": {}, "op": "stats"}}"#, id + 1));
+    }
+    lines.extend(tail);
     assert!(lines.len() >= 20, "the acceptance scenario is 20+ requests");
     // The whole script is submitted in one burst, so admission must be
     // sized for it (a 16-slot default queue would — correctly — shed
@@ -202,7 +239,11 @@ fn scripted_session_of_twenty_mixed_requests() {
         (17, "bad_request"),
         (18, "bad_request"),
         (19, "flow"),
-    ] {
+        (30, "flow"),
+    ]
+    .into_iter()
+    .chain((0..hostile_verilog().len() as u64).map(|i| (31 + 2 * i, "parse")))
+    {
         let r = find(&responses, id);
         assert_eq!(
             r.get("ok").and_then(Json::as_bool),

@@ -4,26 +4,64 @@
 //! primary inputs in port order, LSB first; outputs onto primary outputs
 //! the same way. Assignments are evaluated in dependency order (wires may
 //! be declared and assigned in any textual order, but combinational cycles
-//! are rejected).
+//! are rejected). Hostile input is refused at [`MAX_NESTING`],
+//! [`MAX_WORD_BITS`] and [`MAX_AIG_NODES`].
 
 use crate::ast::{Assign, BinOp, Expr, Module, SignalKind, UnOp};
 use crate::words;
-use crate::VerilogError;
+use crate::{VerilogError, MAX_AIG_NODES, MAX_NESTING, MAX_WORD_BITS};
 use qda_logic::aig::{Aig, Lit};
 use std::collections::{HashMap, HashSet};
+
+fn too_wide(bits: usize) -> VerilogError {
+    VerilogError::elaborate(format!(
+        "word of {bits} bits is wider than {MAX_WORD_BITS} bits"
+    ))
+}
+
+/// Refuses to let `more` AND nodes take the AIG past [`MAX_AIG_NODES`].
+fn charge(aig: &Aig, more: usize) -> Result<(), VerilogError> {
+    if aig.num_ands().saturating_add(more) > MAX_AIG_NODES {
+        return Err(VerilogError::elaborate(format!(
+            "design needs more than {MAX_AIG_NODES} AND nodes"
+        )));
+    }
+    Ok(())
+}
+
+/// Worst-case AND nodes of an operator whose cost grows with the product
+/// of its operand widths, charged before it runs: sixteen per cell of an
+/// `(|a| + |b|) × (|b| + 1)` array bounds the multiplier, the restoring
+/// divider and the barrel shifter. Other operators are linear.
+fn quadratic_cost(op: BinOp, a: &[Lit], b: &[Lit]) -> usize {
+    match op {
+        BinOp::Mul | BinOp::Div | BinOp::Mod => 16 * (a.len() + b.len()) * (b.len() + 1),
+        BinOp::Shl | BinOp::Shr if !b.iter().all(|l| l.is_const()) => {
+            16 * (a.len() + b.len()) * (b.len() + 1)
+        }
+        _ => 0,
+    }
+}
 
 /// Elaborates a module into an AIG.
 ///
 /// # Errors
 ///
 /// Returns [`VerilogError::Elaborate`] on undeclared/unassigned signals,
-/// multiple drivers, combinational cycles, out-of-range selects, or a
-/// division that cannot be bit-blasted.
+/// multiple drivers, combinational cycles, out-of-range selects, a
+/// division that cannot be bit-blasted, or a design past the nesting,
+/// width or node bounds.
 pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
     // Map input bits onto PIs in port order.
     let inputs = module.inputs();
     let outputs = module.outputs();
     let num_pis: usize = inputs.iter().map(|s| s.width()).sum();
+    let num_po_bits: usize = outputs.iter().map(|s| s.width()).sum();
+    if num_pis + num_po_bits > MAX_AIG_NODES {
+        return Err(VerilogError::elaborate(format!(
+            "{num_pis} input and {num_po_bits} output bits exceed {MAX_AIG_NODES}"
+        )));
+    }
     let mut aig = Aig::new(num_pis);
     let mut env: HashMap<String, Vec<Lit>> = HashMap::new();
     let mut next_pi = 0;
@@ -53,7 +91,7 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
         }
     }
 
-    // Evaluate assignments on demand with cycle detection.
+    // Evaluate on demand with cycle detection; `depth` counts levels and hops.
     fn eval_signal<'m>(
         name: &str,
         module: &'m Module,
@@ -61,6 +99,7 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
         aig: &mut Aig,
         env: &mut HashMap<String, Vec<Lit>>,
         visiting: &mut HashSet<String>,
+        depth: usize,
     ) -> Result<Vec<Lit>, VerilogError> {
         if let Some(w) = env.get(name) {
             return Ok(w.clone());
@@ -76,7 +115,8 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
                 "combinational cycle through {name}"
             )));
         }
-        let word = eval_expr(&assign.expr, module, by_target, aig, env, visiting)?;
+        let hop = depth + 1;
+        let word = eval_expr(&assign.expr, module, by_target, aig, env, visiting, hop)?;
         visiting.remove(name);
         // Resize to the declared width (Verilog truncates/zero-extends).
         let word = words::resize(&word, sig.width());
@@ -91,59 +131,72 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
         aig: &mut Aig,
         env: &mut HashMap<String, Vec<Lit>>,
         visiting: &mut HashSet<String>,
+        depth: usize,
     ) -> Result<Vec<Lit>, VerilogError> {
-        match expr {
-            Expr::Ident(name) => eval_signal(name, module, by_target, aig, env, visiting),
-            Expr::Literal { bits, .. } => Ok(words::constant(bits.len().max(1), bits)),
+        if depth > MAX_NESTING {
+            return Err(VerilogError::elaborate(format!(
+                "expression levels plus wire hops exceed {MAX_NESTING}"
+            )));
+        }
+        let mut eval = |e: &Expr, aig: &mut Aig| {
+            eval_expr(e, module, by_target, aig, env, visiting, depth + 1)
+        };
+        let word = match expr {
+            Expr::Ident(name) => eval_signal(name, module, by_target, aig, env, visiting, depth)?,
+            Expr::Literal { bits, .. } => words::constant(bits.len().max(1), bits),
             Expr::Index(inner, i) => {
-                let w = eval_expr(inner, module, by_target, aig, env, visiting)?;
+                let w = eval(inner, aig)?;
                 let bit = w.get(*i).copied().ok_or_else(|| {
                     VerilogError::elaborate(format!("bit select [{i}] out of range"))
                 })?;
-                Ok(vec![bit])
+                vec![bit]
             }
             Expr::Range(inner, msb, lsb) => {
-                let w = eval_expr(inner, module, by_target, aig, env, visiting)?;
+                let w = eval(inner, aig)?;
                 if *msb >= w.len() {
                     return Err(VerilogError::elaborate(format!(
                         "part select [{msb}:{lsb}] out of range (width {})",
                         w.len()
                     )));
                 }
-                Ok(w[*lsb..=*msb].to_vec())
+                w[*lsb..=*msb].to_vec()
             }
             Expr::Concat(items) => {
                 // First item is most significant.
                 let mut word = Vec::new();
                 for item in items.iter().rev() {
-                    let w = eval_expr(item, module, by_target, aig, env, visiting)?;
+                    let w = eval(item, aig)?;
+                    if word.len() + w.len() > MAX_WORD_BITS {
+                        return Err(too_wide(word.len() + w.len()));
+                    }
                     word.extend(w);
                 }
-                Ok(word)
+                word
             }
             Expr::Repeat(k, inner) => {
-                let w = eval_expr(inner, module, by_target, aig, env, visiting)?;
-                let mut word = Vec::with_capacity(k * w.len());
-                for _ in 0..*k {
-                    word.extend(w.iter().copied());
+                let w = eval(inner, aig)?;
+                let bits = k.saturating_mul(w.len());
+                if bits > MAX_WORD_BITS {
+                    return Err(too_wide(bits));
                 }
-                Ok(word)
+                w.repeat(*k)
             }
             Expr::Unary(op, inner) => {
-                let w = eval_expr(inner, module, by_target, aig, env, visiting)?;
-                Ok(match op {
+                let w = eval(inner, aig)?;
+                match op {
                     UnOp::Not => words::not_word(&w),
                     UnOp::LogicalNot => vec![!words::red_or(aig, &w)],
                     UnOp::Neg => words::neg(aig, &w),
                     UnOp::RedOr => vec![words::red_or(aig, &w)],
                     UnOp::RedAnd => vec![words::red_and(aig, &w)],
                     UnOp::RedXor => vec![words::red_xor(aig, &w)],
-                })
+                }
             }
             Expr::Binary(op, lhs, rhs) => {
-                let a = eval_expr(lhs, module, by_target, aig, env, visiting)?;
-                let b = eval_expr(rhs, module, by_target, aig, env, visiting)?;
-                Ok(match op {
+                let a = eval(lhs, aig)?;
+                let b = eval(rhs, aig)?;
+                charge(aig, quadratic_cost(*op, &a, &b))?;
+                match op {
                     BinOp::Add => words::add(aig, &a, &b).0,
                     BinOp::Sub => words::sub(aig, &a, &b).0,
                     BinOp::Mul => words::mul(aig, &a, &b),
@@ -170,16 +223,21 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
                     BinOp::Ge => vec![!words::ult(aig, &a, &b)],
                     BinOp::Gt => vec![words::ult(aig, &b, &a)],
                     BinOp::Le => vec![!words::ult(aig, &b, &a)],
-                })
+                }
             }
             Expr::Ternary(c, t, e) => {
-                let cw = eval_expr(c, module, by_target, aig, env, visiting)?;
+                let cw = eval(c, aig)?;
                 let s = words::red_or(aig, &cw);
-                let tw = eval_expr(t, module, by_target, aig, env, visiting)?;
-                let ew = eval_expr(e, module, by_target, aig, env, visiting)?;
-                Ok(words::mux(aig, s, &tw, &ew))
+                let tw = eval(t, aig)?;
+                let ew = eval(e, aig)?;
+                words::mux(aig, s, &tw, &ew)
             }
+        };
+        charge(aig, 0)?;
+        if word.len() > MAX_WORD_BITS {
+            return Err(too_wide(word.len()));
         }
+        Ok(word)
     }
 
     /// Shift with a constant-detecting fast path.
@@ -219,6 +277,7 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
             &mut aig,
             &mut env,
             &mut visiting,
+            0,
         )?;
         for &bit in &word {
             aig.add_po(bit);
@@ -368,6 +427,65 @@ mod tests {
         )
         .unwrap();
         assert!(elaborate(&undeclared).is_err());
+    }
+
+    fn elaborate_body(body: &str) -> Result<Aig, VerilogError> {
+        elaborate(&parse_module(&crate::module(body)).expect("parse"))
+    }
+
+    #[test]
+    fn expression_levels_plus_wire_hops_are_bounded() {
+        // y = w_k, w_i = w_{i-1}, w_0 = a: the deepest call is k + 2
+        // levels down.
+        let chain = |k: usize| {
+            let wires = (1..=k).fold("wire w0; assign w0 = a;".to_string(), |src, i| {
+                src + &format!(" wire w{i}; assign w{i} = w{};", i - 1)
+            });
+            elaborate_body(&format!("{wires} assign y = w{k};"))
+        };
+        crate::on_worker_stack(move || {
+            assert!(chain(MAX_NESTING - 2).is_ok());
+            let deeper = chain(MAX_NESTING - 1);
+            assert!(matches!(deeper, Err(VerilogError::Elaborate { .. })));
+            // The deepest expression the parser accepts elaborates.
+            let sum = vec!["a"; MAX_NESTING].join(" ^ ");
+            let deepest = elaborate_body(&format!("assign y = {sum};")).unwrap();
+            assert_eq!(deepest.eval(1), 0);
+        });
+    }
+
+    #[test]
+    fn words_are_bounded_at_max_word_bits() {
+        // A replication, a concatenation and a product `bits` wide.
+        let shapes: [fn(usize) -> String; 3] = [
+            |bits| format!("{{{bits}{{a}}}}"),
+            |bits| format!("{{{{{}{{a}}}}, a}}", bits - 1),
+            |bits| format!("{{{}{{a}}}} * {{a, a}}", bits - 2),
+        ];
+        for shape in shapes {
+            let elab = |bits| elaborate_body(&format!("assign y = ^({});", shape(bits)));
+            assert!(elab(MAX_WORD_BITS).is_ok(), "{}", shape(4));
+            let wider = matches!(elab(MAX_WORD_BITS + 1), Err(VerilogError::Elaborate { .. }));
+            assert!(wider, "{}", shape(4));
+        }
+    }
+
+    #[test]
+    fn and_nodes_are_budgeted() {
+        // The product of two 1 500-bit words is refused before it runs.
+        let wide = vec!["a"; 1_500].join(", ");
+        let product = elaborate_body(&format!("assign y = ^({{{wide}}} * {{{wide}}});"));
+        let refused = matches!(&product, Err(VerilogError::Elaborate { message }) if message.contains("AND nodes"));
+        assert!(refused, "{product:?}");
+        // Interface bits count against the same budget.
+        let n = MAX_AIG_NODES / MAX_WORD_BITS;
+        let names: String = (0..n).map(|i| format!(", a{i}")).collect();
+        let msb = MAX_WORD_BITS - 1;
+        let src = format!(
+            "module m(y, b{names}); input [{msb}:0] b{names}; output y; assign y = b[0]; endmodule"
+        );
+        let r = elaborate(&parse_module(&src).unwrap());
+        assert!(matches!(r, Err(VerilogError::Elaborate { .. })));
     }
 
     #[test]

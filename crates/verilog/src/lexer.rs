@@ -1,6 +1,6 @@
 //! Tokenizer for the Verilog subset.
 
-use crate::VerilogError;
+use crate::{VerilogError, MAX_WORD_BITS};
 
 /// A lexical token.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,6 +96,12 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, VerilogError> {
                     return Err(VerilogError::Lex {
                         offset: start,
                         message: "zero-width literal".into(),
+                    });
+                }
+                if first > MAX_WORD_BITS as u64 {
+                    return Err(VerilogError::Lex {
+                        offset: start,
+                        message: format!("literal wider than {MAX_WORD_BITS} bits"),
                     });
                 }
                 i += 1;
@@ -245,6 +251,7 @@ mod tests {
             }
             t => panic!("unexpected {t:?}"),
         }
+        assert!(tokenize(&format!("{MAX_WORD_BITS}'b1")).is_ok());
     }
 
     #[test]
@@ -270,5 +277,11 @@ mod tests {
         assert!(tokenize("a @ b").is_err());
         assert!(tokenize("3'q10").is_err());
         assert!(tokenize("4'b102").is_err());
+        for width in [MAX_WORD_BITS as u64 + 1, 99_999_999_999] {
+            assert!(matches!(
+                tokenize(&format!("{width}'b1")),
+                Err(VerilogError::Lex { offset: 0, .. })
+            ));
+        }
     }
 }

@@ -50,6 +50,26 @@ pub use ast::Module;
 pub use elab::elaborate;
 pub use parser::parse_module;
 
+/// Deepest nesting the front end accepts, so no recursion or AST `Drop`
+/// overflows a stack: the depth of every parse tree in the parser, and
+/// expression levels plus wire hops in the elaborator. NEWTON(128), the
+/// largest generated design, reaches 131 and 154.
+pub const MAX_NESTING: usize = 512;
+
+/// Widest word the front end builds: declared ranges, sized literals,
+/// concatenations, replications and operator results. NEWTON(128)'s
+/// widest word has 518 bits.
+pub const MAX_WORD_BITS: usize = 4096;
+
+/// AND nodes the elaborator may create, also the bound on a module's
+/// input plus output bits. NEWTON(128) peaks at 10.0 M AND nodes while
+/// elaborating and keeps 8.6 M after cleanup.
+pub const MAX_AIG_NODES: usize = 20_000_000;
+
+/// Stack a thread needs to parse and elaborate at [`MAX_NESTING`],
+/// unoptimized builds included; `qda-server` gives its workers this.
+pub const STACK_BYTES: usize = 32 << 20;
+
 use std::fmt;
 
 /// Errors produced by the Verilog frontend.
@@ -101,3 +121,17 @@ impl fmt::Display for VerilogError {
 }
 
 impl std::error::Error for VerilogError {}
+
+/// Runs `f` on a thread with [`STACK_BYTES`] of stack, as `qda-server`
+/// runs its workers.
+#[cfg(test)]
+pub(crate) fn on_worker_stack(f: impl FnOnce() + Send + 'static) {
+    let worker = std::thread::Builder::new().stack_size(STACK_BYTES);
+    worker.spawn(f).unwrap().join().unwrap();
+}
+
+/// A module with one input `a` and one output `y` around `body`.
+#[cfg(test)]
+pub(crate) fn module(body: &str) -> String {
+    format!("module m(a, y); input a; output y; {body} endmodule")
+}

@@ -2,7 +2,7 @@
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Token};
-use crate::VerilogError;
+use crate::{VerilogError, MAX_NESTING, MAX_WORD_BITS};
 
 /// Parses a single module from source text.
 ///
@@ -12,15 +12,34 @@ use crate::VerilogError;
 /// input.
 pub fn parse_module(src: &str) -> Result<Module, VerilogError> {
     let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        ..Parser::default()
+    };
     let m = p.module()?;
     p.expect_eof()?;
     Ok(m)
 }
 
+#[derive(Default)]
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nested constructs open around the current token (recursion depth).
+    open: usize,
+}
+
+/// A parsed expression and the depth of its parse tree (a leaf is 1).
+type Parsed = (Expr, usize);
+
+/// Checks a parse-tree depth against [`MAX_NESTING`].
+fn bounded(depth: usize) -> Result<usize, VerilogError> {
+    if depth > MAX_NESTING {
+        return Err(VerilogError::parse(format!(
+            "expression nested deeper than {MAX_NESTING} levels"
+        )));
+    }
+    Ok(depth)
 }
 
 impl Parser {
@@ -144,7 +163,7 @@ impl Parser {
             } else if self.eat_keyword("assign") {
                 let target = self.ident()?;
                 self.expect_punct("=")?;
-                let expr = self.expr()?;
+                let (expr, _) = self.expr()?;
                 self.expect_punct(";")?;
                 assigns.push(Assign { target, expr });
             } else {
@@ -179,6 +198,11 @@ impl Parser {
             if lsb > msb {
                 return Err(VerilogError::parse("descending ranges only ([msb:lsb])"));
             }
+            if msb - lsb >= MAX_WORD_BITS {
+                return Err(VerilogError::parse(format!(
+                    "range [{msb}:{lsb}] is wider than {MAX_WORD_BITS} bits"
+                )));
+            }
             (msb, lsb)
         } else {
             (0, 0)
@@ -211,64 +235,82 @@ impl Parser {
     //   unary ~ ! - | & ^ (reductions)
     //   postfix [i] [m:l]
     //   primary ident literal (expr) {…}
-    fn expr(&mut self) -> Result<Expr, VerilogError> {
+    // Each returns the parse-tree depth it read, bounding operator chains
+    // as they grow; `nested` bounds recursion before it happens.
+    fn expr(&mut self) -> Result<Parsed, VerilogError> {
         self.ternary()
     }
 
-    fn ternary(&mut self) -> Result<Expr, VerilogError> {
-        let cond = self.logical_or()?;
+    /// Parses one nested construct with `f`; the result is one level
+    /// deeper than what `f` read.
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Parsed, VerilogError>,
+    ) -> Result<Parsed, VerilogError> {
+        bounded(self.open + 1)?;
+        self.open += 1;
+        let parsed = f(self);
+        self.open -= 1;
+        let (e, depth) = parsed?;
+        Ok((e, bounded(depth + 1)?))
+    }
+
+    fn ternary(&mut self) -> Result<Parsed, VerilogError> {
+        let (cond, dc) = self.logical_or()?;
         if self.eat_punct("?") {
-            let t = self.expr()?;
+            let (t, dt) = self.nested(Self::expr)?;
             self.expect_punct(":")?;
-            let e = self.expr()?;
-            Ok(Expr::Ternary(Box::new(cond), Box::new(t), Box::new(e)))
+            let (e, de) = self.nested(Self::expr)?;
+            let ternary = Expr::Ternary(Box::new(cond), Box::new(t), Box::new(e));
+            Ok((ternary, bounded((dc + 1).max(dt).max(de))?))
         } else {
-            Ok(cond)
+            Ok((cond, dc))
         }
     }
 
-    fn binary_level<F>(&mut self, ops: &[(&str, BinOp)], next: F) -> Result<Expr, VerilogError>
+    fn binary_level<F>(&mut self, ops: &[(&str, BinOp)], next: F) -> Result<Parsed, VerilogError>
     where
-        F: Fn(&mut Self) -> Result<Expr, VerilogError>,
+        F: Fn(&mut Self) -> Result<Parsed, VerilogError>,
     {
-        let mut lhs = next(self)?;
+        let (mut lhs, mut depth) = next(self)?;
         'outer: loop {
             for (p, op) in ops {
                 if self.eat_punct(p) {
-                    let rhs = next(self)?;
+                    let (rhs, dr) = next(self)?;
+                    depth = bounded(depth.max(dr) + 1)?;
                     lhs = Expr::Binary(*op, Box::new(lhs), Box::new(rhs));
                     continue 'outer;
                 }
             }
-            return Ok(lhs);
+            return Ok((lhs, depth));
         }
     }
 
-    fn logical_or(&mut self) -> Result<Expr, VerilogError> {
+    fn logical_or(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(&[("||", BinOp::LogicalOr)], Self::logical_and)
     }
 
-    fn logical_and(&mut self) -> Result<Expr, VerilogError> {
+    fn logical_and(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(&[("&&", BinOp::LogicalAnd)], Self::bit_or)
     }
 
-    fn bit_or(&mut self) -> Result<Expr, VerilogError> {
+    fn bit_or(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(&[("|", BinOp::Or)], Self::bit_xor)
     }
 
-    fn bit_xor(&mut self) -> Result<Expr, VerilogError> {
+    fn bit_xor(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(&[("^", BinOp::Xor)], Self::bit_and)
     }
 
-    fn bit_and(&mut self) -> Result<Expr, VerilogError> {
+    fn bit_and(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(&[("&", BinOp::And)], Self::equality)
     }
 
-    fn equality(&mut self) -> Result<Expr, VerilogError> {
+    fn equality(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(&[("==", BinOp::Eq), ("!=", BinOp::Ne)], Self::relational)
     }
 
-    fn relational(&mut self) -> Result<Expr, VerilogError> {
+    fn relational(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(
             &[
                 ("<=", BinOp::Le),
@@ -280,25 +322,25 @@ impl Parser {
         )
     }
 
-    fn shift(&mut self) -> Result<Expr, VerilogError> {
+    fn shift(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(&[("<<", BinOp::Shl), (">>", BinOp::Shr)], Self::additive)
     }
 
-    fn additive(&mut self) -> Result<Expr, VerilogError> {
+    fn additive(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(
             &[("+", BinOp::Add), ("-", BinOp::Sub)],
             Self::multiplicative,
         )
     }
 
-    fn multiplicative(&mut self) -> Result<Expr, VerilogError> {
+    fn multiplicative(&mut self) -> Result<Parsed, VerilogError> {
         self.binary_level(
             &[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Mod)],
             Self::unary,
         )
     }
 
-    fn unary(&mut self) -> Result<Expr, VerilogError> {
+    fn unary(&mut self) -> Result<Parsed, VerilogError> {
         for (p, op) in [
             ("~", UnOp::Not),
             ("!", UnOp::LogicalNot),
@@ -308,15 +350,15 @@ impl Parser {
             ("^", UnOp::RedXor),
         ] {
             if self.eat_punct(p) {
-                let inner = self.unary()?;
-                return Ok(Expr::Unary(op, Box::new(inner)));
+                let (inner, depth) = self.nested(Self::unary)?;
+                return Ok((Expr::Unary(op, Box::new(inner)), depth));
             }
         }
         self.postfix()
     }
 
-    fn postfix(&mut self) -> Result<Expr, VerilogError> {
-        let mut e = self.primary()?;
+    fn postfix(&mut self) -> Result<Parsed, VerilogError> {
+        let (mut e, mut depth) = self.primary()?;
         while self.eat_punct("[") {
             let first = self.small_number()?;
             if self.eat_punct(":") {
@@ -330,15 +372,16 @@ impl Parser {
                 self.expect_punct("]")?;
                 e = Expr::Index(Box::new(e), first);
             }
+            depth = bounded(depth + 1)?;
         }
-        Ok(e)
+        Ok((e, depth))
     }
 
-    fn primary(&mut self) -> Result<Expr, VerilogError> {
+    fn primary(&mut self) -> Result<Parsed, VerilogError> {
         if self.eat_punct("(") {
-            let e = self.expr()?;
+            let parsed = self.nested(Self::expr)?;
             self.expect_punct(")")?;
-            return Ok(e);
+            return Ok(parsed);
         }
         if self.eat_punct("{") {
             // Either replication {k{expr}} or concatenation {a, b, …}.
@@ -347,29 +390,35 @@ impl Parser {
             if let Some(Token::Number { .. }) = self.peek() {
                 let k = self.small_number()?;
                 if self.eat_punct("{") {
-                    let inner = self.expr()?;
+                    let (inner, depth) = self.nested(Self::expr)?;
                     self.expect_punct("}")?;
                     self.expect_punct("}")?;
-                    return Ok(Expr::Repeat(k, Box::new(inner)));
+                    return Ok((Expr::Repeat(k, Box::new(inner)), depth));
                 }
                 self.pos = save;
             }
             let mut items = Vec::new();
+            let mut depth = 0;
             loop {
-                items.push(self.expr()?);
+                let (item, d) = self.nested(Self::expr)?;
+                items.push(item);
+                depth = depth.max(d);
                 if self.eat_punct("}") {
                     break;
                 }
                 self.expect_punct(",")?;
             }
-            return Ok(Expr::Concat(items));
+            return Ok((Expr::Concat(items), depth));
         }
         match self.next() {
-            Some(Token::Ident(s)) => Ok(Expr::Ident(s)),
-            Some(Token::Number { width, bits }) => Ok(Expr::Literal {
-                bits,
-                sized: width.is_some(),
-            }),
+            Some(Token::Ident(s)) => Ok((Expr::Ident(s), 1)),
+            Some(Token::Number { width, bits }) => Ok((
+                Expr::Literal {
+                    bits,
+                    sized: width.is_some(),
+                },
+                1,
+            )),
             t => Err(VerilogError::parse(format!(
                 "expected expression, found {t:?}"
             ))),
@@ -470,6 +519,41 @@ mod tests {
     fn error_on_missing_semicolon() {
         let r = parse_module("module m(a); input a; assign a = a endmodule");
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_nesting() {
+        // Each shape builds a parse tree exactly `depth` levels deep.
+        let shapes: [fn(usize) -> String; 5] = [
+            |depth| format!("{}a{}", "(".repeat(depth - 1), ")".repeat(depth - 1)),
+            |depth| format!("{}a{}", "{".repeat(depth - 1), "}".repeat(depth - 1)),
+            |depth| vec!["a"; depth].join(" + "),
+            |depth| format!("{}a", "~".repeat(depth - 1)),
+            |depth| format!("{}a", "a ? a : ".repeat(depth - 1)),
+        ];
+        crate::on_worker_stack(move || {
+            for shape in shapes {
+                let parse = |depth| {
+                    let body = format!("assign y = {};", shape(depth));
+                    parse_module(&crate::module(&body))
+                };
+                assert!(parse(MAX_NESTING).is_ok(), "{}", shape(3));
+                let deeper = matches!(parse(MAX_NESTING + 1), Err(VerilogError::Parse { .. }));
+                assert!(deeper, "{}", shape(3));
+            }
+        });
+    }
+
+    #[test]
+    fn declared_ranges_are_bounded_at_max_word_bits() {
+        let parse = |msb: usize| {
+            let body = format!("wire [{msb}:0] b; assign b = a; assign y = b[0];");
+            parse_module(&crate::module(&body))
+        };
+        assert!(parse(MAX_WORD_BITS - 1).is_ok());
+        for msb in [MAX_WORD_BITS, 999_999_999] {
+            assert!(matches!(parse(msb), Err(VerilogError::Parse { .. })));
+        }
     }
 
     #[test]
