@@ -34,11 +34,10 @@ fn charge(aig: &Aig, more: usize) -> Result<(), VerilogError> {
 /// `(|a| + |b|) × (|b| + 1)` array bounds the multiplier, the restoring
 /// divider and the barrel shifter. Other operators are linear.
 fn quadratic_cost(op: BinOp, a: &[Lit], b: &[Lit]) -> usize {
+    let cells = (a.len() + b.len()) * (b.len() + 1);
     match op {
-        BinOp::Mul | BinOp::Div | BinOp::Mod => 16 * (a.len() + b.len()) * (b.len() + 1),
-        BinOp::Shl | BinOp::Shr if !b.iter().all(|l| l.is_const()) => {
-            16 * (a.len() + b.len()) * (b.len() + 1)
-        }
+        BinOp::Mul | BinOp::Div | BinOp::Mod => 16 * cells,
+        BinOp::Shl | BinOp::Shr if !b.iter().all(|l| l.is_const()) => 16 * cells,
         _ => 0,
     }
 }
