@@ -138,9 +138,9 @@ fn main() {
     for (name, vars, esop) in &workloads {
         let naive = run_engine(esop, ExorcismEngine::Naive, "naive");
         let indexed = run_engine(esop, ExorcismEngine::Indexed, "indexed");
-        // Acceptance contract for every emitted row. On covers within
-        // `restart_cube_limit` the replay start makes this hold by
-        // construction; above it the diversified single start has beaten
+        // Acceptance contract for every emitted row. On covers of up to
+        // 512 cubes the indexed engine's naive start makes this hold by
+        // construction; above it the single indexed start has beaten
         // the naive path on every workload here — a future heuristic
         // change that regresses it should fail this bench loudly.
         assert!(

@@ -35,14 +35,16 @@
 //!
 //! * [`ExorcismEngine::Naive`] — the original quadratic-restart engine
 //!   (full `O(n²)` rescans after every merge), kept as the differential
-//!   -testing oracle.
+//!   -testing oracle. On covers of up to 512 cubes the indexed engine
+//!   runs it as one more start, so its result is never worse than the
+//!   naive one there.
 //!
 //! Both engines run until a fixpoint or the round budget is exhausted, and
 //! preserve the multi-output function exactly: every rewrite replaces a set
 //! of `(cube, output mask)` entries by an XOR-equivalent set.
 
 use qda_logic::cube::Cube;
-use qda_logic::esop::{xor_dedupe_sorted, MultiEsop};
+use qda_logic::esop::MultiEsop;
 use qda_logic::hash::{FxHashMap, FxHashSet};
 use qda_logic::par;
 use rand::rngs::StdRng;
@@ -56,16 +58,11 @@ pub enum ExorcismEngine {
     /// The indexed, worklist-driven engine (see the module docs).
     #[default]
     Indexed,
-    /// The original quadratic-restart engine; kept for differential
-    /// testing against [`ExorcismEngine::Indexed`].
+    /// The original quadratic-restart engine. The differential tests use
+    /// it as the oracle for [`ExorcismEngine::Indexed`], which also runs
+    /// it as one of its starts on covers small enough to afford it, so the
+    /// indexed result is never worse than the naive one there.
     Naive,
-    /// Bit-exact replay of [`ExorcismEngine::Naive`]'s decision sequence
-    /// with the `O(n²)` pair rescans and `O(n)` unlock lookaheads replaced
-    /// by position-indexed lookups: same result, far less work. The
-    /// indexed engine also runs this as one of its starts (on covers small
-    /// enough to afford it), which makes it never worse than the naive
-    /// oracle there by construction.
-    Replay,
 }
 
 /// Options for [`minimize_esop`].
@@ -75,33 +72,30 @@ pub struct ExorcismOptions {
     /// indexed engine, full sweeps for the naive one). `0` degrades to a
     /// bare distance-0 dedupe.
     pub max_rounds: usize,
-    /// Whether to attempt distance-2 exorlink rewrites.
-    pub exorlink2: bool,
     /// Engine selection.
     pub engine: ExorcismEngine,
-    /// Number of diversified starts of the indexed engine (insertion and
-    /// scan orders vary per start; the best cover wins). The greedy loop
-    /// is order-sensitive, so a few cheap restarts recover most of the
-    /// quality a single unlucky path leaves behind. Ignored by the naive
-    /// engine; `0` behaves like `1`.
-    pub restarts: usize,
-    /// Seed-cover size cap for taking the extra [`Self::restarts`]: inputs
-    /// with more cubes run a single start (restart quality gains fade with
-    /// size while their cost grows linearly).
-    pub restart_cube_limit: usize,
 }
 
 impl Default for ExorcismOptions {
     fn default() -> Self {
         Self {
             max_rounds: 24,
-            exorlink2: true,
             engine: ExorcismEngine::Indexed,
-            restarts: 4,
-            restart_cube_limit: 512,
         }
     }
 }
+
+/// Diversified starts of the indexed engine (insertion and scan orders
+/// vary per start; the best cover wins). The greedy loop is
+/// order-sensitive, so a few cheap restarts recover most of the quality a
+/// single unlucky path leaves behind.
+const RESTARTS: usize = 4;
+
+/// Seed-cover size cap for the naive start and the extra [`RESTARTS`]:
+/// larger inputs run a single indexed start (restart quality gains fade
+/// with size while their cost grows linearly, and the naive start's
+/// quadratically).
+const RESTART_CUBE_LIMIT: usize = 512;
 
 /// Minimizes a multi-output ESOP in place; returns the number of cubes
 /// eliminated.
@@ -128,10 +122,6 @@ pub fn minimize_esop(esop: &mut MultiEsop, options: &ExorcismOptions) -> usize {
     match options.engine {
         ExorcismEngine::Indexed => minimize_indexed(esop, options),
         ExorcismEngine::Naive => minimize_naive(esop, options),
-        ExorcismEngine::Replay => {
-            let cubes = run_naive_replay(esop.num_vars(), esop.cubes(), options);
-            *esop = MultiEsop::from_cubes(esop.num_vars(), esop.num_outputs(), cubes);
-        }
     }
     initial.saturating_sub(esop.len())
 }
@@ -503,24 +493,22 @@ fn minimize_indexed(esop: &mut MultiEsop, options: &ExorcismOptions) {
     // order (input / reversed / deterministic shuffles), index scan
     // direction (start bit 0) and merge-worklist discipline (start bit 1)
     // — and keep the smallest cover by (cube count, literal count). On
-    // covers small enough to afford it, the naive-replay start runs too,
-    // so the result is never worse than the naive oracle's.
+    // covers small enough to afford it, the naive engine runs first, on
+    // a clone, so the result is never worse than the naive oracle's.
     //
     // Every start is independent and individually deterministic, so the
     // batch is sharded across workers ([`qda_logic::par`]); the fold
     // below walks the results in start order and accepts only strictly
     // better covers, which reproduces the serial outcome byte for byte
     // whatever `QDA_WORKERS` says.
-    let within_restart_budget = esop.len() <= options.restart_cube_limit;
+    let within_restart_budget = esop.len() <= RESTART_CUBE_LIMIT;
     let naive_jobs = usize::from(within_restart_budget);
-    let starts = if within_restart_budget {
-        options.restarts.clamp(1, 16)
-    } else {
-        1
-    };
+    let starts = if within_restart_budget { RESTARTS } else { 1 };
     let runs = par::run_indexed(naive_jobs + starts, |job| {
         if job < naive_jobs {
-            return run_naive_replay(esop.num_vars(), esop.cubes(), options);
+            let mut cover = esop.clone();
+            minimize_naive(&mut cover, options);
+            return std::mem::take(cover.cubes_mut());
         }
         let start = job - naive_jobs;
         let mut seed: Vec<(Cube, u64)> = esop.cubes().to_vec();
@@ -578,30 +566,28 @@ fn run_indexed(
         index.insert(c, m);
     }
     index.drain_merges();
-    if options.exorlink2 {
-        // Best cost seen at a greedy fixpoint: diversification continues
-        // only while it keeps paying off within a small stale budget —
-        // zero-gain moves can ping-pong forever otherwise.
-        let mut best_fixpoint_cost = (usize::MAX, usize::MAX);
-        let mut stale = 0;
-        for _ in 0..options.max_rounds {
-            if !index.exorlink_sweep(false) {
-                // The worklist ran dry at a greedy fixpoint: perturb it
-                // with a zero-gain sweep (which cannot worsen any count).
-                let cost = index.cost();
-                if cost < best_fixpoint_cost {
-                    best_fixpoint_cost = cost;
-                    stale = 0;
-                } else {
-                    stale += 1;
-                    if stale > 3 {
-                        break;
-                    }
-                }
-                index.mark_all_dirty();
-                if !index.exorlink_sweep(true) {
+    // Best cost seen at a greedy fixpoint: diversification continues only
+    // while it keeps paying off within a small stale budget — zero-gain
+    // moves can ping-pong forever otherwise.
+    let mut best_fixpoint_cost = (usize::MAX, usize::MAX);
+    let mut stale = 0;
+    for _ in 0..options.max_rounds {
+        if !index.exorlink_sweep(false) {
+            // The worklist ran dry at a greedy fixpoint: perturb it with a
+            // zero-gain sweep (which cannot worsen any count).
+            let cost = index.cost();
+            if cost < best_fixpoint_cost {
+                best_fixpoint_cost = cost;
+                stale = 0;
+            } else {
+                stale += 1;
+                if stale > 3 {
                     break;
                 }
+            }
+            index.mark_all_dirty();
+            if !index.exorlink_sweep(true) {
+                break;
             }
         }
     }
@@ -614,219 +600,14 @@ fn run_indexed(
 }
 
 // ---------------------------------------------------------------------------
-// Exact naive replay, index-accelerated
-// ---------------------------------------------------------------------------
-
-/// Position-keyed wildcard index over a cube array: bucket
-/// `(mask, var, cube-with-var-wildcarded)` holds the array positions whose
-/// entry matches the key, so a position's same-mask distance-≤1 mates are
-/// found in `O(num_vars)` lookups. Cubes with literals outside
-/// `0..num_vars` are not indexed correctly (the standard [`MultiEsop`]
-/// invariant).
-struct PosIndex {
-    num_vars: usize,
-    buckets: FxHashMap<WildKey, Vec<usize>>,
-}
-
-impl PosIndex {
-    fn build(arr: &[(Cube, u64)], num_vars: usize) -> Self {
-        let mut idx = Self {
-            num_vars,
-            buckets: FxHashMap::default(),
-        };
-        for (p, &(c, m)) in arr.iter().enumerate() {
-            idx.add(p, c, m);
-        }
-        idx
-    }
-
-    fn add(&mut self, pos: usize, cube: Cube, mask: u64) {
-        for v in 0..self.num_vars as u32 {
-            self.buckets
-                .entry((mask, v, cube.without_var(v as usize)))
-                .or_default()
-                .push(pos);
-        }
-    }
-
-    fn remove(&mut self, pos: usize, cube: Cube, mask: u64) {
-        for v in 0..self.num_vars as u32 {
-            let key = (mask, v, cube.without_var(v as usize));
-            if let Entry::Occupied(mut e) = self.buckets.entry(key) {
-                e.get_mut().retain(|&p| p != pos);
-                if e.get().is_empty() {
-                    e.remove();
-                }
-            }
-        }
-    }
-
-    /// All positions at distance exactly 1 (same mask) from `arr[pos]`.
-    /// Distance-0 mates — identical cubes, legal mid-phase — are excluded,
-    /// exactly as the naive scan skips them. A distance-1 mate shares
-    /// exactly one wildcard key, so the result is duplicate-free.
-    fn merge_partners(&self, arr: &[(Cube, u64)], pos: usize) -> Vec<usize> {
-        let (cube, mask) = arr[pos];
-        let mut out = Vec::new();
-        for v in 0..self.num_vars as u32 {
-            if let Some(bucket) = self.buckets.get(&(mask, v, cube.without_var(v as usize))) {
-                out.extend(
-                    bucket
-                        .iter()
-                        .copied()
-                        .filter(|&p| p != pos && arr[p].0 != cube),
-                );
-            }
-        }
-        out
-    }
-
-    /// Whether a position outside `excl` holds a same-mask cube at
-    /// distance ≤ 1 from `cube` (which need not be in the array) — the
-    /// naive exorlink unlock lookahead, in `O(num_vars)` lookups.
-    fn has_mate(&self, cube: Cube, mask: u64, excl: [usize; 2]) -> bool {
-        for v in 0..self.num_vars as u32 {
-            if let Some(bucket) = self.buckets.get(&(mask, v, cube.without_var(v as usize))) {
-                if bucket.iter().any(|p| !excl.contains(p)) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
-/// Replays [`naive_merge_distance_one`] exactly: repeatedly merge the
-/// lexicographically first `(i, j)` distance-1 equal-mask pair (which is
-/// what the naive restart scan finds), mirroring its
-/// `cubes[j] = merged; cubes.swap_remove(i)` array surgery — but find each
-/// pair through the position index and a lazily verified candidate set
-/// instead of an `O(n²)` rescan.
-fn replay_merge_phase(arr: &mut Vec<(Cube, u64)>, num_vars: usize) -> bool {
-    let mut idx = PosIndex::build(arr, num_vars);
-    // Invariant: every position with at least one merge partner is in
-    // `cands` (the set may also hold already-pairless positions, verified
-    // and dropped on pop). So `min(cands)` with a non-empty partner set is
-    // the naive scan's `i`, and all its partners lie above it.
-    let mut cands: std::collections::BTreeSet<usize> = (0..arr.len()).collect();
-    let mut changed = false;
-    while let Some(&i) = cands.iter().next() {
-        let partners = idx.merge_partners(arr, i);
-        let Some(&j) = partners.iter().min() else {
-            cands.remove(&i);
-            continue;
-        };
-        debug_assert!(j > i, "a lower partner would itself be in cands");
-        let mask = arr[i].1;
-        let merged = arr[i]
-            .0
-            .merge_distance_one(&arr[j].0)
-            .expect("index mates are at distance 1");
-        // Positions whose content or existence changes: i (receives the
-        // swapped-in last element), j (receives the merged cube), and the
-        // last position (vacated).
-        let last = arr.len() - 1;
-        let mut affected = vec![i, j, last];
-        affected.sort_unstable();
-        affected.dedup();
-        for &p in &affected {
-            let (c, m) = arr[p];
-            idx.remove(p, c, m);
-        }
-        arr[j] = (merged, mask);
-        arr.swap_remove(i);
-        changed = true;
-        for &p in &affected {
-            if p < arr.len() {
-                let (c, m) = arr[p];
-                idx.add(p, c, m);
-            } else {
-                cands.remove(&p);
-            }
-        }
-        // The changed positions may pair with anything, including
-        // positions already verified pairless — requeue both sides.
-        for &p in &affected {
-            if p < arr.len() {
-                cands.insert(p);
-                for q in idx.merge_partners(arr, p) {
-                    cands.insert(q);
-                }
-            }
-        }
-    }
-    changed
-}
-
-/// Replays [`naive_exorlink_pass`] exactly — same pair order, same
-/// `which` order, same acceptance rule — with the `O(n)` unlock lookahead
-/// served by [`PosIndex::has_mate`].
-fn replay_exorlink_pass(arr: &mut [(Cube, u64)], num_vars: usize) -> bool {
-    let mut idx = PosIndex::build(arr, num_vars);
-    let mut changed = false;
-    let n = arr.len();
-    'pairs: for i in 0..n {
-        for j in (i + 1)..n {
-            let (ci, mi) = arr[i];
-            let (cj, mj) = arr[j];
-            if mi != mj || ci.distance(&cj) != 2 {
-                continue;
-            }
-            for which in 0..2 {
-                let Some((a, b)) = ci.exorlink2(&cj, which) else {
-                    continue;
-                };
-                let current_lits = ci.num_literals() + cj.num_literals();
-                let new_lits = a.num_literals() + b.num_literals();
-                let unlocks = idx.has_mate(a, mi, [i, j]) || idx.has_mate(b, mi, [i, j]);
-                if unlocks || new_lits < current_lits {
-                    idx.remove(i, ci, mi);
-                    idx.remove(j, cj, mj);
-                    arr[i] = (a, mi);
-                    arr[j] = (b, mi);
-                    idx.add(i, a, mi);
-                    idx.add(j, b, mi);
-                    changed = true;
-                    continue 'pairs;
-                }
-            }
-        }
-    }
-    changed
-}
-
-/// Exact replay of [`minimize_naive`]'s round structure; bit-identical
-/// output (pinned by the differential test suite).
-fn run_naive_replay(
-    num_vars: usize,
-    seed: &[(Cube, u64)],
-    options: &ExorcismOptions,
-) -> Vec<(Cube, u64)> {
-    let mut arr = xor_dedupe_sorted(seed.to_vec());
-    for _ in 0..options.max_rounds {
-        let mut changed = replay_merge_phase(&mut arr, num_vars);
-        if options.exorlink2 {
-            changed |= replay_exorlink_pass(&mut arr, num_vars);
-        }
-        arr = xor_dedupe_sorted(arr);
-        if !changed {
-            break;
-        }
-    }
-    arr
-}
-
-// ---------------------------------------------------------------------------
-// Naive restart engine (differential-testing oracle)
+// Naive restart engine (differential-testing oracle, never-worse start)
 // ---------------------------------------------------------------------------
 
 fn minimize_naive(esop: &mut MultiEsop, options: &ExorcismOptions) {
     esop.dedupe();
     for _ in 0..options.max_rounds {
         let mut changed = naive_merge_distance_one(esop);
-        if options.exorlink2 {
-            changed |= naive_exorlink_pass(esop);
-        }
+        changed |= naive_exorlink_pass(esop);
         esop.dedupe();
         if !changed {
             break;
@@ -1014,7 +795,6 @@ mod tests {
             let options = ExorcismOptions {
                 max_rounds: 0,
                 engine,
-                ..ExorcismOptions::default()
             };
             let c = Cube::minterm(3, 5);
             let d = Cube::minterm(3, 4); // distance 1 from c — must survive

@@ -24,9 +24,8 @@ fn literal_count(esop: &MultiEsop) -> usize {
     esop.cubes().iter().map(|(c, _)| c.num_literals()).sum()
 }
 
-/// Runs all three engines on copies of `esop` and checks the differential
-/// contract: identical truth tables (all equal to the input's), the
-/// index-accelerated replay bit-identical to the naive oracle, and the
+/// Runs both engines on copies of `esop` and checks the differential
+/// contract: identical truth tables (both equal to the input's), and the
 /// indexed engine never worse in cubes or literals.
 fn check_differential(esop: &MultiEsop, context: &str) {
     let reference = esop.to_truth_table();
@@ -34,19 +33,6 @@ fn check_differential(esop: &MultiEsop, context: &str) {
     minimize_esop(&mut by_indexed, &indexed());
     let mut by_naive = esop.clone();
     minimize_esop(&mut by_naive, &naive());
-    let mut by_replay = esop.clone();
-    minimize_esop(
-        &mut by_replay,
-        &ExorcismOptions {
-            engine: ExorcismEngine::Replay,
-            ..ExorcismOptions::default()
-        },
-    );
-    assert_eq!(
-        by_replay.cubes(),
-        by_naive.cubes(),
-        "{context}: replay diverged from the naive oracle"
-    );
     assert_eq!(
         by_indexed.to_truth_table(),
         reference,
@@ -221,20 +207,4 @@ fn merge_cascades_through_distance_zero() {
     let mut esop = MultiEsop::from_cubes(2, 1, vec![(ab, 1), (anb, 1), (a, 1)]);
     minimize_esop(&mut esop, &indexed());
     assert!(esop.is_empty(), "cascade must cancel, got {esop:?}");
-}
-
-/// The indexed engine must honour `exorlink2: false` (merge-only mode).
-#[test]
-fn exorlink_can_be_disabled() {
-    let tt = TruthTable::from_fn(2, |x| x != 3);
-    let esop = MultiEsop::from_single_outputs(&[Esop::from_truth_table(&tt)]);
-    let mut merged_only = esop.clone();
-    minimize_esop(
-        &mut merged_only,
-        &ExorcismOptions {
-            exorlink2: false,
-            ..ExorcismOptions::default()
-        },
-    );
-    assert_eq!(merged_only.to_truth_table(), esop.to_truth_table());
 }

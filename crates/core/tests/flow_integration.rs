@@ -58,6 +58,29 @@ fn esop_flow_both_designs_and_factoring_levels() {
     }
 }
 
+/// Table III's ESOP-flow costs, pinned exactly: `(qubits, T-count, gates)`
+/// at factoring depth p = 0 and p = 1. A change to PSDKRO extraction,
+/// EXORCISM or REVS that moves a cost shows up here.
+#[test]
+fn esop_flow_table3_costs_are_pinned() {
+    let rows = [
+        (Design::intdiv(5), [(10, 283, 19), (12, 232, 23)]),
+        (Design::newton(5), [(10, 275, 20), (12, 224, 24)]),
+        (Design::intdiv(6), [(12, 494, 34), (16, 318, 42)]),
+        (Design::newton(6), [(12, 362, 22), (14, 239, 26)]),
+    ];
+    for (design, expected) in &rows {
+        for (p, &want) in expected.iter().enumerate() {
+            let cost = EsopFlow::with_factoring(p).run(design).unwrap().cost;
+            assert_eq!(
+                (cost.qubits, cost.t_count, cost.gates),
+                want,
+                "{design} p = {p}"
+            );
+        }
+    }
+}
+
 #[test]
 fn hierarchical_flow_all_strategies() {
     for strategy in [

@@ -260,11 +260,8 @@ impl MultiEsop {
 
 /// The canonical XOR dedupe over `(cube, output mask)` pairs: duplicate
 /// cubes merge by XOR-ing their masks, cubes whose mask cancels to zero
-/// are dropped, and the result comes back sorted by `(cube, mask)`.
-///
-/// This is both [`MultiEsop::dedupe`] and the array-state contract the
-/// exorcism replay engine (`qda-classical`) relies on — keeping one
-/// implementation makes their equivalence structural.
+/// are dropped, and the result comes back sorted by `(cube, mask)`. This
+/// is [`MultiEsop::dedupe`].
 pub fn xor_dedupe_sorted(cubes: Vec<(Cube, u64)>) -> Vec<(Cube, u64)> {
     let mut map = std::collections::BTreeMap::new();
     for (c, m) in cubes {

@@ -1,9 +1,8 @@
-//! Circuit interchange formats: RevKit `.real` and OpenQASM 2.0.
+//! Circuit interchange: RevKit `.real`.
 //!
 //! The paper's toolchain passes reversible circuits between RevKit, REVS
-//! and downstream quantum compilers; `.real` is RevKit's native format and
-//! OpenQASM is the lingua franca at the quantum level. Both exports, plus
-//! a `.real` reader for round-tripping.
+//! and downstream quantum compilers; `.real` is RevKit's native format.
+//! This module writes it and reads it back for round-tripping.
 
 use crate::circuit::Circuit;
 use crate::gate::{Control, Gate};
@@ -199,53 +198,6 @@ pub fn from_real(text: &str) -> Result<Circuit, ParseRealError> {
     circuit.ok_or_else(|| err(text.lines().count(), "no circuit body found"))
 }
 
-/// Serializes a circuit as OpenQASM 2.0. Gates with more than two
-/// controls are first expanded into plain Toffolis (one clean ancilla
-/// register is appended), so the output uses only `x`, `cx` and `ccx`.
-pub fn to_qasm(circuit: &Circuit) -> String {
-    let expanded = crate::decompose::expand_to_toffoli(circuit);
-    let n = expanded.num_lines();
-    let mut out = String::new();
-    let _ = writeln!(out, "OPENQASM 2.0;");
-    let _ = writeln!(out, "include \"qelib1.inc\";");
-    let _ = writeln!(out, "qreg q[{n}];");
-    for g in expanded.gates() {
-        // Negative controls become X-conjugation.
-        let flips: Vec<usize> = g
-            .controls()
-            .iter()
-            .filter(|c| !c.is_positive())
-            .map(|c| c.line())
-            .collect();
-        for &f in &flips {
-            let _ = writeln!(out, "x q[{f}];");
-        }
-        let lines: Vec<usize> = g.controls().iter().map(|c| c.line()).collect();
-        match lines.len() {
-            0 => {
-                let _ = writeln!(out, "x q[{}];", g.target());
-            }
-            1 => {
-                let _ = writeln!(out, "cx q[{}],q[{}];", lines[0], g.target());
-            }
-            2 => {
-                let _ = writeln!(
-                    out,
-                    "ccx q[{}],q[{}],q[{}];",
-                    lines[0],
-                    lines[1],
-                    g.target()
-                );
-            }
-            _ => unreachable!("expanded circuit has at most 2 controls"),
-        }
-        for &f in &flips {
-            let _ = writeln!(out, "x q[{f}];");
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,29 +306,5 @@ mod tests {
         let e = from_real(text).unwrap_err();
         assert_eq!(e.line, 6);
         assert_eq!(e.to_string(), format!("line 6: {}", e.message));
-    }
-
-    #[test]
-    fn qasm_uses_only_supported_gates() {
-        let text = to_qasm(&sample());
-        assert!(text.starts_with("OPENQASM 2.0;"));
-        for line in text.lines().skip(3) {
-            if line.is_empty() {
-                continue;
-            }
-            assert!(
-                line.starts_with("x ") || line.starts_with("cx ") || line.starts_with("ccx "),
-                "unexpected line {line:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn qasm_of_wide_gate_expands() {
-        let mut c = Circuit::new(6);
-        c.mct((0..5).map(Control::positive).collect(), 5);
-        let text = to_qasm(&c);
-        let ccx_count = text.lines().filter(|l| l.starts_with("ccx")).count();
-        assert_eq!(ccx_count, 2 * (5 - 2) + 1);
     }
 }

@@ -125,24 +125,16 @@ impl Frame {
     }
 }
 
-/// Emits gates computing `node` onto a line; returns the line and appends
-/// all emitted gates to `log` (for later uncomputation).
-#[allow(clippy::too_many_arguments)]
+/// Appends the gates computing `node` onto a line to `gates`.
 fn compute_node(
     xmg: &Xmg,
     node: usize,
     frame: &mut Frame,
-    circuit: &mut Circuit,
+    gates: &mut Vec<Gate>,
     alloc: &mut LineAllocator,
-    log: &mut Vec<Gate>,
     remaining_uses: &mut [usize],
     options: &HierarchicalOptions,
 ) {
-    let emit = |circuit: &mut Circuit, alloc: &LineAllocator, g: Gate, log: &mut Vec<Gate>| {
-        circuit.ensure_lines(alloc.high_water());
-        circuit.add_gate(g.clone());
-        log.push(g);
-    };
     let gate = xmg.gate(node);
     match gate {
         XmgNode::Xor([a, b]) => {
@@ -152,17 +144,17 @@ fn compute_node(
             let dying =
                 |l: Lit, remaining: &[usize]| xmg.is_gate(l.node()) && remaining[l.node()] == 1;
             if options.inplace_xor && dying(a, remaining_uses) {
-                emit(circuit, alloc, Gate::cnot(lb, la), log);
+                gates.push(Gate::cnot(lb, la));
                 frame.line_of[node] = la;
                 frame.line_of[a.node()] = usize::MAX; // consumed
             } else if options.inplace_xor && dying(b, remaining_uses) {
-                emit(circuit, alloc, Gate::cnot(la, lb), log);
+                gates.push(Gate::cnot(la, lb));
                 frame.line_of[node] = lb;
                 frame.line_of[b.node()] = usize::MAX; // consumed
             } else {
                 let t = alloc.alloc();
-                emit(circuit, alloc, Gate::cnot(la, t), log);
-                emit(circuit, alloc, Gate::cnot(lb, t), log);
+                gates.push(Gate::cnot(la, t));
+                gates.push(Gate::cnot(lb, t));
                 frame.line_of[node] = t;
             }
             remaining_uses[a.node()] = remaining_uses[a.node()].saturating_sub(1);
@@ -187,19 +179,17 @@ fn compute_node(
                         .filter(|(l, _)| l.is_complement())
                         .map(|(_, &ln)| ln)
                         .collect();
-                    for &f in &flips {
-                        emit(circuit, alloc, Gate::not(f), log);
-                    }
+                    gates.extend(flips.iter().map(|&f| Gate::not(f)));
                     let (la, lb, lc) = (lines[0], lines[1], lines[2]);
-                    emit(circuit, alloc, Gate::cnot(la, t), log);
-                    emit(circuit, alloc, Gate::cnot(la, lb), log);
-                    emit(circuit, alloc, Gate::cnot(la, lc), log);
-                    emit(circuit, alloc, Gate::toffoli(lb, lc, t), log);
-                    emit(circuit, alloc, Gate::cnot(la, lb), log);
-                    emit(circuit, alloc, Gate::cnot(la, lc), log);
-                    for &f in &flips {
-                        emit(circuit, alloc, Gate::not(f), log);
-                    }
+                    gates.extend([
+                        Gate::cnot(la, t),
+                        Gate::cnot(la, lb),
+                        Gate::cnot(la, lc),
+                        Gate::toffoli(lb, lc, t),
+                        Gate::cnot(la, lb),
+                        Gate::cnot(la, lc),
+                    ]);
+                    gates.extend(flips.iter().map(|&f| Gate::not(f)));
                 }
                 [k] => {
                     // AND (k = 0) or OR (k = 1) of the two variable operands.
@@ -216,9 +206,9 @@ fn compute_node(
                             }
                         })
                         .collect();
-                    emit(circuit, alloc, Gate::mct(controls, t), log);
+                    gates.push(Gate::mct(controls, t));
                     if is_or {
-                        emit(circuit, alloc, Gate::not(t), log);
+                        gates.push(Gate::not(t));
                     }
                 }
                 _ => unreachable!("maj with two constants folds away"),
@@ -231,45 +221,56 @@ fn compute_node(
     }
 }
 
-/// Copies the PO values onto fresh output lines.
-fn copy_outputs(
-    xmg: &Xmg,
-    frame: &Frame,
-    circuit: &mut Circuit,
-    alloc: &mut LineAllocator,
-    pos: &[Lit],
-) -> Vec<usize> {
-    let mut outs = Vec::with_capacity(pos.len());
-    for po in pos {
-        let t = alloc.alloc();
-        circuit.ensure_lines(alloc.high_water());
-        if po.is_const() {
-            if *po == Lit::TRUE {
-                circuit.not(t);
-            }
-        } else {
-            let l = frame.line(po.node());
-            circuit.cnot(l, t);
-            if po.is_complement() {
-                circuit.not(t);
-            }
+/// Appends the gates copying `po`'s value onto the clean line `t`.
+fn copy_output(frame: &Frame, gates: &mut Vec<Gate>, po: Lit, t: usize) {
+    if po.is_const() {
+        if po == Lit::TRUE {
+            gates.push(Gate::not(t));
         }
-        let _ = xmg;
-        outs.push(t);
+    } else {
+        gates.push(Gate::cnot(frame.line(po.node()), t));
+        if po.is_complement() {
+            gates.push(Gate::not(t));
+        }
     }
-    outs
+}
+
+/// Appends the inverse of the compute range `gates[start..computed]`
+/// (MPMCT gates are self-inverse, so it is the range reversed).
+fn uncompute(gates: &mut Vec<Gate>, start: usize, computed: usize) {
+    let from = gates.len();
+    gates.extend_from_within(start..computed);
+    gates[from..].reverse();
+}
+
+/// Packs the gate list once, on the allocator's final line count.
+fn pack(
+    gates: Vec<Gate>,
+    alloc: &LineAllocator,
+    n: usize,
+    output_lines: Vec<usize>,
+) -> HierarchicalSynthesis {
+    let mut circuit = Circuit::new(alloc.high_water());
+    for g in gates {
+        circuit.add_gate(g);
+    }
+    HierarchicalSynthesis {
+        releases: alloc.release_events().to_vec(),
+        circuit,
+        input_lines: (0..n).collect(),
+        output_lines,
+    }
 }
 
 fn synthesize_whole(
     xmg: &Xmg,
     options: &HierarchicalOptions,
-    uncompute: bool,
+    uncompute_all: bool,
 ) -> HierarchicalSynthesis {
     let n = xmg.num_pis();
-    let mut circuit = Circuit::new(n);
+    let mut gates = Vec::new();
     let mut alloc = LineAllocator::new(n);
     let mut frame = Frame::new(xmg);
-    let mut log: Vec<Gate> = Vec::new();
     let mut remaining = xmg.fanout_counts();
     // With uncomputation pending, every value is used once more (by the
     // inverse pass); in-place consumption is still safe because the inverse
@@ -283,94 +284,70 @@ fn synthesize_whole(
             xmg,
             node,
             &mut frame,
-            &mut circuit,
+            &mut gates,
             &mut alloc,
-            &mut log,
             &mut remaining,
             options,
         );
     }
-    let output_lines = copy_outputs(xmg, &frame, &mut circuit, &mut alloc, xmg.pos());
-    if uncompute {
-        for g in log.iter().rev() {
-            circuit.add_gate(g.clone());
-        }
+    let computed = gates.len();
+    let mut output_lines = Vec::with_capacity(xmg.num_pos());
+    for &po in xmg.pos() {
+        let t = alloc.alloc();
+        copy_output(&frame, &mut gates, po, t);
+        output_lines.push(t);
     }
-    circuit.ensure_lines(alloc.high_water());
-    HierarchicalSynthesis {
-        releases: alloc.release_events().to_vec(),
-        circuit,
-        input_lines: (0..n).collect(),
-        output_lines,
+    if uncompute_all {
+        uncompute(&mut gates, 0, computed);
     }
+    pack(gates, &alloc, n, output_lines)
 }
 
 fn synthesize_per_output(xmg: &Xmg, options: &HierarchicalOptions) -> HierarchicalSynthesis {
     let n = xmg.num_pis();
-    let mut circuit = Circuit::new(n);
+    let mut gates = Vec::new();
     let mut alloc = LineAllocator::new(n);
     // Pre-allocate output lines so they survive cone recycling.
     let output_lines = alloc.alloc_many(xmg.num_pos());
-    circuit.ensure_lines(alloc.high_water());
-    for (j, po) in xmg.pos().iter().enumerate() {
+    let opts = HierarchicalOptions {
+        // In-place XOR interacts with cross-cone reuse; keep it only for
+        // Bennett where the full inverse pass restores lines.
+        inplace_xor: false,
+        ..*options
+    };
+    for (&po, &out) in xmg.pos().iter().zip(&output_lines) {
         // Nodes in this output's cone, topological order.
-        let cone = cone_of(xmg, *po);
+        let cone = cone_of(xmg, po);
         let mut frame = Frame::new(xmg);
-        let mut log: Vec<Gate> = Vec::new();
         // Per-cone fanout counts (uses inside the cone only), +1 for PO.
         let mut remaining = cone_fanouts(xmg, &cone);
         if !po.is_const() {
             remaining[po.node()] += 1;
         }
-        let opts = HierarchicalOptions {
-            // In-place XOR interacts with cross-cone reuse; keep it only
-            // for Bennett where the full inverse pass restores lines.
-            inplace_xor: false,
-            ..*options
-        };
-        let mut cone_alloc_start = Vec::new();
+        let start = gates.len();
         for &node in &cone {
             compute_node(
                 xmg,
                 node,
                 &mut frame,
-                &mut circuit,
+                &mut gates,
                 &mut alloc,
-                &mut log,
                 &mut remaining,
                 &opts,
             );
-            cone_alloc_start.push(frame.line_of[node]);
         }
-        // Copy this output.
-        if po.is_const() {
-            if *po == Lit::TRUE {
-                circuit.not(output_lines[j]);
-            }
-        } else {
-            circuit.cnot(frame.line(po.node()), output_lines[j]);
-            if po.is_complement() {
-                circuit.not(output_lines[j]);
-            }
-        }
+        let computed = gates.len();
+        copy_output(&frame, &mut gates, po, out);
         // Uncompute the cone and recycle its lines.
-        for g in log.iter().rev() {
-            circuit.add_gate(g.clone());
-        }
+        uncompute(&mut gates, start, computed);
         for &node in &cone {
             let l = frame.line_of[node];
             if l != usize::MAX && l >= n {
-                alloc.release_at(l, circuit.num_gates());
+                alloc.release_at(l, gates.len());
             }
         }
     }
-    circuit.ensure_lines(alloc.high_water());
-    HierarchicalSynthesis {
-        releases: alloc.release_events().to_vec(),
-        circuit,
-        input_lines: (0..n).collect(),
-        output_lines,
-    }
+    pack(gates, &alloc, n, output_lines)
 }
 
 /// Gate nodes in the cone of `po`, topological order.
