@@ -25,7 +25,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lower-case name used in human and JSON rendering.
+    /// Lower-case name used in the human rendering.
     pub fn as_str(self) -> &'static str {
         match self {
             Severity::Note => "note",
@@ -184,30 +184,6 @@ impl Diagnostic {
         self.suggestion = Some(suggestion.into());
         self
     }
-
-    /// Renders the machine (JSON) form.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\"code\":\"");
-        s.push_str(self.code.as_str());
-        s.push_str("\",\"severity\":\"");
-        s.push_str(self.severity.as_str());
-        s.push('"');
-        if let Some((first, last)) = self.span.gates {
-            s.push_str(&format!(",\"gates\":[{first},{last}]"));
-        }
-        if let Some(line) = self.span.line {
-            s.push_str(&format!(",\"line\":{line}"));
-        }
-        s.push_str(",\"message\":");
-        push_json_string(&mut s, &self.message);
-        if let Some(fix) = &self.suggestion {
-            s.push_str(",\"suggestion\":");
-            push_json_string(&mut s, fix);
-        }
-        s.push('}');
-        s
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -227,23 +203,6 @@ impl fmt::Display for Diagnostic {
         }
         Ok(())
     }
-}
-
-/// Escapes `value` as a JSON string literal (with quotes) onto `out`.
-pub(crate) fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -273,18 +232,5 @@ mod tests {
             "deny[QDA-A003] gate 7, line 3: line 3 is released while provably nonzero \
              (fix: uncompute line 3 before releasing it)"
         );
-        assert_eq!(
-            d.to_json(),
-            "{\"code\":\"QDA-A003\",\"severity\":\"deny\",\"gates\":[7,7],\"line\":3,\
-             \"message\":\"line 3 is released while provably nonzero\",\
-             \"suggestion\":\"uncompute line 3 before releasing it\"}"
-        );
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let mut s = String::new();
-        push_json_string(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

@@ -106,31 +106,6 @@ impl Report {
         ));
         out
     }
-
-    /// Machine (JSON) rendering of the whole report.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_json());
-        }
-        s.push_str(&format!(
-            "],\"counts\":{{\"deny\":{},\"warning\":{},\"note\":{}}},\
-             \"metrics\":{{\"lines\":{},\"gates\":{},\"t_count\":{},\
-             \"logical_depth\":{},\"t_depth\":{}}}}}",
-            self.count(Severity::Deny),
-            self.count(Severity::Warning),
-            self.count(Severity::Note),
-            self.metrics.num_lines,
-            self.metrics.num_gates,
-            self.metrics.t_count,
-            self.metrics.depth.logical_depth,
-            self.metrics.depth.t_depth,
-        ));
-        s
-    }
 }
 
 /// Analyzes a circuit against its declared interface.
@@ -235,10 +210,6 @@ mod tests {
         let iface = CircuitInterface::hierarchical(3, vec![0, 1], vec![], true);
         let report = analyze(&c, &iface);
         assert_eq!(report.count(Severity::Deny), 1, "dirty ancilla");
-        let json = report.to_json();
-        assert!(json.starts_with("{\"diagnostics\":[{\"code\":\"QDA-A001\""));
-        assert!(json.contains("\"counts\":{\"deny\":1,\"warning\":0,\"note\":0}"));
-        assert!(json.contains("\"t_count\":7"));
         let human = report.render_human();
         assert!(human.contains("deny[QDA-A001]"));
         assert!(human.ends_with("T-depth 1\n"));

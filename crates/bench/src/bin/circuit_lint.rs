@@ -19,7 +19,7 @@ use qda_analyze::{CircuitInterface, Report, Severity};
 use qda_arith::qnewton_circuit;
 use qda_arith::resdiv::resdiv_reciprocal;
 use qda_bench::results::{BenchResults, BenchRow};
-use qda_bench::runner::{emit_results, parse_args, splitmix};
+use qda_bench::runner::{emit_results, parse_args, random_permutation};
 use qda_core::design::Design;
 use qda_core::flow::{Flow, HierarchicalFlow};
 use qda_core::report::Table;
@@ -34,17 +34,6 @@ struct Workload {
     n: usize,
     circuit: Circuit,
     interface: CircuitInterface,
-}
-
-/// A deterministic random permutation over `2^lines` values.
-fn random_permutation(lines: usize, seed: &mut u64) -> Vec<u64> {
-    let size = 1usize << lines;
-    let mut perm: Vec<u64> = (0..size as u64).collect();
-    for i in (1..size).rev() {
-        let j = (splitmix(seed) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    perm
 }
 
 /// Runs a hierarchical flow and repackages its output as a workload

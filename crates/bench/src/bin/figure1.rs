@@ -52,20 +52,7 @@ fn main() {
     }
     println!("{table}");
 
-    let mut stages = Table::new(
-        "per-stage timings (s)",
-        vec![
-            "flow",
-            "parse+elab",
-            "optimize",
-            "synthesis",
-            "post-opt",
-            "resynth",
-            "analyze",
-            "verify",
-            "total",
-        ],
-    );
+    let mut stages = Table::stages();
     for o in dse.outcomes() {
         stages.add_row(Table::stage_row(o));
     }

@@ -1,8 +1,9 @@
 //! `opt_bench` — the post-synthesis peephole optimizer (`qda_rev::opt`)
 //! across every circuit family the workspace produces: TBS circuits of
 //! random permutations, the raw ESOP-flow and hierarchical-flow outputs
-//! (run with `post_opt` off so the bench optimizes them itself), and the
-//! manual arithmetic generators (RESDIV, QNEWTON).
+//! (run with `post_opt` and `post_resynth` off so the bench optimizes
+//! the synthesis output itself), and the manual arithmetic generators
+//! (RESDIV, QNEWTON).
 //!
 //! Each workload reports gates and T-count before → after, the accepted
 //! rewrites per rule, and the optimization time (which includes the
@@ -19,7 +20,7 @@
 use qda_arith::qnewton_circuit;
 use qda_arith::resdiv::resdiv_reciprocal;
 use qda_bench::results::{BenchResults, BenchRow};
-use qda_bench::runner::{emit_results, parse_args, splitmix};
+use qda_bench::runner::{emit_results, parse_args, random_permutation};
 use qda_core::design::Design;
 use qda_core::flow::{EsopFlow, Flow, HierarchicalFlow};
 use qda_core::report::Table;
@@ -37,17 +38,6 @@ struct Workload {
     /// The acceptance bar for Bennett hierarchical outputs: the pass
     /// must strictly reduce the gate count.
     must_reduce_gates: bool,
-}
-
-/// A deterministic random permutation over `2^lines` values.
-fn random_permutation(lines: usize, seed: &mut u64) -> Vec<u64> {
-    let size = 1usize << lines;
-    let mut perm: Vec<u64> = (0..size as u64).collect();
-    for i in (1..size).rev() {
-        let j = (splitmix(seed) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    perm
 }
 
 /// The raw (pre-optimizer) circuit of a flow run.
@@ -104,6 +94,7 @@ fn main() {
         });
         let hier = HierarchicalFlow {
             post_opt: false,
+            post_resynth: false,
             ..Default::default()
         };
         workloads.push(Workload {

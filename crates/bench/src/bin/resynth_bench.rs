@@ -1,5 +1,5 @@
 //! `resynth_bench` — the windowed resynthesis pass (`qda_rev::resynth`
-//! driven by the `qda_revsynth` TBS/ESOP/linear back-ends) on top of the
+//! driven by the `qda_revsynth` linear and ESOP back-ends) on top of the
 //! peephole optimizer, across every circuit family the workspace
 //! produces: TBS circuits of random permutations, the Bennett
 //! hierarchical flow outputs, and the manual arithmetic generators
@@ -31,7 +31,7 @@
 use qda_arith::qnewton_circuit;
 use qda_arith::resdiv::resdiv_reciprocal;
 use qda_bench::results::{BenchResults, BenchRow};
-use qda_bench::runner::{emit_results, parse_args, splitmix};
+use qda_bench::runner::{emit_results, parse_args, random_permutation};
 use qda_core::design::Design;
 use qda_core::dse::{configuration_name, default_workers, DesignSpaceExplorer};
 use qda_core::flow::{EsopFlow, Flow, FunctionalFlow, HierarchicalFlow};
@@ -53,17 +53,6 @@ struct Workload {
     /// Whether this is a Bennett hierarchical output — the family the
     /// bench requires at least one strict gate reduction from.
     bennett: bool,
-}
-
-/// A deterministic random permutation over `2^lines` values.
-fn random_permutation(lines: usize, seed: &mut u64) -> Vec<u64> {
-    let size = 1usize << lines;
-    let mut perm: Vec<u64> = (0..size as u64).collect();
-    for i in (1..size).rev() {
-        let j = (splitmix(seed) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    perm
 }
 
 /// Peephole-optimizes a raw circuit (sim-checked) so resynthesis is
@@ -199,7 +188,7 @@ fn main() {
         results.push(BenchRow::from_resynth(
             w.name,
             w.n,
-            "resynth (TBS/ESOP/linear)",
+            "resynth (ESOP/linear)",
             &before,
             &after,
             out.stats,

@@ -80,7 +80,7 @@
 //! how many starts it stepped over as unchanged:
 //!
 //! ```json
-//! {"design": "INTDIV-HIER", "n": 5, "flow": "resynth (TBS/ESOP/linear)",
+//! {"design": "INTDIV-HIER", "n": 5, "flow": "resynth (ESOP/linear)",
 //!  "qubits": 58, "t_count": 666, "gates": 133, "runtime_s": 0.004,
 //!  "gates_in": 135, "t_count_in": 672,
 //!  "windows": {"attempted": 162, "accepted": 1, "rejected": 161,
@@ -730,7 +730,7 @@ mod tests {
         r.push(BenchRow::from_resynth(
             "PAIR",
             3,
-            "resynth (TBS/ESOP/linear)",
+            "resynth (ESOP/linear)",
             &before.cost(),
             &out.circuit.cost(),
             out.stats,
@@ -743,7 +743,7 @@ mod tests {
         assert!(json.contains(r#""clean_skips":"#));
         assert!(json.contains(r#""unsound": 0"#));
         assert!(json.contains(r#""passes":"#));
-        assert!(json.contains(r#""flow": "resynth (TBS/ESOP/linear)""#));
+        assert!(json.contains(r#""flow": "resynth (ESOP/linear)""#));
         assert!(!json.contains("rewrites"));
     }
 }

@@ -48,6 +48,18 @@ pub fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A deterministic random permutation over `2^lines` values: a
+/// Fisher–Yates shuffle driven by [`splitmix`].
+pub fn random_permutation(lines: usize, seed: &mut u64) -> Vec<u64> {
+    let size = 1usize << lines;
+    let mut perm: Vec<u64> = (0..size as u64).collect();
+    for i in (1..size).rev() {
+        let j = (splitmix(seed) % (i as u64 + 1)) as usize;
+        perm.swap(i, j);
+    }
+    perm
+}
+
 /// Formats a `Duration` in seconds with two decimals (the paper's unit).
 pub fn secs(d: std::time::Duration) -> String {
     format!("{:.2}", d.as_secs_f64())

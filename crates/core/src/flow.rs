@@ -812,8 +812,6 @@ pub struct FunctionalFlow {
     pub optimize: OptimizeOptions,
     /// TBS direction.
     pub direction: TbsDirection,
-    /// Maximum embedded line count accepted (explicit permutation guard).
-    pub max_lines: usize,
     /// Run the post-synthesis peephole optimizer (default on).
     pub post_opt: bool,
     /// Run the windowed resynthesis pass (default off — TBS output is
@@ -828,7 +826,6 @@ impl Default for FunctionalFlow {
         Self {
             optimize: OptimizeOptions::default(),
             direction: TbsDirection::Bidirectional,
-            max_lines: 25,
             post_opt: true,
             post_resynth: false,
             analyze: true,
@@ -837,14 +834,17 @@ impl Default for FunctionalFlow {
 }
 
 impl FunctionalFlow {
-    /// Rejects an embedding wider than `max_lines` with the same typed
+    /// Maximum embedded line count accepted (explicit permutation guard).
+    const MAX_LINES: usize = 25;
+
+    /// Rejects an embedding wider than `MAX_LINES` with the same typed
     /// error the simulation layer raises for over-wide explicit
     /// permutations, surfaced as a flow error instead of a process abort.
-    fn check_lines(&self, lines: usize) -> Result<(), FlowError> {
-        if lines > self.max_lines {
+    fn check_lines(lines: usize) -> Result<(), FlowError> {
+        if lines > Self::MAX_LINES {
             return Err(TooWideError {
                 lines,
-                limit: self.max_lines,
+                limit: Self::MAX_LINES,
             }
             .into());
         }
@@ -864,7 +864,7 @@ impl Flow for FunctionalFlow {
     /// Rejects instances beyond the explicit-permutation guard before any
     /// work is spent on them.
     fn precheck(&self, design: &Design) -> Result<(), FlowError> {
-        self.check_lines(design.bits().saturating_mul(2).saturating_sub(1))
+        Self::check_lines(design.bits().saturating_mul(2).saturating_sub(1))
     }
 
     fn synthesize(&self, design: &Design, aig: &Aig) -> Result<Synthesized, FlowError> {
@@ -874,7 +874,7 @@ impl Flow for FunctionalFlow {
         // The precheck bounds the reciprocal's `2n − 1` lines; a design
         // with more outputs than inputs needs `max(n, m + g)`.
         let garbage = minimum_additional_lines(&tables);
-        self.check_lines(tables.num_vars().max(tables.num_outputs() + garbage))?;
+        Self::check_lines(tables.num_vars().max(tables.num_outputs() + garbage))?;
         let embedding = optimum_embedding(&tables);
         let circuit = transformation_based_synthesis(embedding.permutation(), self.direction);
         // In-place circuit: inputs on the low n lines, outputs on the low
@@ -934,7 +934,6 @@ impl EsopFlow {
             exorcism: ExorcismOptions::default(),
             synth: EsopSynthOptions {
                 factoring_passes: p,
-                min_sharers: 2,
             },
             bdd_node_limit: 2_000_000,
             post_opt: true,
@@ -1118,7 +1117,7 @@ impl fmt::Display for FlowGraph {
         )?;
         writeln!(
             f,
-            "                   windowed resynth (TBS/ESOP/linear)    [qda-rev::resynth]"
+            "                   windowed resynth (ESOP/linear)        [qda-rev::resynth]"
         )?;
         writeln!(f, "                    |           |           |")?;
         writeln!(f, "quantum level     reversible circuits: qubits × T-count")?;

@@ -48,6 +48,25 @@ impl Table {
         self.rows.len()
     }
 
+    /// An empty per-stage timing table whose columns match
+    /// [`Table::stage_row`].
+    pub fn stages() -> Self {
+        Self::new(
+            "per-stage timings (s)",
+            vec![
+                "flow",
+                "parse+elab",
+                "optimize",
+                "synthesis",
+                "post-opt",
+                "resynth",
+                "analyze",
+                "verify",
+                "total",
+            ],
+        )
+    }
+
     /// Renders the per-stage timing breakdown of a [`FlowOutcome`]:
     /// flow name, then seconds for parse+elaborate, optimize, synthesis,
     /// post-synthesis circuit optimization, windowed resynthesis, static

@@ -81,6 +81,46 @@ fn esop_flow_table3_costs_are_pinned() {
     }
 }
 
+/// Table IV's hierarchical-flow rows at the sizes the repository
+/// benchmark runs, pinned exactly: `(qubits, T-count, gates, accepted
+/// resynthesis windows, verification)`. A change to XMG mapping,
+/// hierarchical synthesis, the peephole pass or the resynthesis
+/// back-ends that moves a circuit shows up here.
+#[test]
+fn hierarchical_flow_table4_costs_are_pinned() {
+    let rows = [
+        (
+            Design::intdiv(16),
+            (
+                711,
+                8_576,
+                2_862,
+                6,
+                VerifyOutcome::ProbablyCorrect { samples: 1024 },
+            ),
+        ),
+        (
+            Design::newton(8),
+            (2_816, 29_253, 14_345, 31, VerifyOutcome::Verified),
+        ),
+    ];
+    for (design, want) in rows {
+        let outcome = HierarchicalFlow::default().run(&design).unwrap();
+        let resynth = outcome.resynth_stats.expect("resynthesis is on by default");
+        assert_eq!(
+            (
+                outcome.cost.qubits,
+                outcome.cost.t_count,
+                outcome.cost.gates,
+                resynth.windows_accepted,
+                outcome.verification,
+            ),
+            want,
+            "{design}"
+        );
+    }
+}
+
 #[test]
 fn hierarchical_flow_all_strategies() {
     for strategy in [

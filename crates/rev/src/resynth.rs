@@ -25,7 +25,7 @@
 //! 3. **Re-entrant synthesis, once per permutation** — the table keys a
 //!    memo local to one [`resynthesize`] call. On a miss the window is
 //!    remapped into a `k`-line circuit and every registered
-//!    [`WindowSynthesizer`] (the TBS, ESOP and linear back-ends of
+//!    [`WindowSynthesizer`] (the linear and ESOP back-ends of
 //!    `qda-revsynth`, injected from above because synthesis sits on top
 //!    of this crate) proposes a candidate. The back-ends race in parallel
 //!    ([`qda_logic::par`]); candidates are folded in registration order,
@@ -70,13 +70,10 @@ const LANE_WORDS: usize = MAX_WINDOW_STATES / 64;
 /// A synthesis back-end that can re-realize a small explicit permutation
 /// over `log₂ perm.len()` lines *in place* (same line count, no
 /// ancillae). Implementations live above this crate (`qda-revsynth`
-/// provides the TBS, ESOP and linear back-ends); the pass treats them as
+/// provides the linear and ESOP back-ends); the pass treats them as
 /// untrusted candidate generators — every candidate is simulation-checked
 /// against a window realizing `perm` before it may be spliced.
 pub trait WindowSynthesizer: Sync {
-    /// Back-end name (for stats and debugging).
-    fn name(&self) -> &str;
-
     /// Synthesizes a circuit realizing `perm` over `log₂ perm.len()`
     /// lines, or `None` when this back-end does not apply.
     fn synthesize(&self, perm: &[u64]) -> Option<Circuit>;
@@ -691,9 +688,6 @@ mod tests {
     /// smallest sound back-end, enough to exercise the splice machinery.
     struct IdentitySynth;
     impl WindowSynthesizer for IdentitySynth {
-        fn name(&self) -> &str {
-            "identity"
-        }
         fn synthesize(&self, perm: &[u64]) -> Option<Circuit> {
             let r = perm.len().trailing_zeros() as usize;
             perm.iter()
@@ -707,9 +701,6 @@ mod tests {
     /// window-level check refuses to splice it.
     struct BrokenSynth;
     impl WindowSynthesizer for BrokenSynth {
-        fn name(&self) -> &str {
-            "broken"
-        }
         fn synthesize(&self, perm: &[u64]) -> Option<Circuit> {
             let r = perm.len().trailing_zeros() as usize;
             let mut c = Circuit::new(r);
@@ -729,9 +720,6 @@ mod tests {
         }
     }
     impl WindowSynthesizer for CountingSynth {
-        fn name(&self) -> &str {
-            "counting"
-        }
         fn synthesize(&self, perm: &[u64]) -> Option<Circuit> {
             self.0.fetch_add(1, Ordering::Relaxed);
             IdentitySynth.synthesize(perm)

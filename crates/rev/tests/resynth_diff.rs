@@ -189,9 +189,6 @@ proptest! {
         // largest permutation it was ever offered.
         struct Probe(AtomicU64);
         impl WindowSynthesizer for Probe {
-            fn name(&self) -> &str {
-                "probe"
-            }
             fn synthesize(&self, perm: &[u64]) -> Option<Circuit> {
                 self.0.fetch_max(perm.len() as u64, Ordering::Relaxed);
                 None

@@ -21,24 +21,14 @@ use qda_logic::esop::MultiEsop;
 use qda_rev::circuit::Circuit;
 use qda_rev::gate::{Control, Gate};
 
-/// Options for [`synthesize_esop`].
-#[derive(Clone, Copy, Debug)]
+/// Options for [`synthesize_esop`]. A factoring pass extracts any
+/// sub-cube of at least two literals that two or more cubes share, when
+/// the controls it saves outweigh its compute/uncompute gates.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EsopSynthOptions {
     /// Number of factoring passes (the paper's `p`). `0` disables
     /// factoring and guarantees exactly `n + m` lines.
     pub factoring_passes: usize,
-    /// Minimum number of cubes that must share a sub-cube for it to be
-    /// extracted.
-    pub min_sharers: usize,
-}
-
-impl Default for EsopSynthOptions {
-    fn default() -> Self {
-        Self {
-            factoring_passes: 0,
-            min_sharers: 2,
-        }
-    }
 }
 
 /// Result of ESOP-based synthesis.
@@ -81,7 +71,7 @@ pub fn synthesize_esop(esop: &MultiEsop, options: &EsopSynthOptions) -> EsopSynt
     // factors[k] = the sub-cube computed onto factor line k.
     let mut factors: Vec<Cube> = Vec::new();
     for _ in 0..options.factoring_passes {
-        if !factoring_pass(&mut cubes, &mut factors, n, options.min_sharers) {
+        if !factoring_pass(&mut cubes, &mut factors, n) {
             break;
         }
     }
@@ -146,12 +136,7 @@ pub fn synthesize_esop(esop: &MultiEsop, options: &EsopSynthOptions) -> EsopSynt
 
 /// One greedy factoring pass: extracts disjoint best-scoring sub-cubes.
 /// Returns whether anything was extracted.
-fn factoring_pass(
-    cubes: &mut [(Cube, u64)],
-    factors: &mut Vec<Cube>,
-    n: usize,
-    min_sharers: usize,
-) -> bool {
+fn factoring_pass(cubes: &mut [(Cube, u64)], factors: &mut Vec<Cube>, n: usize) -> bool {
     let mut changed = false;
     loop {
         // Candidate sub-cubes: pairwise common cubes with >= 2 literals.
@@ -162,7 +147,7 @@ fn factoring_pass(
                 if common.num_literals() < 2 {
                     continue;
                 }
-                // All cubes containing this sub-cube.
+                // All cubes containing this sub-cube (`i` and `j` among them).
                 let sharers: Vec<usize> = cubes
                     .iter()
                     .enumerate()
@@ -171,9 +156,6 @@ fn factoring_pass(
                     })
                     .map(|(k, _)| k)
                     .collect();
-                if sharers.len() < min_sharers {
-                    continue;
-                }
                 // Saved controls ≈ (sharers − 1) × (literals − 1): each
                 // sharer replaces `literals` controls by one; the factor
                 // gate itself costs `literals` controls twice.
@@ -286,7 +268,6 @@ mod tests {
                     &esop,
                     &EsopSynthOptions {
                         factoring_passes: p,
-                        min_sharers: 2,
                     },
                 );
             }
@@ -314,7 +295,6 @@ mod tests {
             &esop,
             &EsopSynthOptions {
                 factoring_passes: 1,
-                min_sharers: 2,
             },
         );
         assert!(p1.num_factors >= 1);
@@ -331,7 +311,6 @@ mod tests {
             &esop,
             &EsopSynthOptions {
                 factoring_passes: 1,
-                min_sharers: 2,
             },
         );
     }

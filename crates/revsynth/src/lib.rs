@@ -13,7 +13,7 @@
 //!   gate (Bennett cleanup or eager cleanup), lowest T-count, most qubits,
 //!   scales to hundreds of input bits.
 //!
-//! [`resynth`] re-enters the first two (plus an affine recognizer) on the
+//! [`resynth`] re-enters ESOP synthesis (plus an affine recognizer) on the
 //! small window permutations extracted by `qda_rev::resynth`, turning the
 //! synthesis portfolio into a beyond-peephole circuit optimizer.
 //!
@@ -44,6 +44,6 @@ pub use esop::{synthesize_esop, EsopSynthOptions};
 pub use hierarchical::{synthesize_xmg, CleanupStrategy, HierarchicalOptions};
 pub use resynth::{
     default_window_synthesizers, resynthesize_circuit, resynthesize_circuit_checked,
-    EsopWindowSynth, LinearWindowSynth, TbsWindowSynth,
+    EsopWindowSynth, LinearWindowSynth,
 };
 pub use tbs::{transformation_based_synthesis, TbsDirection};

@@ -3,8 +3,9 @@
 //!
 //! The pass hands each extracted window to every registered
 //! [`WindowSynthesizer`] and keeps the cheapest *simulation-verified*
-//! candidate, so the back-ends here optimize for different shapes of
-//! window and none of them has to be complete:
+//! candidate, so the two back-ends here optimize for different shapes of
+//! window and neither has to be complete (a window both decline keeps
+//! its gates):
 //!
 //! * [`LinearWindowSynth`] — recognizes affine permutations
 //!   `x ↦ Mx ⊕ c` over GF(2) and factors `M` into CNOTs by Gaussian
@@ -17,15 +18,10 @@
 //!   ordered by a dependency toposort so every gate still reads *input*
 //!   values; windows whose dependency digraph is cyclic (or where `g_t`
 //!   reads `x_t` itself) are out of scope and yield `None`.
-//! * [`TbsWindowSynth`] — bidirectional transformation-based synthesis
-//!   ([`crate::tbs`]): complete (never returns `None`), minimum lines,
-//!   but emits full-control Toffolis, so it usually only wins on tiny or
-//!   pathological windows.
 //!
 //! [`resynthesize_circuit`] / [`resynthesize_circuit_checked`] bundle the
-//! three into the standard portfolio the flows in `qda-core` use.
+//! two into the standard portfolio the flows in `qda-core` use.
 
-use crate::tbs::{transformation_based_synthesis, TbsDirection};
 use qda_logic::cube::Cube;
 use qda_logic::esop::Esop;
 use qda_logic::tt::TruthTable;
@@ -42,33 +38,11 @@ fn perm_lines(perm: &[u64]) -> usize {
     perm.len().trailing_zeros() as usize
 }
 
-/// Transformation-based synthesis as a window back-end. Complete, but
-/// emits full-control transposition gates, so its candidates mostly win
-/// where the window is close to a few transpositions.
-pub struct TbsWindowSynth;
-
-impl WindowSynthesizer for TbsWindowSynth {
-    fn name(&self) -> &str {
-        "tbs"
-    }
-
-    fn synthesize(&self, perm: &[u64]) -> Option<Circuit> {
-        Some(transformation_based_synthesis(
-            perm,
-            TbsDirection::Bidirectional,
-        ))
-    }
-}
-
 /// Affine (linear ⊕ constant) window recognizer: `x ↦ Mx ⊕ c` becomes a
 /// pure CNOT/NOT cascade — zero T-count.
 pub struct LinearWindowSynth;
 
 impl WindowSynthesizer for LinearWindowSynth {
-    fn name(&self) -> &str {
-        "linear"
-    }
-
     fn synthesize(&self, perm: &[u64]) -> Option<Circuit> {
         let k = perm_lines(perm);
         let c = perm[0];
@@ -129,10 +103,6 @@ impl WindowSynthesizer for LinearWindowSynth {
 pub struct EsopWindowSynth;
 
 impl WindowSynthesizer for EsopWindowSynth {
-    fn name(&self) -> &str {
-        "esop"
-    }
-
     fn synthesize(&self, perm: &[u64]) -> Option<Circuit> {
         let k = perm_lines(perm);
         // g_t(x) = out_t(x) ⊕ x_t; lines with g_t ≡ 0 need no gates.
@@ -244,9 +214,9 @@ fn psdkro_cover(f: &TruthTable) -> Vec<Cube> {
 }
 
 /// The standard back-end portfolio, cheapest-first: affine recognizer,
-/// ESOP-of-differences, then TBS as the complete fallback.
-pub fn default_window_synthesizers() -> [&'static dyn WindowSynthesizer; 3] {
-    [&LinearWindowSynth, &EsopWindowSynth, &TbsWindowSynth]
+/// then ESOP-of-differences.
+pub fn default_window_synthesizers() -> [&'static dyn WindowSynthesizer; 2] {
+    [&LinearWindowSynth, &EsopWindowSynth]
 }
 
 /// Runs [`qda_rev::resynth::resynthesize`] with the
@@ -281,10 +251,10 @@ mod tests {
     fn check_realizes(synth: &dyn WindowSynthesizer, perm: &[u64]) -> Circuit {
         let c = synth
             .synthesize(perm)
-            .unwrap_or_else(|| panic!("{} should handle this window", synth.name()));
+            .expect("the back-end should handle this window");
         assert_eq!(c.num_lines(), perm_lines(perm));
         for (x, &y) in perm.iter().enumerate() {
-            assert_eq!(c.simulate_u64(x as u64), y, "{} diverges", synth.name());
+            assert_eq!(c.simulate_u64(x as u64), y, "diverges at {x}");
         }
         c
     }
@@ -334,15 +304,6 @@ mod tests {
         let mut c = Circuit::new(2);
         c.swap(0, 1);
         assert!(EsopWindowSynth.synthesize(&permutation_of(&c)).is_none());
-    }
-
-    #[test]
-    fn tbs_is_complete_on_random_windows() {
-        let mut perm: Vec<u64> = (0..16).collect();
-        perm.swap(3, 11);
-        perm.swap(0, 7);
-        perm.swap(5, 6);
-        check_realizes(&TbsWindowSynth, &perm);
     }
 
     #[test]

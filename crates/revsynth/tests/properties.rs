@@ -60,7 +60,7 @@ proptest! {
     fn esop_synthesis_computes_f(f in arb_multi_fn(4, 3), p in 0usize..3) {
         let esops: Vec<Esop> = f.outputs().iter().map(Esop::from_truth_table).collect();
         let esop = MultiEsop::from_single_outputs(&esops);
-        let s = synthesize_esop(&esop, &EsopSynthOptions { factoring_passes: p, min_sharers: 2 });
+        let s = synthesize_esop(&esop, &EsopSynthOptions { factoring_passes: p });
         let outcome = verify_computes(
             &s.circuit,
             &s.input_lines,
