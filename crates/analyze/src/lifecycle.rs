@@ -29,7 +29,14 @@ type PendingWrite = Vec<(usize, bool, u64)>;
 
 /// Runs the lifecycle analysis over the packed arena, appending
 /// findings to `diags`.
+///
+/// Every finding concerns a release or a required-clean ancilla, so an
+/// interface with neither (the functional flow, ESOP at `p = 0`, a
+/// `.real` circuit) returns without walking the gates.
 pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagnostic>) {
+    if iface.releases.is_empty() && (!iface.require_clean || iface.ancilla_lines().is_empty()) {
+        return;
+    }
     let gates: Vec<_> = arena.iter().map(|(_, g)| g).collect();
     let n = iface.num_lines;
     let mut sym = SymState::for_interface(iface);
@@ -200,6 +207,16 @@ mod tests {
         let iface = CircuitInterface::hierarchical(4, vec![0, 1], vec![3], true)
             .with_releases(vec![(2, 2)]);
         assert_eq!(run(&c, &iface), vec![Code::UseAfterRelease]);
+    }
+
+    #[test]
+    fn a_release_alone_keeps_the_walk() {
+        // Nothing is required clean, but the release still must be.
+        let mut c = Circuit::new(3);
+        c.toffoli(0, 1, 2);
+        let iface = CircuitInterface::hierarchical(3, vec![0, 1], vec![], false)
+            .with_releases(vec![(2, 1)]);
+        assert_eq!(run(&c, &iface), vec![Code::ReleaseOfLive]);
     }
 
     #[test]

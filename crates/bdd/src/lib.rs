@@ -1,10 +1,9 @@
 //! A reduced ordered binary decision diagram (ROBDD) package.
 //!
 //! BDDs are the symbolic function representation at the *reversible
-//! synthesis level* interface of the paper's functional flow: the optimized
-//! AIG is collapsed into a BDD (ABC `collapse`), the optimum embedding is
-//! computed on it, and ESOP expressions are extracted from it via PSDKRO
-//! expansion.
+//! synthesis level* interface of the paper's ESOP flow: the optimized AIG
+//! is collapsed into BDDs (ABC `collapse`), and ESOP expressions are
+//! extracted from them via PSDKRO expansion.
 //!
 //! The manager uses a unique table for canonicity and an operation cache for
 //! memoized apply. No complement edges, no dynamic reordering — variable
@@ -345,31 +344,29 @@ impl BddManager {
         vars.into_iter().collect()
     }
 
-    /// Builds the BDD of an explicit truth table (testing convenience).
+    /// Builds the BDD of an explicit truth table.
+    ///
+    /// Reduces bottom-up: one unique-table lookup per pair of sibling
+    /// sub-tables, `2^n − 1` in all.
     ///
     /// # Panics
     ///
     /// Panics if the table has more variables than the manager.
     pub fn from_truth_table(&mut self, tt: &qda_logic::tt::TruthTable) -> Bdd {
         assert!(tt.num_vars() <= self.num_vars, "arity exceeds manager");
-        // Variable 0 is the top of the order, so recurse ascending.
-        fn rec(mgr: &mut BddManager, tt: &qda_logic::tt::TruthTable, var: usize) -> Bdd {
-            if tt.is_zero() {
-                return Bdd::FALSE;
+        let mut level: Vec<Bdd> = (0..tt.num_bits())
+            .map(|x| if tt.get(x) { Bdd::TRUE } else { Bdd::FALSE })
+            .collect();
+        // Variable 0 is the top of the order and the lowest index bit, so
+        // the bottom variable splits the table into contiguous halves.
+        for var in (0..tt.num_vars()).rev() {
+            let half = level.len() / 2;
+            for a in 0..half {
+                level[a] = self.mk(var as u32, level[a], level[a + half]);
             }
-            if tt.is_one() {
-                return Bdd::TRUE;
-            }
-            if var >= tt.num_vars() {
-                return if tt.get(0) { Bdd::TRUE } else { Bdd::FALSE };
-            }
-            let lo_tt = tt.cofactor(var, false);
-            let hi_tt = tt.cofactor(var, true);
-            let lo = rec(mgr, &lo_tt, var + 1);
-            let hi = rec(mgr, &hi_tt, var + 1);
-            mgr.mk(var as u32, lo, hi)
+            level.truncate(half);
         }
-        rec(self, tt, 0)
+        level[0]
     }
 
     /// Expands `f` back into an explicit truth table over `num_vars`
@@ -489,6 +486,20 @@ mod tests {
         let f = mgr.from_truth_table(&tt);
         assert_eq!(mgr.to_truth_table(f), tt);
         assert_eq!(mgr.sat_count(f) as u64, tt.count_ones());
+    }
+
+    #[test]
+    fn truth_table_reduction_shares_nodes_with_apply() {
+        // A 3-variable table in a 5-variable manager: the bottom-up
+        // reduction must land on the very nodes apply builds.
+        let mut mgr = BddManager::new(5);
+        let tt = TruthTable::from_fn(3, |x| (x & 1 == 1) ^ ((x >> 1) & (x >> 2) & 1 == 1));
+        let f = mgr.from_truth_table(&tt);
+        let vars: Vec<Bdd> = (0..3).map(|i| mgr.var(i)).collect();
+        let x12 = mgr.and(vars[1], vars[2]);
+        assert_eq!(f, mgr.xor(vars[0], x12));
+        assert_eq!(mgr.from_truth_table(&TruthTable::zero(0)), Bdd::FALSE);
+        assert_eq!(mgr.from_truth_table(&TruthTable::one(4)), Bdd::TRUE);
     }
 
     #[test]

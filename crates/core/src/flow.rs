@@ -80,8 +80,8 @@ pub enum FlowError {
     Frontend(VerilogError),
     /// BDD collapse exceeded its budget.
     Collapse(CollapseError),
-    /// The instance is too large for this flow (e.g. explicit TBS beyond
-    /// 25 lines).
+    /// The instance does not fit this flow's representation (e.g. an
+    /// ESOP over more than 64 inputs or outputs, or no outputs at all).
     TooLarge {
         /// Explanation.
         reason: String,
@@ -868,6 +868,11 @@ impl Flow for FunctionalFlow {
     }
 
     fn synthesize(&self, design: &Design, aig: &Aig) -> Result<Synthesized, FlowError> {
+        if aig.num_pos() == 0 {
+            return Err(FlowError::TooLarge {
+                reason: "the functional flow needs at least one output".into(),
+            });
+        }
         // "collapse": the explicit truth table is the BDD's semantics; the
         // embedding enumerates it either way.
         let tables = aig.to_truth_tables();
@@ -959,6 +964,17 @@ impl Flow for EsopFlow {
     }
 
     fn synthesize(&self, _design: &Design, aig: &Aig) -> Result<Synthesized, FlowError> {
+        // A cube holds at most 64 literals and a multi-output ESOP at most
+        // 64 outputs.
+        let (inputs, outputs) = (aig.num_pis(), aig.num_pos());
+        if !(1..=64).contains(&outputs) || inputs > 64 {
+            return Err(FlowError::TooLarge {
+                reason: format!(
+                    "the ESOP flow needs 1 to 64 outputs and at most 64 inputs, \
+                     got {outputs} outputs and {inputs} inputs"
+                ),
+            });
+        }
         let (mut mgr, bdds) = collapse_to_bdds(aig, self.bdd_node_limit)?;
         let mut esop = extract_multi_esop(&mut mgr, &bdds);
         minimize_esop(&mut esop, &self.exorcism);

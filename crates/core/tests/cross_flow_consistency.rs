@@ -2,6 +2,7 @@
 //! intermediate representation must stay the same Boolean function at
 //! every interface of Fig. 1.
 
+use qda_bdd::{Bdd, BddManager};
 use qda_classical::collapse::collapse_to_bdds;
 use qda_classical::esop_extract::extract_multi_esop;
 use qda_classical::exorcism::{minimize_esop, ExorcismOptions};
@@ -9,6 +10,7 @@ use qda_classical::rewrite::{optimize_aig, OptimizeOptions};
 use qda_classical::xmg_map::map_to_xmg;
 use qda_core::design::Design;
 use qda_core::flow::{EsopFlow, Flow, FlowOutcome, FunctionalFlow, HierarchicalFlow};
+use qda_logic::aig::Lit;
 use qda_logic::sim::{check_aig_equivalence, EquivalenceOutcome};
 use qda_rev::state::BitState;
 use qda_revsynth::embed::{minimum_additional_lines, optimum_embedding};
@@ -52,6 +54,40 @@ fn bdd_collapse_agrees_with_aig() {
                 assert_eq!(mgr.eval(b, x), (y >> j) & 1 == 1, "{d} x={x} out={j}");
             }
         }
+    }
+}
+
+/// Collapse reduces the simulated truth tables of an AIG of at most 16
+/// inputs; node-by-node `and`/`not` apply in the same manager must land
+/// on the very same output handles, since ROBDDs are canonical.
+#[test]
+fn truth_table_collapse_equals_node_by_node_apply() {
+    let designs = (4..=8).flat_map(|n| [Design::intdiv(n), Design::newton(n)]);
+    for d in designs {
+        let aig = optimize_aig(&d.to_aig().unwrap(), &OptimizeOptions::default());
+        let (mut mgr, bdds) = collapse_to_bdds(&aig, 2_000_000).unwrap();
+        let mut map = vec![Bdd::FALSE; aig.num_nodes()];
+        for i in 0..aig.num_pis() {
+            map[i + 1] = mgr.var(i);
+        }
+        let read = |mgr: &mut BddManager, map: &[Bdd], l: Lit| {
+            if l.is_complement() {
+                mgr.not(map[l.node()])
+            } else {
+                map[l.node()]
+            }
+        };
+        for n in (aig.num_pis() + 1)..aig.num_nodes() {
+            let [a, b] = aig.fanins(n);
+            let (fa, fb) = (read(&mut mgr, &map, a), read(&mut mgr, &map, b));
+            map[n] = mgr.and(fa, fb);
+        }
+        let reference: Vec<Bdd> = aig
+            .pos()
+            .iter()
+            .map(|&po| read(&mut mgr, &map, po))
+            .collect();
+        assert_eq!(bdds, reference, "{d}");
     }
 }
 

@@ -160,6 +160,16 @@ fn scripted_session_of_twenty_mixed_requests() {
         // 30: 12 inputs pass the `2n − 1` precheck; 28 outputs need 28 lines.
         r#"{"id": 30, "design": {"verilog": "module m(a, y); input [11:0] a; output [27:0] y; assign y = {a, a, a[3:0]}; endmodule"}, "flow": "functional"}"#
             .to_string(),
+        // 26–29: shapes the ESOP and functional flows cannot represent (no
+        // outputs, 65 outputs, 70 inputs) are typed flow errors.
+        r#"{"id": 26, "design": {"verilog": "module m(a); input a; endmodule"}, "flow": "esop"}"#
+            .to_string(),
+        r#"{"id": 27, "design": {"verilog": "module m(a, y); input [7:0] a; output [64:0] y; assign y = {a, a, a, a, a, a, a, a, a[0]}; endmodule"}, "flow": "esop"}"#
+            .to_string(),
+        r#"{"id": 28, "design": {"verilog": "module m(a, y); input [69:0] a; output y; assign y = ^a; endmodule"}, "flow": "esop"}"#
+            .to_string(),
+        r#"{"id": 29, "design": {"verilog": "module m(a); input a; endmodule"}, "flow": "functional"}"#
+            .to_string(),
         // 23: stats again — the daemon is still serving after all of the
         // above, and the counters reflect it.
         r#"{"id": 23, "op": "stats"}"#.to_string(),
@@ -239,6 +249,10 @@ fn scripted_session_of_twenty_mixed_requests() {
         (17, "bad_request"),
         (18, "bad_request"),
         (19, "flow"),
+        (26, "flow"),
+        (27, "flow"),
+        (28, "flow"),
+        (29, "flow"),
         (30, "flow"),
     ]
     .into_iter()
