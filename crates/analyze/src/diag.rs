@@ -71,9 +71,10 @@ pub enum Code {
     /// `QDA-A031`: the declared interface is inconsistent (duplicate
     /// roles, out-of-range lines, releases past the end, ...).
     BadInterface,
-    /// `QDA-A032`: a gate violates the structural invariants of
-    /// [`qda_rev::Gate::validate`] (defense in depth; unreachable
-    /// through the safe constructors).
+    /// `QDA-A032`: a gate's masks break an arena invariant — its target
+    /// is also a control, or a polarity bit sits outside the control
+    /// mask (defense in depth; unreachable through the safe
+    /// constructors).
     MalformedGate,
 }
 

@@ -37,8 +37,7 @@ pub use depth::DepthMetrics;
 pub use diag::{Code, Diagnostic, Severity, Span};
 pub use interface::CircuitInterface;
 
-use qda_rev::cost::t_count_mct;
-use qda_rev::{Circuit, Gate, GateArena};
+use qda_rev::Circuit;
 
 /// Static metrics computed alongside the diagnostics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -110,63 +109,29 @@ impl Report {
 
 /// Analyzes a circuit against its declared interface.
 ///
-/// The dataflow passes walk the circuit's own packed arena directly; no
-/// per-gate materialization happens on this path. (The structural
-/// front-line check still sees legacy [`Gate`] values, because those
-/// are the representation malformed cascades arrive in.)
+/// Every check walks the circuit's own packed arena; no gate is
+/// materialized on this path, and the metrics are the circuit's own
+/// [`Circuit::cost`].
 pub fn analyze(circuit: &Circuit, iface: &CircuitInterface) -> Report {
-    let mut diagnostics = Vec::new();
-    let gates = circuit.gates();
-    let structurally_sound =
-        wellformed::check(circuit.num_lines(), &gates, iface, &mut diagnostics);
-    let mut metrics = metrics_of(circuit.num_lines(), &gates);
-    if structurally_sound {
-        run_dataflow(circuit.packed(), iface, &mut diagnostics, &mut metrics);
-    }
-    Report {
-        diagnostics,
-        metrics,
-    }
-}
-
-/// Analyzes a raw gate list (the circuit need not exist as a
-/// [`Circuit`]; this is also what lets tests feed in malformed input the
-/// safe constructors refuse to build). The gates are packed into a
-/// [`GateArena`] only after the structural check proves that sound —
-/// out-of-bounds lines cannot be represented as masks.
-pub fn analyze_gates(num_lines: usize, gates: &[Gate], iface: &CircuitInterface) -> Report {
-    let mut diagnostics = Vec::new();
-    let structurally_sound = wellformed::check(num_lines, gates, iface, &mut diagnostics);
-    let mut metrics = metrics_of(num_lines, gates);
-    if structurally_sound {
-        let arena = GateArena::from_gates(num_lines, gates);
-        run_dataflow(&arena, iface, &mut diagnostics, &mut metrics);
-    }
-    Report {
-        diagnostics,
-        metrics,
-    }
-}
-
-fn metrics_of(num_lines: usize, gates: &[Gate]) -> Metrics {
-    Metrics {
-        num_lines,
-        num_gates: gates.len(),
-        t_count: gates.iter().map(|g| t_count_mct(g.num_controls())).sum(),
+    let arena = circuit.packed();
+    let cost = circuit.cost();
+    let mut metrics = Metrics {
+        num_lines: cost.qubits,
+        num_gates: cost.gates,
+        t_count: cost.t_count,
         depth: DepthMetrics::default(),
+    };
+    let mut diagnostics = Vec::new();
+    if wellformed::check(arena, iface, &mut diagnostics) {
+        lifecycle::check(arena, iface, &mut diagnostics);
+        constprop::check(arena, iface, &mut diagnostics);
+        deadcone::check(arena, iface, &mut diagnostics);
+        metrics.depth = depth::measure(arena);
     }
-}
-
-fn run_dataflow(
-    arena: &GateArena,
-    iface: &CircuitInterface,
-    diagnostics: &mut Vec<Diagnostic>,
-    metrics: &mut Metrics,
-) {
-    lifecycle::check(arena, iface, diagnostics);
-    constprop::check(arena, iface, diagnostics);
-    deadcone::check(arena, iface, diagnostics);
-    metrics.depth = depth::measure(arena);
+    Report {
+        diagnostics,
+        metrics,
+    }
 }
 
 #[cfg(test)]
@@ -191,13 +156,15 @@ mod tests {
 
     #[test]
     fn deny_level_structural_failures_skip_the_dataflow_analyses() {
-        // A gate out of bounds would make the dataflow passes index
-        // out of range; analyze_gates must degrade gracefully.
-        let gates = vec![Gate::toffoli(0, 1, 7)];
-        let iface = CircuitInterface::functional(3);
-        let report = analyze_gates(3, &gates, &iface);
+        // An interface that disagrees with the circuit's line count
+        // would make the dataflow passes index out of range; analyze
+        // must degrade gracefully.
+        let mut c = Circuit::new(3);
+        c.toffoli(0, 1, 2);
+        let iface = CircuitInterface::functional(2);
+        let report = analyze(&c, &iface);
         assert_eq!(report.count(Severity::Deny), 1);
-        assert_eq!(report.diagnostics[0].code, Code::LineOutOfBounds);
+        assert_eq!(report.diagnostics[0].code, Code::BadInterface);
         assert_eq!(report.metrics.depth, DepthMetrics::default());
         assert_eq!(report.metrics.t_count, 7, "t-count is still computable");
         assert!(!report.is_clean(Severity::Deny));

@@ -7,9 +7,9 @@
 //! compute–copy–uncompute Bennett cascade, the exact shape the
 //! hierarchical flow emits.
 
-use qda_analyze::{analyze, analyze_gates, CircuitInterface, Code, Severity};
+use qda_analyze::{analyze, wellformed, CircuitInterface, Code, Severity};
 use qda_rev::gate::Control;
-use qda_rev::{Circuit, Gate};
+use qda_rev::{Circuit, Gate, GateArena};
 
 /// The clean baseline: `out ⊕= a·b` with ancilla 2 computed and
 /// uncomputed around the copy (lines: a=0, b=1, helper=2, out=3).
@@ -177,10 +177,13 @@ fn depth_metrics_expose_the_serialization_a_mutation_introduces() {
 
 #[test]
 fn mutation_out_of_bounds_target_fires_line_out_of_bounds() {
-    let gates = vec![Gate::toffoli(0, 1, 2), Gate::cnot(1, 9)];
-    let report = analyze_gates(4, &gates, &bennett_iface());
-    assert!(codes(&report).contains(&Code::LineOutOfBounds));
-    assert_eq!(report.diagnostics[0].severity, Severity::Deny);
+    // The safe constructors refuse to build this circuit; the arena
+    // packs line 9 into its one-word mask stride all the same.
+    let arena = GateArena::from_gates(4, &[Gate::toffoli(0, 1, 2), Gate::cnot(1, 9)]);
+    let mut diags = Vec::new();
+    assert!(!wellformed::check(&arena, &bennett_iface(), &mut diags));
+    assert_eq!(diags[0].code, Code::LineOutOfBounds);
+    assert_eq!(diags[0].severity, Severity::Deny);
 }
 
 #[test]

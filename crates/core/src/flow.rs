@@ -7,7 +7,7 @@
 //!
 //! | flow | interface | back-end | cost profile |
 //! |------|-----------|----------|--------------|
-//! | [`FunctionalFlow`] | BDD | optimum embedding + TBS | min qubits, huge T |
+//! | [`FunctionalFlow`] | truth table | optimum embedding + TBS | min qubits, huge T |
 //! | [`EsopFlow`] | ESOP | REVS ESOP mode (`p`) | `2n(+p)` qubits, mid T |
 //! | [`HierarchicalFlow`] | XMG | REVS hierarchical | many qubits, min T |
 //!
@@ -70,6 +70,7 @@ use qda_revsynth::tbs::{transformation_based_synthesis, TbsDirection};
 use qda_verilog::VerilogError;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -322,8 +323,8 @@ type CacheSlot = Arc<Mutex<Option<Arc<FrontendArtifacts>>>>;
 /// ever written on *successful* computation, so a poisoned slot simply
 /// holds `None` — which makes recovery safe: take the inner value and
 /// treat the slot as vacant. Without this, one bad design would
-/// permanently brick every subsequent `get_or_compute`/`len` call on a
-/// shared cache (fatal for a long-running server).
+/// permanently brick every subsequent `get_or_compute` call on a shared
+/// cache (fatal for a long-running server).
 fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -334,6 +335,11 @@ fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Default)]
 pub struct FrontendCache {
     entries: Mutex<HashMap<(Design, OptimizeOptions), CacheSlot>>,
+    /// Number of filled slots. Counted apart from `entries` so that
+    /// [`FrontendCache::len`] never waits on a slot whose front end is
+    /// still being computed (a slot is filled once, only on success,
+    /// and never emptied).
+    filled: AtomicUsize,
 }
 
 impl FrontendCache {
@@ -372,15 +378,14 @@ impl FrontendCache {
         }
         let computed = Arc::new(compute_frontend(design, options)?);
         *guard = Some(Arc::clone(&computed));
+        self.filled.fetch_add(1, Ordering::Relaxed);
         Ok(computed)
     }
 
-    /// Number of computed front ends in the cache.
+    /// Number of computed front ends in the cache. Takes no lock, so it
+    /// answers at once even while a front end is being computed.
     pub fn len(&self) -> usize {
-        lock_recovering(&self.entries)
-            .values()
-            .filter(|slot| lock_recovering(slot).is_some())
-            .count()
+        self.filled.load(Ordering::Relaxed)
     }
 
     /// Whether no front end has been computed yet.
@@ -799,8 +804,9 @@ fn verify(circuit: &Circuit, interface: &CircuitInterface, aig: &Aig) -> VerifyO
 }
 
 /// Flow 1 — symbolic functional synthesis (paper §IV-A):
-/// Verilog → AIG (`dc2`) → BDD (`collapse`) → optimum embedding →
-/// transformation-based synthesis.
+/// Verilog → AIG (`dc2`) → truth tables (the paper's `collapse`, read
+/// by simulating the AIG) → optimum embedding → transformation-based
+/// synthesis.
 ///
 /// Qubit-optimal (e.g. `2n − 1` for the reciprocal) at the price of
 /// many-control Toffolis and exponential runtime. Explicit permutations
@@ -1254,12 +1260,41 @@ mod tests {
                 "unexpected panic {message:?}"
             );
         }
-        // The cache still works: len() walks the poisoned slot without
-        // panicking, and fresh keys compute fine.
+        // The cache still works: the poisoned slot counts as empty, and
+        // fresh keys compute fine.
         assert_eq!(cache.len(), 0);
         let good = cache.get_or_compute(&Design::intdiv(4), &opts).unwrap();
         assert!(good.aig.num_pis() == 4);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn len_does_not_wait_for_a_computation_in_flight() {
+        // A `stats` request reads len() on the daemon's reader thread;
+        // it must not queue behind a front end still being computed,
+        // nor stall other lookups while it waits.
+        let cache = FrontendCache::new();
+        let opts = OptimizeOptions::default();
+        cache.get_or_compute(&Design::intdiv(4), &opts).unwrap();
+        // Hold a fresh slot's lock, as a computation in flight does.
+        let slot: CacheSlot = Arc::clone(
+            lock_recovering(&cache.entries)
+                .entry((Design::intdiv(5), opts))
+                .or_default(),
+        );
+        let in_flight = lock_recovering(&slot);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let cache = &cache;
+            s.spawn(move || {
+                let len = cache.len();
+                let hit = cache.get_or_compute(&Design::intdiv(4), &opts).is_ok();
+                tx.send((len, hit)).unwrap();
+            });
+            let answer = rx.recv_timeout(Duration::from_secs(10));
+            drop(in_flight);
+            assert_eq!(answer, Ok((1, true)));
+        });
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// An empty per-stage timing table whose columns match
     /// [`Table::stage_row`].
     pub fn stages() -> Self {
@@ -209,11 +204,6 @@ impl Comparison {
     pub fn times_smaller(&self) -> f64 {
         self.baseline / self.candidate
     }
-
-    /// How many times larger the candidate is (`candidate / baseline`).
-    pub fn times_larger(&self) -> f64 {
-        self.candidate / self.baseline
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +231,6 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("TABLE II"));
         assert!(s.contains("51 386"));
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]
@@ -255,7 +244,5 @@ mod tests {
     fn comparison_ratios() {
         let c = Comparison::of(48, 15);
         assert!((c.times_smaller() - 3.2).abs() < 0.01);
-        let c = Comparison::of(100, 250);
-        assert!((c.times_larger() - 2.5).abs() < 1e-9);
     }
 }

@@ -1,6 +1,9 @@
 //! Integration tests: every design flow end to end, across crates
 //! (`qda-verilog` → `qda-classical` → `qda-revsynth` → `qda-rev`).
 
+use std::collections::BTreeMap;
+
+use qda_analyze::Report;
 use qda_core::design::Design;
 use qda_core::flow::{EsopFlow, Flow, FunctionalFlow, HierarchicalFlow};
 use qda_rev::equiv::VerifyOutcome;
@@ -58,8 +61,18 @@ fn esop_flow_both_designs_and_factoring_levels() {
     }
 }
 
+/// Per-code diagnostic counts of an analyzer report, in code order.
+fn code_counts(report: &Report) -> Vec<(&'static str, usize)> {
+    let mut counts = BTreeMap::new();
+    for d in &report.diagnostics {
+        *counts.entry(d.code.as_str()).or_insert(0) += 1;
+    }
+    counts.into_iter().collect()
+}
+
 /// Table III's ESOP-flow costs, pinned exactly: `(qubits, T-count, gates)`
-/// at factoring depth p = 0 and p = 1, each exhaustively verified. A
+/// at factoring depth p = 0 and p = 1, each exhaustively verified and
+/// free of analyzer diagnostics (the p = 1 factor ancillae included). A
 /// change to collapse, PSDKRO extraction, EXORCISM or REVS that moves a
 /// cost shows up here. NEWTON(11) is past the node budget of a
 /// node-by-node BDD collapse; it only completes through the truth-table
@@ -90,14 +103,18 @@ fn esop_flow_table3_costs_are_pinned() {
             VerifyOutcome::Verified,
             "{design} p = {p}"
         );
+        let analysis = outcome.analysis.expect("the analyzer runs by default");
+        assert_eq!(code_counts(&analysis), [], "{design} p = {p}");
     }
 }
 
 /// Table IV's hierarchical-flow rows at the sizes the repository
 /// benchmark runs, pinned exactly: `(qubits, T-count, gates, accepted
-/// resynthesis windows, verification)`. A change to XMG mapping,
-/// hierarchical synthesis, the peephole pass or the resynthesis
-/// back-ends that moves a circuit shows up here.
+/// resynthesis windows, verification)`, then the analyzer's per-code
+/// diagnostic counts, logical depth and T-depth. A change to XMG
+/// mapping, hierarchical synthesis, the peephole pass, the resynthesis
+/// back-ends or the analyzer that moves a circuit or a finding shows up
+/// here.
 #[test]
 fn hierarchical_flow_table4_costs_are_pinned() {
     let rows = [
@@ -110,13 +127,19 @@ fn hierarchical_flow_table4_costs_are_pinned() {
                 6,
                 VerifyOutcome::ProbablyCorrect { samples: 1024 },
             ),
+            (vec![("QDA-A004", 142), ("QDA-A011", 2)], 872, 433),
         ),
         (
             Design::newton(8),
             (2_816, 29_253, 14_345, 31, VerifyOutcome::Verified),
+            (
+                vec![("QDA-A004", 1_109), ("QDA-A010", 1), ("QDA-A011", 2)],
+                883,
+                371,
+            ),
         ),
     ];
-    for (design, want) in rows {
+    for (design, want, want_analysis) in rows {
         let outcome = HierarchicalFlow::default().run(&design).unwrap();
         let resynth = outcome.resynth_stats.expect("resynthesis is on by default");
         assert_eq!(
@@ -128,6 +151,13 @@ fn hierarchical_flow_table4_costs_are_pinned() {
                 outcome.verification,
             ),
             want,
+            "{design}"
+        );
+        let analysis = outcome.analysis.expect("the analyzer runs by default");
+        let depth = analysis.metrics.depth;
+        assert_eq!(
+            (code_counts(&analysis), depth.logical_depth, depth.t_depth),
+            want_analysis,
             "{design}"
         );
     }

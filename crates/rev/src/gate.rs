@@ -47,10 +47,9 @@ impl Control {
 
 /// Why a control/target combination cannot form a well-formed MPMCT gate.
 ///
-/// Produced by [`Gate::validate`] and [`Gate::try_mct`]; the panicking
-/// constructors ([`Gate::mct`] and friends) render these as their panic
-/// messages, so every construction path rejects malformed gates with the
-/// same wording.
+/// Produced by [`Gate::try_mct`]; the panicking constructors
+/// ([`Gate::mct`] and friends) render these as their panic messages, so
+/// every construction path rejects malformed gates with the same wording.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GateError {
     /// Two controls sit on the same line with opposite polarity — the
@@ -157,13 +156,13 @@ impl Gate {
     /// Validates a **sorted, deduplicated** control list against a target:
     /// no line carries two opposite-polarity controls and the target is
     /// not controlled. This is the single well-formedness check shared by
-    /// every constructor (and re-run structurally by `qda-analyze`).
+    /// every constructor.
     ///
     /// # Errors
     ///
     /// Returns the first [`GateError`] found, scanning controls in line
     /// order.
-    pub fn validate(controls: &[Control], target: usize) -> Result<(), GateError> {
+    fn validate(controls: &[Control], target: usize) -> Result<(), GateError> {
         for w in controls.windows(2) {
             if w[0].line == w[1].line {
                 return Err(GateError::ContradictoryControls { line: w[0].line() });

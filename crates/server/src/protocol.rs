@@ -42,7 +42,7 @@ pub enum DesignSpec {
 /// Which flow a synthesis request runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlowChoice {
-    /// BDD collapse → optimum embedding → TBS.
+    /// Truth-table collapse → optimum embedding → TBS.
     Functional,
     /// ESOP extraction → exorcism → REVS ESOP mode with factoring `p`.
     Esop {
