@@ -91,6 +91,21 @@ fn truth_table_collapse_equals_node_by_node_apply() {
     }
 }
 
+/// The flows answer an exhaustive verification sweep from the optimized
+/// AIG's simulated truth tables; on the widths the DSE matrix runs they
+/// must agree with the per-state walk on every input.
+#[test]
+fn optimized_aig_truth_tables_match_eval() {
+    let designs = (4..=10).flat_map(|n| [Design::intdiv(n), Design::newton(n)]);
+    for d in designs {
+        let aig = optimize_aig(&d.to_aig().unwrap(), &OptimizeOptions::default());
+        let tables = aig.to_truth_tables();
+        for x in 0..(1u64 << aig.num_pis()) {
+            assert_eq!(tables.eval(x), aig.eval(x), "{d} x={x}");
+        }
+    }
+}
+
 #[test]
 fn esop_extraction_and_minimization_agree_with_aig() {
     for d in designs() {

@@ -74,9 +74,10 @@ fn code_counts(report: &Report) -> Vec<(&'static str, usize)> {
 /// at factoring depth p = 0 and p = 1, each exhaustively verified and
 /// free of analyzer diagnostics (the p = 1 factor ancillae included). A
 /// change to collapse, PSDKRO extraction, EXORCISM or REVS that moves a
-/// cost shows up here. NEWTON(11) is past the node budget of a
-/// node-by-node BDD collapse; it only completes through the truth-table
-/// collapse.
+/// cost shows up here. INTDIV(10) and NEWTON(10) at p = 1 extract the
+/// most factors of the sizes the repository benchmark runs (23 and 19
+/// factor lines). NEWTON(11) is past the node budget of a node-by-node
+/// BDD collapse; it only completes through the truth-table collapse.
 #[test]
 fn esop_flow_table3_costs_are_pinned() {
     let rows = [
@@ -88,6 +89,8 @@ fn esop_flow_table3_costs_are_pinned() {
         (Design::intdiv(6), 1, (16, 318, 42)),
         (Design::newton(6), 0, (12, 362, 22)),
         (Design::newton(6), 1, (14, 239, 26)),
+        (Design::intdiv(10), 1, (43, 1_927, 194)),
+        (Design::newton(10), 1, (39, 1_779, 147)),
         (Design::newton(11), 0, (22, 8_097, 214)),
     ];
     for (design, p, want) in rows {

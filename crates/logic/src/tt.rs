@@ -321,31 +321,6 @@ impl TruthTable {
         out
     }
 
-    /// Returns `f_{x=1} XOR f_{x=0}` — the Boolean difference w.r.t. `var`.
-    pub fn boolean_difference(&self, var: usize) -> Self {
-        &self.cofactor(var, true) ^ &self.cofactor(var, false)
-    }
-
-    /// Swaps two variables of the function.
-    pub fn swap_vars(&self, a: usize, b: usize) -> Self {
-        if a == b {
-            return self.clone();
-        }
-        Self::from_fn(self.num_vars, |x| {
-            let ba = (x >> a) & 1;
-            let bb = (x >> b) & 1;
-            let mut y = x & !((1 << a) | (1 << b));
-            y |= ba << b;
-            y |= bb << a;
-            self.get(y)
-        })
-    }
-
-    /// Complements variable `var` in the function (`f(x) → f(x ^ e_var)`).
-    pub fn flip_var(&self, var: usize) -> Self {
-        Self::from_fn(self.num_vars, |x| self.get(x ^ (1 << var)))
-    }
-
     /// Iterator over all satisfying assignments, ascending.
     pub fn ones(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.num_bits()).filter(move |&x| self.get(x))
@@ -568,22 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_and_flip() {
-        let f = TruthTable::from_fn(4, |x| (x & 1) == 1 && (x >> 3) & 1 == 0);
-        let g = f.swap_vars(0, 3);
-        for x in 0..16u64 {
-            let b0 = x & 1;
-            let b3 = (x >> 3) & 1;
-            let y = (x & !0b1001) | (b0 << 3) | b3;
-            assert_eq!(g.get(x), f.get(y));
-        }
-        let h = f.flip_var(0);
-        for x in 0..16u64 {
-            assert_eq!(h.get(x), f.get(x ^ 1));
-        }
-    }
-
-    #[test]
     fn binary_string_round_trip() {
         let t = TruthTable::from_binary_str("1000").unwrap();
         assert!(t.get(3));
@@ -615,12 +574,5 @@ mod tests {
         assert_eq!(f.eval(5), 2);
         // values 0,1,2 occur 3,3,2 times over 8 inputs
         assert_eq!(f.max_collisions(), 3);
-    }
-
-    #[test]
-    fn boolean_difference_of_xor_is_one() {
-        let f = &TruthTable::var(3, 0) ^ &TruthTable::var(3, 1);
-        assert!(f.boolean_difference(0).is_one());
-        assert!(f.boolean_difference(2).is_zero());
     }
 }

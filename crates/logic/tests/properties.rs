@@ -1,6 +1,7 @@
 //! Property-based tests for the core Boolean data structures.
 
 use proptest::prelude::*;
+use qda_logic::aig::{Aig, Lit};
 use qda_logic::cube::Cube;
 use qda_logic::esop::Esop;
 use qda_logic::npn::{apply_transform, npn_canonical};
@@ -18,7 +19,53 @@ fn arb_cube(n: usize) -> impl Strategy<Value = Cube> {
     })
 }
 
+/// A random AIG of 0–8 inputs, up to 39 ANDs and 1–4 outputs. Every AND
+/// operand and every output is a literal built so far (the constant and
+/// the inputs included), complemented at random.
+fn arb_aig() -> impl Strategy<Value = Aig> {
+    (
+        0usize..9,
+        prop::collection::vec(any::<u64>(), 0..40),
+        prop::collection::vec(any::<u64>(), 1..5),
+    )
+        .prop_map(|(n, ands, outputs)| {
+            let mut aig = Aig::new(n);
+            let mut lits = vec![Lit::FALSE];
+            lits.extend((0..n).map(|i| aig.pi(i)));
+            let pick = |lits: &[Lit], r: u64| lits[(r >> 1) as usize % lits.len()] ^ (r & 1 == 1);
+            for r in ands {
+                let (a, b) = (pick(&lits, r), pick(&lits, r >> 32));
+                let and = aig.and(a, b);
+                lits.push(and);
+            }
+            for r in outputs {
+                aig.add_po(pick(&lits, r));
+            }
+            aig
+        })
+}
+
 proptest! {
+    #[test]
+    fn aig_truth_tables_match_eval(aig in arb_aig()) {
+        let tables = aig.to_truth_tables();
+        for x in 0..(1u64 << aig.num_pis()) {
+            prop_assert_eq!(tables.eval(x), aig.eval(x));
+        }
+    }
+
+    #[test]
+    fn cube_covers_matches_literal_scan(a in arb_cube(8), b in arb_cube(8)) {
+        // The factoring pass asks whether a pairwise common cube covers a
+        // cube; that pair always covers.
+        for (sub, c) in [(a, b), (a.common(&b), b)] {
+            prop_assert_eq!(
+                sub.covers(&c),
+                sub.literals().all(|(v, pos)| c.literal(v) == Some(pos))
+            );
+        }
+    }
+
     #[test]
     fn tt_double_complement_is_identity(tt in arb_tt(7)) {
         prop_assert_eq!(&!&!&tt, &tt);

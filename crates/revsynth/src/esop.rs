@@ -140,38 +140,31 @@ fn factoring_pass(cubes: &mut [(Cube, u64)], factors: &mut Vec<Cube>, n: usize) 
     let mut changed = false;
     loop {
         // Candidate sub-cubes: pairwise common cubes with >= 2 literals.
-        let mut best: Option<(usize, Cube, Vec<usize>)> = None;
+        let mut best: Option<(usize, Cube)> = None;
         for i in 0..cubes.len() {
             for j in (i + 1)..cubes.len() {
                 let common = cubes[i].0.common(&cubes[j].0);
                 if common.num_literals() < 2 {
                     continue;
                 }
-                // All cubes containing this sub-cube (`i` and `j` among them).
-                let sharers: Vec<usize> = cubes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (c, _))| {
-                        common.literals().all(|(v, pos)| c.literal(v) == Some(pos))
-                    })
-                    .map(|(k, _)| k)
-                    .collect();
+                // How many cubes contain this sub-cube (`i` and `j` among them).
+                let sharers = cubes.iter().filter(|(c, _)| common.covers(c)).count();
                 // Saved controls ≈ (sharers − 1) × (literals − 1): each
                 // sharer replaces `literals` controls by one; the factor
                 // gate itself costs `literals` controls twice.
                 let lits = common.num_literals();
-                let saved = sharers.len() * (lits - 1);
+                let saved = sharers * (lits - 1);
                 let cost = 2 * lits;
                 if saved <= cost {
                     continue;
                 }
                 let score = saved - cost;
-                if best.as_ref().is_none_or(|(s, _, _)| score > *s) {
-                    best = Some((score, common, sharers));
+                if best.is_none_or(|(s, _)| score > s) {
+                    best = Some((score, common));
                 }
             }
         }
-        let Some((_, sub, sharers)) = best else {
+        let Some((_, sub)) = best else {
             return changed;
         };
         // New factor variable index (extended space).
@@ -180,9 +173,12 @@ fn factoring_pass(cubes: &mut [(Cube, u64)], factors: &mut Vec<Cube>, n: usize) 
         }
         let fvar = n + factors.len();
         factors.push(sub);
-        for k in sharers {
-            let stripped = cubes[k].0.strip(&sub).with_literal(fvar, true);
-            cubes[k].0 = stripped;
+        // The sharers counted above: stripping one cube leaves whether
+        // `sub` covers another unchanged.
+        for (cube, _) in cubes.iter_mut() {
+            if sub.covers(cube) {
+                *cube = cube.strip(&sub).with_literal(fvar, true);
+            }
         }
         changed = true;
     }
