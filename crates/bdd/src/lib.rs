@@ -139,16 +139,6 @@ impl BddManager {
         self.mk(i as u32, Bdd::FALSE, Bdd::TRUE)
     }
 
-    /// The negated projection of variable `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_vars`.
-    pub fn nvar(&mut self, i: usize) -> Bdd {
-        assert!(i < self.num_vars, "variable {i} out of range");
-        self.mk(i as u32, Bdd::TRUE, Bdd::FALSE)
-    }
-
     /// Top variable of `f` (`u32::MAX` for terminals).
     pub fn top_var(&self, f: Bdd) -> u32 {
         if f.is_const() {
@@ -252,14 +242,6 @@ impl BddManager {
         let r = self.mk(node.var, lo, hi);
         self.not_cache.insert(f, r);
         r
-    }
-
-    /// If-then-else `s ? t : e`.
-    pub fn ite(&mut self, s: Bdd, t: Bdd, e: Bdd) -> Bdd {
-        let st = self.and(s, t);
-        let ns = self.not(s);
-        let se = self.and(ns, e);
-        self.or(st, se)
     }
 
     /// Shannon cofactor of `f` with variable `var` fixed to `value`.
@@ -374,25 +356,6 @@ impl BddManager {
     pub fn to_truth_table(&self, f: Bdd) -> qda_logic::tt::TruthTable {
         qda_logic::tt::TruthTable::from_fn(self.num_vars, |x| self.eval(f, x))
     }
-
-    /// One satisfying assignment, if any.
-    pub fn pick_one(&self, f: Bdd) -> Option<u64> {
-        if f == Bdd::FALSE {
-            return None;
-        }
-        let mut x = 0u64;
-        let mut cur = f;
-        while !cur.is_const() {
-            let node = self.nodes[cur.0 as usize];
-            if node.hi != Bdd::FALSE {
-                x |= 1 << node.var;
-                cur = node.hi;
-            } else {
-                cur = node.lo;
-            }
-        }
-        Some(x)
-    }
 }
 
 impl fmt::Debug for BddManager {
@@ -469,7 +432,11 @@ mod tests {
         let x1 = mgr.var(1);
         let x2 = mgr.var(2);
         let t = mgr.and(x1, x2);
-        let f = mgr.ite(x0, t, x2);
+        // f = x0 ? x1 ∧ x2 : x2
+        let then = mgr.and(x0, t);
+        let nx0 = mgr.not(x0);
+        let other = mgr.and(nx0, x2);
+        let f = mgr.or(then, other);
         let f1 = mgr.cofactor(f, 0, true);
         let f0 = mgr.cofactor(f, 0, false);
         assert_eq!(f1, t);
@@ -510,38 +477,5 @@ mod tests {
         let f = mgr.xor(x0, x3);
         assert_eq!(mgr.support(f), vec![0, 3]);
         assert_eq!(mgr.size(f), 3); // one x0 node + two x3 nodes
-    }
-
-    #[test]
-    fn pick_one_satisfies() {
-        let mut mgr = BddManager::new(6);
-        let a = mgr.var(1);
-        let b = mgr.nvar(4);
-        let f = mgr.and(a, b);
-        let x = mgr.pick_one(f).expect("satisfiable");
-        assert!(mgr.eval(f, x));
-        assert_eq!(mgr.pick_one(Bdd::FALSE), None);
-    }
-
-    #[test]
-    fn ite_matches_mux_semantics() {
-        let mut mgr = BddManager::new(3);
-        let s = mgr.var(0);
-        let t = mgr.var(1);
-        let e = mgr.var(2);
-        let f = mgr.ite(s, t, e);
-        for x in 0..8u64 {
-            let (vs, vt, ve) = (x & 1 == 1, (x >> 1) & 1 == 1, (x >> 2) & 1 == 1);
-            assert_eq!(mgr.eval(f, x), if vs { vt } else { ve });
-        }
-    }
-
-    #[test]
-    fn nvar_is_not_var() {
-        let mut mgr = BddManager::new(2);
-        let v = mgr.var(1);
-        let nv = mgr.nvar(1);
-        let n = mgr.not(v);
-        assert_eq!(nv, n);
     }
 }

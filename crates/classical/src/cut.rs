@@ -11,7 +11,6 @@
 //! fingerprint) so dominance checks reject most pairs with two bit ops.
 
 use qda_logic::aig::Aig;
-use qda_logic::hash::{fx_map_with_capacity, FxHashMap};
 
 /// Upper bound on `k` supported by the inline merge buffer.
 pub const MAX_CUT_SIZE: usize = 16;
@@ -176,26 +175,59 @@ pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Cut>> {
 ///
 /// Panics if the cut has more than 4 leaves.
 pub fn cut_truth_table(aig: &Aig, root: usize, cut: &Cut) -> u16 {
-    assert!(cut.size() <= 4, "cut too large for u16 table");
-    const VAR_PAT: [u16; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
-    let mut memo: FxHashMap<usize, u16> = fx_map_with_capacity(16);
-    memo.insert(0, 0); // constant false node
-    for (i, &leaf) in cut.leaves().iter().enumerate() {
-        memo.insert(leaf, VAR_PAT[i]);
+    CutEvaluator::new(aig.num_nodes()).truth_table(aig, root, cut)
+}
+
+/// Evaluates cut functions on one reused buffer: a `(stamp, value)` slot
+/// per AIG node, whose value belongs to the current evaluation when its
+/// stamp does. Nothing is cleared or allocated between cuts.
+pub(crate) struct CutEvaluator {
+    slots: Vec<(u32, u16)>,
+    stamp: u32,
+}
+
+impl CutEvaluator {
+    /// An evaluator for AIGs of up to `num_nodes` nodes.
+    pub(crate) fn new(num_nodes: usize) -> Self {
+        Self {
+            slots: vec![(0, 0); num_nodes],
+            stamp: 0,
+        }
     }
-    fn eval(aig: &Aig, node: usize, memo: &mut FxHashMap<usize, u16>) -> u16 {
-        if let Some(&v) = memo.get(&node) {
-            return v;
+
+    /// [`cut_truth_table`] on this evaluator's buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cut has more than 4 leaves.
+    pub(crate) fn truth_table(&mut self, aig: &Aig, root: usize, cut: &Cut) -> u16 {
+        assert!(cut.size() <= 4, "cut too large for u16 table");
+        const VAR_PAT: [u16; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
+        if self.stamp == u32::MAX {
+            self.slots.fill((0, 0));
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.slots[0] = (self.stamp, 0); // constant false node
+        for (i, &leaf) in cut.leaves().iter().enumerate() {
+            self.slots[leaf] = (self.stamp, VAR_PAT[i]);
+        }
+        self.eval(aig, root)
+    }
+
+    fn eval(&mut self, aig: &Aig, node: usize) -> u16 {
+        let (stamp, value) = self.slots[node];
+        if stamp == self.stamp {
+            return value;
         }
         assert!(aig.is_and(node), "node {node} unreachable from cut leaves");
         let [a, b] = aig.fanins(node);
-        let va = eval(aig, a.node(), memo) ^ if a.is_complement() { 0xFFFF } else { 0 };
-        let vb = eval(aig, b.node(), memo) ^ if b.is_complement() { 0xFFFF } else { 0 };
+        let va = self.eval(aig, a.node()) ^ if a.is_complement() { 0xFFFF } else { 0 };
+        let vb = self.eval(aig, b.node()) ^ if b.is_complement() { 0xFFFF } else { 0 };
         let v = va & vb;
-        memo.insert(node, v);
+        self.slots[node] = (self.stamp, v);
         v
     }
-    eval(aig, root, &mut memo)
 }
 
 #[cfg(test)]

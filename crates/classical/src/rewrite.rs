@@ -10,10 +10,19 @@
 //! 3. **Fraig-lite** — for AIGs with ≤ 16 inputs, computes the exact truth
 //!    table of every node and merges functionally equivalent (or
 //!    antivalent) nodes. This is exact (no SAT needed) because the whole
-//!    input space fits in the simulation vectors.
+//!    input space fits in the simulation vectors. Tables are kept once
+//!    per equivalence class, not per node: one flat store holds each
+//!    class's table with bit 0 cleared by complementing, every node names
+//!    its class and a complement flag, and a node finds its class through
+//!    a 64-bit hash of the table and a word-by-word comparison with each
+//!    candidate on that hash's chain. Memory is classes × 2^n/64 words;
+//!    NEWTON(16)'s 16-input front end peaks near 0.5 GB. Simulation-based
+//!    exact fraiging follows Mishchenko et al., "FRAIGs: A unifying
+//!    representation for logic synthesis and verification" (2005).
 
 use qda_logic::aig::{Aig, Lit};
 use qda_logic::hash::FxHashMap;
+use qda_logic::tt::TruthTable;
 
 /// Options controlling [`optimize_aig`].
 ///
@@ -129,79 +138,173 @@ fn fanout_counts(aig: &Aig) -> Vec<usize> {
 /// Exact functional reduction for AIGs with few inputs: every node's full
 /// truth table is computed and equivalent/antivalent nodes are merged.
 ///
+/// The tables live in one flat buffer with one table per equivalence
+/// class, normalized so that bit 0 (the all-zero input) is clear. It holds
+/// the constant, then the PIs, then each new class in node order. Every
+/// node records its class and a complement flag, and an AND node's table
+/// is computed from its fanins' classes. The node's class is found through
+/// a 64-bit hash of its normalized table, which leads to a chain of
+/// candidate classes; a candidate is compared word by word before the node
+/// joins it, so a hash collision never merges two functions. Nodes are
+/// visited in order and a class keeps its first node as representative.
+/// Memory is classes × 2^n/64 words (at least one word per class).
+///
 /// # Panics
 ///
 /// Panics if the AIG has more than 20 inputs (table blow-up guard).
 pub fn fraig_exact(aig: &Aig) -> Aig {
     assert!(aig.num_pis() <= 20, "fraig_exact limited to 20 inputs");
     let n_in = aig.num_pis();
-    let words_per_node = 1usize.max((1usize << n_in) / 64);
-    // values[node] = packed truth table.
-    let total = 1u64 << n_in;
-    let mut values: Vec<Vec<u64>> = vec![vec![0; words_per_node]; aig.num_nodes()];
-    // PIs.
-    for pi in 0..n_in {
-        for x in 0..total {
-            if (x >> pi) & 1 == 1 {
-                values[pi + 1][(x >> 6) as usize] |= 1 << (x & 63);
-            }
-        }
-    }
-    let mask = if n_in >= 6 {
-        u64::MAX
-    } else {
-        (1u64 << (1 << n_in)) - 1
-    };
-    let read = |values: &Vec<Vec<u64>>, l: Lit, w: usize| -> u64 {
-        let v = values[l.node()][w];
-        if l.is_complement() {
-            !v & mask
-        } else {
-            v & mask
-        }
-    };
+    let mut classes = ClassStore::new(n_in);
     let mut out = Aig::new(n_in);
-    let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
-    for (i, m) in map.iter_mut().enumerate().take(n_in + 1) {
-        *m = Lit::new(i, false);
-    }
-    // Canonical table (with complement normalization: lowest bit clear).
-    let mut canon: FxHashMap<Vec<u64>, Lit> = FxHashMap::default();
-    canon.insert(vec![0; words_per_node], Lit::FALSE);
-    for pi in 0..n_in {
-        let tt: Vec<u64> = (0..words_per_node)
-            .map(|w| values[pi + 1][w] & mask)
-            .collect();
-        canon.insert(tt, Lit::new(pi + 1, false));
-    }
+    // func[node] = 2 * class + complement: the node computes its class's
+    // table, complemented when the low bit is set.
+    let mut func: Vec<u32> = Vec::with_capacity(aig.num_nodes());
+    func.extend((0..=n_in as u32).map(|class| 2 * class));
     for n in (n_in + 1)..aig.num_nodes() {
         let [a, b] = aig.fanins(n);
-        for w in 0..words_per_node {
-            values[n][w] = read(&values, a, w) & read(&values, b, w);
-        }
-        // Normalize: store with bit 0 = 0.
-        let tt: Vec<u64> = (0..words_per_node).map(|w| values[n][w] & mask).collect();
-        let complemented = tt[0] & 1 == 1;
-        let key: Vec<u64> = if complemented {
-            tt.iter().map(|w| !w & mask).collect()
-        } else {
-            tt.clone()
+        let fa = func[a.node()] ^ u32::from(a.is_complement());
+        let fb = func[b.node()] ^ u32::from(b.is_complement());
+        let (hash, complemented) = classes.and(fa, fb);
+        let class = match classes.find(hash) {
+            Some(class) => class,
+            None => {
+                let rep = out.and(classes.lit(fa), classes.lit(fb)) ^ complemented;
+                classes.insert(hash, rep)
+            }
         };
-        if let Some(&rep) = canon.get(&key) {
-            map[n] = rep ^ complemented;
-        } else {
-            let la = map[a.node()] ^ a.is_complement();
-            let lb = map[b.node()] ^ b.is_complement();
-            let lit = out.and(la, lb);
-            map[n] = lit;
-            canon.insert(key, lit ^ complemented);
-        }
+        func.push(2 * class + u32::from(complemented));
     }
     for po in aig.pos() {
-        let l = map[po.node()] ^ po.is_complement();
+        let l = classes.lit(func[po.node()] ^ u32::from(po.is_complement()));
         out.add_po(l);
     }
     out.cleanup()
+}
+
+/// End of a hash chain in [`ClassStore::next`].
+const NO_CLASS: u32 = u32::MAX;
+
+/// The equivalence classes of [`fraig_exact`]: one normalized truth table
+/// per class (bit 0 clear), stored back to back in one buffer, and a hash
+/// index over the tables. A function is named `2 * class + complement`.
+struct ClassStore {
+    /// Words per table: 2^n / 64, at least one.
+    words: usize,
+    /// The valid bits of a word: all of them from 6 inputs on, else the
+    /// low 2^n.
+    mask: u64,
+    /// Class `c`'s table is `tables[c * words..(c + 1) * words]`.
+    tables: Vec<u64>,
+    /// The table computed by the last [`ClassStore::and`], normalized.
+    scratch: Vec<u64>,
+    /// Each class's representative in the output AIG, in the normalized
+    /// polarity.
+    reps: Vec<Lit>,
+    /// The previous class inserted with the same table hash, or
+    /// [`NO_CLASS`].
+    next: Vec<u32>,
+    /// Table hash → the last class inserted with that hash.
+    heads: FxHashMap<u64, u32>,
+}
+
+impl ClassStore {
+    /// A store holding the constant and the `n_in` PIs, in that order.
+    fn new(n_in: usize) -> Self {
+        let words = 1usize.max((1usize << n_in) / 64);
+        let mut store = Self {
+            words,
+            mask: if n_in >= 6 {
+                u64::MAX
+            } else {
+                (1u64 << (1 << n_in)) - 1
+            },
+            tables: Vec::new(),
+            scratch: vec![0; words],
+            reps: Vec::new(),
+            next: Vec::new(),
+            heads: FxHashMap::default(),
+        };
+        store.insert(table_hash(&store.scratch), Lit::FALSE);
+        for pi in 0..n_in {
+            store
+                .scratch
+                .copy_from_slice(TruthTable::var(n_in, pi).words());
+            store.insert(table_hash(&store.scratch), Lit::new(pi + 1, false));
+        }
+        store
+    }
+
+    /// The literal of a function in the output AIG.
+    fn lit(&self, f: u32) -> Lit {
+        self.reps[(f >> 1) as usize] ^ (f & 1 == 1)
+    }
+
+    /// Computes the AND of two functions into `scratch`, normalized, and
+    /// returns its hash and whether the AND is the complement of that
+    /// normalized table.
+    fn and(&mut self, fa: u32, fb: u32) -> (u64, bool) {
+        let w = self.words;
+        let flip = |f: u32| if f & 1 == 1 { self.mask } else { 0 };
+        let (flip_a, flip_b) = (flip(fa), flip(fb));
+        let ta = &self.tables[(fa >> 1) as usize * w..][..w];
+        let tb = &self.tables[(fb >> 1) as usize * w..][..w];
+        let complemented = (ta[0] ^ flip_a) & (tb[0] ^ flip_b) & 1 == 1;
+        let flip_out = if complemented { self.mask } else { 0 };
+        for ((s, &x), &y) in self.scratch.iter_mut().zip(ta).zip(tb) {
+            *s = ((x ^ flip_a) & (y ^ flip_b)) ^ flip_out;
+        }
+        (table_hash(&self.scratch), complemented)
+    }
+
+    /// The class whose table equals `scratch`, if any; `hash` is
+    /// `scratch`'s hash.
+    fn find(&self, hash: u64) -> Option<u32> {
+        let mut class = *self.heads.get(&hash)?;
+        while class != NO_CLASS {
+            let c = class as usize;
+            if self.tables[c * self.words..(c + 1) * self.words] == self.scratch[..] {
+                return Some(class);
+            }
+            class = self.next[c];
+        }
+        None
+    }
+
+    /// Stores `scratch` as a new class with representative `rep`.
+    fn insert(&mut self, hash: u64, rep: Lit) -> u32 {
+        let class = self.reps.len() as u32;
+        self.tables.extend_from_slice(&self.scratch);
+        self.reps.push(rep);
+        self.next
+            .push(self.heads.insert(hash, class).unwrap_or(NO_CLASS));
+        class
+    }
+}
+
+/// Multiplier of the FxHash family (the one rustc uses).
+const HASH_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// One rotate-xor-multiply round of [`table_hash`].
+fn mix(state: u64, word: u64) -> u64 {
+    (state.rotate_left(5) ^ word).wrapping_mul(HASH_SEED)
+}
+
+/// 64-bit hash of a table's words. Word `i` goes to lane `i mod 4`, so
+/// the lanes' multiplies do not wait on each other; the lanes and any
+/// words past the last full group of four are folded at the end.
+fn table_hash(words: &[u64]) -> u64 {
+    let mut lanes = [0u64; 4];
+    let mut groups = words.chunks_exact(4);
+    for group in &mut groups {
+        for (lane, &w) in lanes.iter_mut().zip(group) {
+            *lane = mix(*lane, w);
+        }
+    }
+    lanes
+        .iter()
+        .chain(groups.remainder())
+        .fold(0, |state, &w| mix(state, w))
 }
 
 #[cfg(test)]
@@ -209,10 +312,87 @@ mod tests {
     use super::*;
     use qda_logic::sim::{check_aig_equivalence, EquivalenceOutcome};
 
+    /// The exact fraig this module ran before the class store: one table
+    /// per node, and each class's table cloned as a hash-map key. The
+    /// reference for node-for-node identity.
+    fn fraig_per_node(aig: &Aig) -> Aig {
+        let n_in = aig.num_pis();
+        let words_per_node = 1usize.max((1usize << n_in) / 64);
+        // values[node] = packed truth table.
+        let total = 1u64 << n_in;
+        let mut values: Vec<Vec<u64>> = vec![vec![0; words_per_node]; aig.num_nodes()];
+        // PIs.
+        for pi in 0..n_in {
+            for x in 0..total {
+                if (x >> pi) & 1 == 1 {
+                    values[pi + 1][(x >> 6) as usize] |= 1 << (x & 63);
+                }
+            }
+        }
+        let mask = if n_in >= 6 {
+            u64::MAX
+        } else {
+            (1u64 << (1 << n_in)) - 1
+        };
+        let read = |values: &Vec<Vec<u64>>, l: Lit, w: usize| -> u64 {
+            let v = values[l.node()][w];
+            if l.is_complement() {
+                !v & mask
+            } else {
+                v & mask
+            }
+        };
+        let mut out = Aig::new(n_in);
+        let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
+        for (i, m) in map.iter_mut().enumerate().take(n_in + 1) {
+            *m = Lit::new(i, false);
+        }
+        // Canonical table (with complement normalization: lowest bit clear).
+        let mut canon: FxHashMap<Vec<u64>, Lit> = FxHashMap::default();
+        canon.insert(vec![0; words_per_node], Lit::FALSE);
+        for pi in 0..n_in {
+            let tt: Vec<u64> = (0..words_per_node)
+                .map(|w| values[pi + 1][w] & mask)
+                .collect();
+            canon.insert(tt, Lit::new(pi + 1, false));
+        }
+        for n in (n_in + 1)..aig.num_nodes() {
+            let [a, b] = aig.fanins(n);
+            for w in 0..words_per_node {
+                values[n][w] = read(&values, a, w) & read(&values, b, w);
+            }
+            // Normalize: store with bit 0 = 0.
+            let tt: Vec<u64> = (0..words_per_node).map(|w| values[n][w] & mask).collect();
+            let complemented = tt[0] & 1 == 1;
+            let key: Vec<u64> = if complemented {
+                tt.iter().map(|w| !w & mask).collect()
+            } else {
+                tt.clone()
+            };
+            if let Some(&rep) = canon.get(&key) {
+                map[n] = rep ^ complemented;
+            } else {
+                let la = map[a.node()] ^ a.is_complement();
+                let lb = map[b.node()] ^ b.is_complement();
+                let lit = out.and(la, lb);
+                map[n] = lit;
+                canon.insert(key, lit ^ complemented);
+            }
+        }
+        for po in aig.pos() {
+            let l = map[po.node()] ^ po.is_complement();
+            out.add_po(l);
+        }
+        out.cleanup()
+    }
+
+    /// A deterministic pseudo-random AIG whose literal pool starts with
+    /// both constants and every PI, and whose outputs include the
+    /// constants, a PI (when there is one) and complemented nodes.
     fn random_aig(num_pis: usize, num_ands: usize, seed: u64) -> Aig {
-        // Deterministic pseudo-random AIG builder.
         let mut aig = Aig::new(num_pis);
-        let mut lits: Vec<Lit> = (0..num_pis).map(|i| aig.pi(i)).collect();
+        let mut lits = vec![Lit::FALSE, Lit::TRUE];
+        lits.extend((0..num_pis).map(|i| aig.pi(i)));
         let mut state = seed | 1;
         let mut next = || {
             state = state
@@ -226,11 +406,141 @@ mod tests {
             let f = aig.and(a, b);
             lits.push(f);
         }
-        for _ in 0..3 {
-            let po = lits[(next() as usize) % lits.len()];
+        aig.add_po(Lit::FALSE);
+        aig.add_po(Lit::TRUE);
+        if num_pis > 0 {
+            aig.add_po(!aig.pi(num_pis - 1));
+        }
+        for _ in 0..4 {
+            let po = lits[(next() as usize) % lits.len()] ^ (next() & 1 == 1);
             aig.add_po(po);
         }
+        let last = *lits.last().expect("constants are in the pool");
+        aig.add_po(!last);
         aig
+    }
+
+    /// Node-for-node equality: the same nodes with the same fanins, and
+    /// the same outputs.
+    fn assert_same_aig(got: &Aig, want: &Aig, what: &str) {
+        assert_eq!(
+            (got.num_pis(), got.num_nodes()),
+            (want.num_pis(), want.num_nodes()),
+            "{what}"
+        );
+        for n in (got.num_pis() + 1)..got.num_nodes() {
+            assert_eq!(got.fanins(n), want.fanins(n), "{what}: node {n}");
+        }
+        assert_eq!(got.pos(), want.pos(), "{what}");
+    }
+
+    /// Runs `optimize_aig`'s rounds and checks every fraig it runs
+    /// against the reference; returns the number of fraigs checked.
+    fn check_fraig_rounds(aig: &Aig, what: &str) -> usize {
+        let options = OptimizeOptions::default();
+        let mut cur = aig.cleanup();
+        let mut checked = 0;
+        for round in 0..options.rounds {
+            let balanced = balance(&cur);
+            if balanced.num_pis() > options.fraig_limit {
+                break;
+            }
+            let fraiged = fraig_exact(&balanced);
+            assert_same_aig(
+                &fraiged,
+                &fraig_per_node(&balanced),
+                &format!("{what}, round {round}"),
+            );
+            checked += 1;
+            if fraiged.num_ands() >= cur.num_ands() {
+                break;
+            }
+            cur = fraiged;
+        }
+        assert_eq!(optimize_aig(aig, &options).num_nodes(), cur.num_nodes());
+        checked
+    }
+
+    fn design_aig(verilog: &str) -> Aig {
+        let module = qda_verilog::parse_module(verilog).expect("generated Verilog parses");
+        qda_verilog::elaborate(&module).expect("generated Verilog elaborates")
+    }
+
+    /// Builds `tt` by Shannon expansion on its highest variable.
+    fn aig_of_table(aig: &mut Aig, tt: &TruthTable, num_vars: usize) -> Lit {
+        if tt.is_zero() {
+            return Lit::FALSE;
+        }
+        if tt.is_one() {
+            return Lit::TRUE;
+        }
+        let v = num_vars - 1;
+        let hi = aig_of_table(aig, &tt.cofactor(v, true), v);
+        let lo = aig_of_table(aig, &tt.cofactor(v, false), v);
+        let s = aig.pi(v);
+        aig.mux(s, hi, lo)
+    }
+
+    /// A 9-input AIG with two outputs whose normalized tables differ
+    /// but share their first word and their [`table_hash`], so the class
+    /// lookup must compare whole tables to keep them apart.
+    fn hash_collision_aig() -> Aig {
+        let a: [u64; 8] = [
+            0x0123_4567_89AB_CDEE,
+            0xF0E1_D2C3_B4A5_9687,
+            0x1357_9BDF_0246_8ACE,
+            0xDEAD_BEEF_0BAD_F00D,
+            0x0F1E_2D3C_4B5A_6978,
+            0x8899_AABB_CCDD_EEFF,
+            0x7766_5544_3322_1100,
+            0xC0FF_EE00_FACE_B00C,
+        ];
+        // Words 1 and 5 share a hash lane: word 5 cancels the change to
+        // word 1 in that lane's state.
+        let mut b = a;
+        b[1] ^= 0x0000_0001_0000_0100;
+        b[5] = a[5] ^ mix(0, a[1]).rotate_left(5) ^ mix(0, b[1]).rotate_left(5);
+        assert_ne!(a, b);
+        assert_eq!(a[0] & 1, 0, "normalized: bit 0 clear");
+        assert_eq!(
+            table_hash(&a),
+            table_hash(&b),
+            "the construction assumes table_hash's lanes"
+        );
+        let mut aig = Aig::new(9);
+        for words in [a, b] {
+            let tt = TruthTable::from_words(9, words.to_vec());
+            let f = aig_of_table(&mut aig, &tt, 9);
+            aig.add_po(f);
+        }
+        aig
+    }
+
+    #[test]
+    fn fraig_is_node_for_node_the_per_node_reference() {
+        let mut checked = 0;
+        for n in 4..=10 {
+            let intdiv = design_aig(&qda_arith::intdiv_verilog(n));
+            checked += check_fraig_rounds(&intdiv, &format!("INTDIV({n})"));
+            let newton = design_aig(&qda_arith::newton_verilog(n));
+            checked += check_fraig_rounds(&newton, &format!("NEWTON({n})"));
+        }
+        let intdiv16 = design_aig(&qda_arith::intdiv_verilog(16));
+        checked += check_fraig_rounds(&intdiv16, "INTDIV(16)");
+        for num_pis in 0..=12 {
+            for seed in [1, 3, 5, 7] {
+                let aig = random_aig(num_pis, 12 * num_pis + 8, seed);
+                let what = format!("random AIG, {num_pis} inputs, seed {seed}");
+                assert_same_aig(&fraig_exact(&aig), &fraig_per_node(&aig), &what);
+                checked += 1 + check_fraig_rounds(&aig, &what);
+            }
+        }
+        let collision = hash_collision_aig();
+        let fraiged = fraig_exact(&collision);
+        assert_same_aig(&fraiged, &fraig_per_node(&collision), "hash collision");
+        assert_ne!(fraiged.pos()[0].node(), fraiged.pos()[1].node());
+        checked += 1;
+        assert!(checked >= 100, "{checked} fraigs checked");
     }
 
     #[test]

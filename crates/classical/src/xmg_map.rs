@@ -10,8 +10,16 @@
 //! 3. direct MAJ-of-literals detection;
 //! 4. Shannon expansion on the most binate variable otherwise
 //!    (a mux = 3 MAJ gates).
+//!
+//! Cuts are chosen by area flow. A cut's local cost is 10 000 per MAJ and
+//! 1 000 per XOR of that decomposition, and depends only on the cut's
+//! 16-bit function, so [`map_to_xmg`] computes it once per function, in a
+//! 65 536-entry table filled on first use within the call. Cut functions
+//! are evaluated on one reused per-node buffer. Replacing the greedy
+//! decomposition by exact multiplicative complexity (ROADMAP 2(b)) would
+//! change what fills the table, not how it is used.
 
-use crate::cut::{cut_truth_table, enumerate_cuts, Cut};
+use crate::cut::{enumerate_cuts, CutEvaluator};
 use qda_logic::aig::{Aig, Lit};
 use qda_logic::xmg::Xmg;
 
@@ -129,6 +137,15 @@ fn synth(xmg: &mut Xmg, tt: u16, leaves: &[Lit], active: &[usize]) -> Lit {
     xmg.mux(leaves[v], g1, g0)
 }
 
+/// Local area-flow cost of a 4-input function: 10 000 per MAJ and 1 000
+/// per XOR gate of its [`xmg_from_tt4`] decomposition.
+fn local_cost(tt: u16) -> u32 {
+    let mut scratch = Xmg::new(4);
+    let leaves: Vec<Lit> = (0..4).map(|i| scratch.pi(i)).collect();
+    let _ = xmg_from_tt4(&mut scratch, tt, &leaves);
+    10_000 * scratch.num_majs() as u32 + 1_000 * scratch.num_xors() as u32
+}
+
 /// Maps an AIG into an XMG via a 4-feasible cut cover.
 ///
 /// # Example
@@ -166,39 +183,43 @@ pub fn map_to_xmg(aig: &Aig) -> Xmg {
         }
         counts
     };
-    let mut best_cut: Vec<Option<Cut>> = vec![None; aig.num_nodes()];
+    // best_cut[n] indexes the chosen cut in cuts[n].
+    let mut best_cut: Vec<usize> = vec![0; aig.num_nodes()];
     let mut best_tt: Vec<u16> = vec![0; aig.num_nodes()];
     // flow[n] = estimated amortized cost (scaled by 1000) of providing n.
     let mut flow: Vec<u64> = vec![0; aig.num_nodes()];
+    // costs[tt] = local_cost(tt), filled on first use (u32::MAX = not yet).
+    let mut costs: Vec<u32> = vec![u32::MAX; 1 << 16];
+    let mut evaluator = CutEvaluator::new(aig.num_nodes());
     for n in (aig.num_pis() + 1)..aig.num_nodes() {
-        let mut best: Option<(u64, usize, Cut, u16)> = None;
-        for cut in &cuts[n] {
+        let mut best: Option<(u64, usize, usize, u16)> = None;
+        for (index, cut) in cuts[n].iter().enumerate() {
             if cut.leaves() == [n] {
                 continue;
             }
-            let tt = cut_truth_table(&aig, n, cut);
-            let mut scratch = Xmg::new(4);
-            let leaves: Vec<Lit> = (0..4).map(|i| scratch.pi(i)).collect();
-            let _ = xmg_from_tt4(&mut scratch, tt, &leaves);
-            let local = 10_000 * scratch.num_majs() as u64 + 1_000 * scratch.num_xors() as u64;
+            let tt = evaluator.truth_table(&aig, n, cut);
+            let cost = &mut costs[usize::from(tt)];
+            if *cost == u32::MAX {
+                *cost = local_cost(tt);
+            }
             let leaf_flow: u64 = cut
                 .leaves()
                 .iter()
                 .map(|&l| flow[l] / fanout[l].max(1) as u64)
                 .sum();
-            let total = local + leaf_flow;
-            let better = match &best {
+            let total = u64::from(*cost) + leaf_flow;
+            let better = match best {
                 None => true,
                 Some(b) => (total, cut.size()) < (b.0, b.1),
             };
             if better {
-                best = Some((total, cut.size(), cut.clone(), tt));
+                best = Some((total, cut.size(), index, tt));
             }
         }
-        let (total, _, cut, tt) = best.expect("AND node always has a non-trivial cut");
+        let (total, _, index, tt) = best.expect("AND node always has a non-trivial cut");
         flow[n] = total;
         best_tt[n] = tt;
-        best_cut[n] = Some(cut);
+        best_cut[n] = index;
     }
     // Cover selection: walk back from POs marking required nodes.
     let mut required = vec![false; aig.num_nodes()];
@@ -209,7 +230,7 @@ pub fn map_to_xmg(aig: &Aig) -> Xmg {
             continue;
         }
         required[n] = true;
-        for &leaf in best_cut[n].as_ref().expect("cut chosen").leaves() {
+        for &leaf in cuts[n][best_cut[n]].leaves() {
             stack.push(leaf);
         }
     }
@@ -223,7 +244,7 @@ pub fn map_to_xmg(aig: &Aig) -> Xmg {
         if !required[n] {
             continue;
         }
-        let cut = best_cut[n].as_ref().expect("cut chosen");
+        let cut = &cuts[n][best_cut[n]];
         let leaves: Vec<Lit> = cut.leaves().iter().map(|&l| map[l]).collect();
         map[n] = xmg_from_tt4(&mut xmg, best_tt[n], &leaves);
     }
@@ -237,6 +258,7 @@ pub fn map_to_xmg(aig: &Aig) -> Xmg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rewrite::{optimize_aig, OptimizeOptions};
 
     fn check_equiv(aig: &Aig, xmg: &Xmg) {
         assert_eq!(aig.num_pis(), xmg.num_pis());
@@ -245,6 +267,25 @@ mod tests {
         assert!(n <= 12, "test helper is exhaustive");
         for x in 0..(1u64 << n) {
             assert_eq!(aig.eval(x), xmg.eval(x), "x={x}");
+        }
+    }
+
+    fn optimized_design(verilog: &str) -> Aig {
+        let module = qda_verilog::parse_module(verilog).expect("generated Verilog parses");
+        let aig = qda_verilog::elaborate(&module).expect("generated Verilog elaborates");
+        optimize_aig(&aig, &OptimizeOptions::default())
+    }
+
+    #[test]
+    fn table4_covers_are_pinned() {
+        // The hierarchical flow maps the optimized AIG. Pins the chosen
+        // cuts through the gate counts of the XMG they build.
+        for (name, verilog, want) in [
+            ("INTDIV(16)", qda_arith::intdiv_verilog(16), (613, 155)),
+            ("NEWTON(8)", qda_arith::newton_verilog(8), (2_091, 1_435)),
+        ] {
+            let xmg = map_to_xmg(&optimized_design(&verilog));
+            assert_eq!((xmg.num_majs(), xmg.num_xors()), want, "{name}");
         }
     }
 

@@ -272,13 +272,17 @@ impl Aig {
         assert_eq!(inputs.len(), self.num_pis, "one word per PI expected");
         let mut values = vec![0u64; self.fanins.len()];
         values[1..=self.num_pis].copy_from_slice(inputs);
+        self.simulate_ands(&mut values);
+        values
+    }
+
+    /// Fills the AND nodes' words of `values` (one word per node) from the
+    /// constant's and the PIs' words already in it.
+    fn simulate_ands(&self, values: &mut [u64]) {
         for n in (self.num_pis + 1)..self.fanins.len() {
             let [a, b] = self.fanins[n];
-            let va = values[a.node()] ^ if a.is_complement() { u64::MAX } else { 0 };
-            let vb = values[b.node()] ^ if b.is_complement() { u64::MAX } else { 0 };
-            values[n] = va & vb;
+            values[n] = Self::lit_value(values, a) & Self::lit_value(values, b);
         }
-        values
     }
 
     /// Value of a literal given per-node simulation words.
@@ -340,34 +344,30 @@ impl Aig {
 
     /// Explicit truth tables of all outputs (`num_pis ≤ 20` recommended).
     pub fn to_truth_tables(&self) -> crate::tt::MultiTruthTable {
-        use crate::tt::{MultiTruthTable, TruthTable};
+        use crate::tt::{var_word, word_count, MultiTruthTable, TruthTable};
         let n = self.num_pis;
-        // Simulate in 64-assignment batches.
-        let mut outs = vec![TruthTable::zero(n); self.pos.len()];
-        let total = 1u64 << n;
-        let mut base = 0u64;
-        while base < total {
-            let mut inputs = vec![0u64; n];
-            for k in 0..64.min(total - base) {
-                let x = base + k;
-                for (i, inp) in inputs.iter_mut().enumerate() {
-                    if (x >> i) & 1 == 1 {
-                        *inp |= 1 << k;
-                    }
-                }
+        // Word `w` of every table is one 64-assignment batch: the PIs take
+        // word `w` of their projections, and one buffer is re-simulated.
+        let num_words = word_count(n);
+        let mut words: Vec<Vec<u64>> = (0..self.pos.len())
+            .map(|_| Vec::with_capacity(num_words))
+            .collect();
+        let mut values = vec![0u64; self.fanins.len()];
+        for w in 0..num_words {
+            for (i, value) in values[1..=n].iter_mut().enumerate() {
+                *value = var_word(i, w);
             }
-            let values = self.simulate_words(&inputs);
-            for (j, po) in self.pos.iter().enumerate() {
-                let w = Self::lit_value(&values, *po);
-                for k in 0..64.min(total - base) {
-                    if (w >> k) & 1 == 1 {
-                        outs[j].set(base + k, true);
-                    }
-                }
+            self.simulate_ands(&mut values);
+            for (out, po) in words.iter_mut().zip(&self.pos) {
+                out.push(Self::lit_value(&values, *po));
             }
-            base += 64;
         }
-        MultiTruthTable::from_outputs(outs)
+        MultiTruthTable::from_outputs(
+            words
+                .into_iter()
+                .map(|w| TruthTable::from_words(n, w))
+                .collect(),
+        )
     }
 }
 

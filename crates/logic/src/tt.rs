@@ -72,11 +72,34 @@ pub struct TruthTable {
     words: Vec<u64>,
 }
 
-fn word_count(num_vars: usize) -> usize {
+pub(crate) fn word_count(num_vars: usize) -> usize {
     if num_vars >= 6 {
         1 << (num_vars - 6)
     } else {
         1
+    }
+}
+
+/// Word `w` of the projection `x_var`: bit `k` is the value of variable
+/// `var` in assignment `64 w + k`. Below variable 6 the bit pattern
+/// repeats within every word; from 6 on, whole words alternate in runs of
+/// `2^(var - 6)`. Unmasked: a table over fewer than 6 variables keeps only
+/// its low `2^n` bits.
+pub(crate) fn var_word(var: usize, w: usize) -> u64 {
+    const BLOCKS: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    if var < 6 {
+        BLOCKS[var]
+    } else if (w >> (var - 6)) & 1 == 1 {
+        u64::MAX
+    } else {
+        0
     }
 }
 
@@ -121,28 +144,9 @@ impl TruthTable {
     pub fn var(num_vars: usize, var: usize) -> Self {
         assert!(var < num_vars, "variable {var} out of range");
         let mut t = Self::zero(num_vars);
-        if var < 6 {
-            // Repeating bit pattern within each word.
-            let block = match var {
-                0 => 0xAAAA_AAAA_AAAA_AAAA,
-                1 => 0xCCCC_CCCC_CCCC_CCCC,
-                2 => 0xF0F0_F0F0_F0F0_F0F0,
-                3 => 0xFF00_FF00_FF00_FF00,
-                4 => 0xFFFF_0000_FFFF_0000,
-                _ => 0xFFFF_FFFF_0000_0000,
-            };
-            let mask = small_mask(num_vars);
-            for w in &mut t.words {
-                *w = block & mask;
-            }
-        } else {
-            // Whole words alternate in runs of 2^(var-6).
-            let run = 1usize << (var - 6);
-            for (i, w) in t.words.iter_mut().enumerate() {
-                if (i / run) & 1 == 1 {
-                    *w = u64::MAX;
-                }
-            }
+        let mask = small_mask(num_vars);
+        for (i, w) in t.words.iter_mut().enumerate() {
+            *w = var_word(var, i) & mask;
         }
         t
     }
