@@ -13,8 +13,8 @@ use std::fmt;
 /// How serious a diagnostic is, and what the flows do about it.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Severity {
-    /// An observation the analyzer could not resolve (e.g. a symbolic
-    /// bound was exceeded). Never fails anything.
+    /// An observation the analyzer could not resolve (e.g. an ancilla
+    /// found clean on sampled inputs only). Never fails anything.
     Note,
     /// A proven inefficiency or suspicious structure. Surfaced in
     /// reports and benches; does not fail flows.
@@ -55,8 +55,9 @@ pub enum Code {
     /// `QDA-A003`: a line is provably nonzero at the point it is
     /// released back to the allocator.
     ReleaseOfLive,
-    /// `QDA-A004`: the symbolic engine exceeded its term budget and
-    /// cannot prove the ancilla clean or dirty.
+    /// `QDA-A004`: the ancilla was 0 on every sampled input, but the
+    /// interface has too many inputs to sweep them all, so it is not
+    /// proven clean.
     UnprovenAncilla,
     /// `QDA-A010`: a gate can never fire because a control is provably
     /// constant with the opposite polarity.

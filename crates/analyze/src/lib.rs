@@ -1,14 +1,15 @@
 //! Static analysis and linting for MPMCT reversible circuits.
 //!
-//! Where the rest of the workspace checks circuits *dynamically* — batch
-//! simulation over sampled states — this crate proves contracts
-//! *structurally*, in near-linear time, before a circuit ever reaches an
-//! expensive back end:
+//! Where the rest of the workspace checks a circuit's *function* by batch
+//! simulation, this crate checks the contracts of its interface:
+//! structurally, in near-linear passes over the gate arena, and, for the
+//! ancilla lines the structure leaves open, by batch simulation of the
+//! interface's inputs:
 //!
 //! | Analysis | Codes | What it proves |
 //! |---|---|---|
 //! | well-formedness | `QDA-A030..A032` | line bounds, gate invariants, interface consistency |
-//! | ancilla lifecycle | `QDA-A001..A004` | helper lines return to \|0⟩ before release / end |
+//! | ancilla lifecycle | `QDA-A001..A004` | helper lines return to \|0⟩ before release / end (pairing, then simulation) |
 //! | constant propagation | `QDA-A010..A011` | dead gates and droppable controls under the \|0⟩ start |
 //! | dead cones | `QDA-A020` | gates whose effect reaches no observable line |
 //! | depth metrics | — | ASAP logical depth and T-depth |
@@ -30,7 +31,6 @@ pub mod depth;
 pub mod diag;
 pub mod interface;
 pub mod lifecycle;
-pub mod sym;
 pub mod wellformed;
 
 pub use depth::DepthMetrics;

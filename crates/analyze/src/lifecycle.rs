@@ -1,27 +1,42 @@
-//! Ancilla lifecycle analysis: every helper line provably returns to
-//! |0⟩ before it is released or the circuit ends.
+//! Ancilla lifecycle analysis: every helper line returns to |0⟩ before
+//! it is released or the circuit ends.
 //!
-//! Two engines run in a single forward pass:
+//! Two tiers decide each *checkpoint* (a release, or an ancilla at the
+//! end of a clean interface):
 //!
 //! * a **structural Bennett-pairing** fast path — per-line stacks of
 //!   "pending writes" `(controls, control versions)` where matching
 //!   writes cancel in LIFO order, proving `value = initial value`
 //!   without any algebra; and
-//! * the **bounded symbolic engine** of [`crate::sym`], whose canonical
-//!   XOR-of-products form proves a line constant 0 (or definitely not).
+//! * one serial **batch simulation** of the circuit on [`BatchState`],
+//!   over the interface's inputs with every other line at |0⟩: every
+//!   input when there are at most 16 of them, otherwise 1 024 seeded
+//!   samples.
 //!
-//! A line is *clean* at a checkpoint if either engine proves it zero. A
-//! provably nonzero line yields a deny-level diagnostic
-//! ([`Code::ReleaseOfLive`] mid-circuit, [`Code::DirtyAncilla`] at the
-//! end); an unprovable one only a note ([`Code::UnprovenAncilla`]) —
-//! the analyzer never denies on uncertainty. Reads of a released line
-//! before a re-initialising write are [`Code::UseAfterRelease`].
+//! A line is *clean* at a checkpoint if it pairs structurally or an
+//! exhaustive sweep finds it 0 on every input. A line that is 1 on some
+//! swept input yields a deny-level diagnostic ([`Code::ReleaseOfLive`]
+//! mid-circuit, [`Code::DirtyAncilla`] at the end), with that input as a
+//! concrete witness. A line that only sampled inputs found 0 yields a
+//! note ([`Code::UnprovenAncilla`]): the analyzer never denies on
+//! uncertainty. Reads of a released line before a re-initialising write
+//! are [`Code::UseAfterRelease`].
 
-use qda_rev::GateArena;
+use qda_rev::batchsim::BATCH_STATES;
+use qda_rev::{BatchState, Control, GateArena};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::diag::{Code, Diagnostic, Span};
 use crate::interface::CircuitInterface;
-use crate::sym::SymState;
+
+/// Interfaces with at most this many inputs are swept exhaustively.
+const EXHAUSTIVE_INPUTS: usize = 16;
+
+/// Inputs a wider interface is sampled on.
+const SAMPLES: usize = 1024;
+
+/// Seed of the sampled inputs.
+const SAMPLE_SEED: u64 = 0x00A1_C11A;
 
 /// One pending (uncancelled) write onto a line: the controls it fired
 /// under, with the version each control line had at that moment.
@@ -37,29 +52,33 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
     if iface.releases.is_empty() && (!iface.require_clean || iface.ancilla_lines().is_empty()) {
         return;
     }
-    let gates: Vec<_> = arena.iter().map(|(_, g)| g).collect();
+    // Decoded once: the sweep replays every gate once per batch.
+    let gates: Vec<(Vec<Control>, usize)> = arena
+        .iter()
+        .map(|(_, g)| (g.controls().collect(), g.target()))
+        .collect();
     let n = iface.num_lines;
-    let mut sym = SymState::for_interface(iface);
+    let mut releases: Vec<(usize, usize)> = iface.releases.clone();
+    releases.sort_by_key(|&(_, pos)| pos);
+    let live = sweep(&gates, iface, &releases);
     // Structural engine state.
     let mut versions = vec![0u64; n];
     let mut stacks: Vec<Vec<PendingWrite>> = vec![Vec::new(); n];
     // Release bookkeeping: position of the release a line is still under.
     let mut released: Vec<Option<usize>> = vec![None; n];
-
-    let mut releases: Vec<(usize, usize)> = iface.releases.clone();
-    releases.sort_by_key(|&(_, pos)| pos);
     let mut next_release = 0;
 
     for position in 0..=gates.len() {
         // Releases scheduled before the gate at `position` executes.
         while next_release < releases.len() && releases[next_release].1 <= position {
             let (line, pos) = releases[next_release];
+            let live_here = live.at_release[next_release];
             next_release += 1;
             if line >= n || pos < position {
                 continue; // out-of-range or already handled; wellformed reports it
             }
             let structurally_clean = stacks[line].is_empty();
-            if !structurally_clean && sym.value(line).is_provably_nonzero() {
+            if !structurally_clean && live_here {
                 diags.push(
                     Diagnostic::new(
                         Code::ReleaseOfLive,
@@ -68,30 +87,28 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
                     )
                     .with_suggestion(format!("uncompute line {line} before releasing it")),
                 );
-            } else if !structurally_clean && !sym.value(line).is_zero() {
+            } else if !structurally_clean && !live.exhaustive {
                 diags.push(Diagnostic::new(
                     Code::UnprovenAncilla,
                     Span::line(line),
                     format!(
                         "cannot prove line {line} clean at its release (gate {pos}): \
-                         symbolic bound exceeded"
+                         sampled inputs only"
                     ),
                 ));
             }
             // The allocator now owns the line and will hand it back as
             // |0⟩; track it as such so a reuse analyzes cleanly.
-            sym.reset(line);
             stacks[line].clear();
             released[line] = Some(pos);
         }
-        if position == gates.len() {
+        let Some((controls, t)) = gates.get(position) else {
             break;
-        }
-        let gate = &gates[position];
+        };
 
         // Use-after-release: reading a released line before it is
         // re-initialised by a target write.
-        for c in gate.controls() {
+        for c in controls {
             if let Some(rel) = released[c.line()] {
                 diags.push(
                     Diagnostic::new(
@@ -109,17 +126,16 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
         // A target write to a released line is its re-allocation: the
         // allocator handed back a |0⟩ line and the builder is computing
         // onto it again.
-        let t = gate.target();
+        let t = *t;
         if released[t].is_some() {
             released[t] = None;
-            sym.reset(t);
             stacks[t].clear();
         }
 
         // Structural engine: pair up the write with a matching pending
         // one (same controls, same control versions) or push it.
-        let entry: PendingWrite = gate
-            .controls()
+        let entry: PendingWrite = controls
+            .iter()
             .map(|c| (c.line(), c.is_positive(), versions[c.line()]))
             .collect();
         if stacks[t].last() == Some(&entry) {
@@ -128,8 +144,6 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
             stacks[t].push(entry);
         }
         versions[t] += 1;
-
-        sym.apply_packed(gate);
     }
 
     // End of circuit: every ancilla must be clean when the flow says so.
@@ -139,10 +153,10 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
                 continue; // released lines were checked at their release
             }
             let structurally_clean = stacks[line].is_empty();
-            if structurally_clean || sym.value(line).is_zero() {
+            if structurally_clean || (live.exhaustive && !live.at_end[line]) {
                 continue;
             }
-            if sym.value(line).is_provably_nonzero() {
+            if live.at_end[line] {
                 diags.push(
                     Diagnostic::new(
                         Code::DirtyAncilla,
@@ -158,11 +172,86 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
                 diags.push(Diagnostic::new(
                     Code::UnprovenAncilla,
                     Span::line(line),
-                    format!("cannot prove ancilla line {line} clean: symbolic bound exceeded"),
+                    format!("cannot prove ancilla line {line} clean: sampled inputs only"),
                 ));
             }
         }
     }
+}
+
+/// Which lines the sweep saw at 1 on some input.
+struct Live {
+    /// Per release, in position order: the line at its release.
+    at_release: Vec<bool>,
+    /// Per ancilla line of a clean interface: the line at the end.
+    at_end: Vec<bool>,
+    /// Whether every input was swept (otherwise only samples were).
+    exhaustive: bool,
+}
+
+/// Simulates the circuit over the interface's inputs, every other line
+/// at |0⟩, in [`BATCH_STATES`]-state batches. A release is modeled as
+/// the allocator handles it: the line is checked, then cleared. Nothing
+/// writes a released line before its re-allocation, so that write finds
+/// the line at 0.
+fn sweep(
+    gates: &[(Vec<Control>, usize)],
+    iface: &CircuitInterface,
+    releases: &[(usize, usize)],
+) -> Live {
+    let inputs = &iface.input_lines;
+    let n = iface.num_lines;
+    let exhaustive = inputs.len() <= EXHAUSTIVE_INPUTS;
+    let total = if exhaustive {
+        1 << inputs.len()
+    } else {
+        SAMPLES
+    };
+    let ends = if iface.require_clean {
+        iface.ancilla_lines()
+    } else {
+        Vec::new()
+    };
+    let mut live = Live {
+        at_release: vec![false; releases.len()],
+        at_end: vec![false; n],
+        exhaustive,
+    };
+    let mut rng = StdRng::seed_from_u64(SAMPLE_SEED);
+    let mut state = BatchState::zeros(n, 0);
+    for base in (0..total).step_by(BATCH_STATES) {
+        state.reset((total - base).min(BATCH_STATES));
+        if exhaustive {
+            state.load_consecutive(inputs, base as u64);
+        } else {
+            // Drawn per 64-line chunk, as `verify_computes` samples.
+            for lines in inputs.chunks(64) {
+                let mask = u64::MAX >> (64 - lines.len());
+                let values: Vec<u64> = (0..state.num_states())
+                    .map(|_| rng.gen::<u64>() & mask)
+                    .collect();
+                state.load_register(lines, &values);
+            }
+        }
+        let mut next = 0;
+        for position in 0..=gates.len() {
+            while next < releases.len() && releases[next].1 <= position {
+                let line = releases[next].0;
+                if line < n {
+                    live.at_release[next] |= state.lane_is_nonzero(line);
+                    state.clear_lane(line);
+                }
+                next += 1;
+            }
+            if let Some((controls, target)) = gates.get(position) {
+                state.apply_gate(controls, *target);
+            }
+        }
+        for &line in &ends {
+            live.at_end[line] |= state.lane_is_nonzero(line);
+        }
+    }
+    live
 }
 
 #[cfg(test)]
@@ -249,10 +338,10 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_control_blocks_structural_pairing_but_symbolic_decides() {
+    fn rewritten_control_blocks_structural_pairing_but_simulation_decides() {
         // Between the pair, the control line 1 is rewritten and restored;
-        // versions differ so the structural engine cannot pair, but the
-        // symbolic engine still proves line 2 clean.
+        // versions differ so the structural pairing cannot pair, but the
+        // exhaustive sweep still proves line 2 clean.
         let mut c = Circuit::new(4);
         c.toffoli(0, 1, 2);
         c.not(1);
@@ -260,5 +349,84 @@ mod tests {
         c.toffoli(0, 1, 2);
         let iface = CircuitInterface::hierarchical(4, vec![0, 1], vec![3], true);
         assert_eq!(run(&c, &iface), vec![]);
+    }
+
+    #[test]
+    fn negative_controls_and_nots_are_simulated_not_paired() {
+        // A NOT sets line 1; a gate negatively controlled on the input and
+        // on the |0⟩ line 2 turns it into 1 ⊕ ¬x = x; a CNOT from the
+        // input clears it. Line 1 ends 0 on every input, yet no two
+        // writes pair.
+        let mut c = Circuit::new(3);
+        c.not(1);
+        c.mct(vec![Control::negative(0), Control::negative(2)], 1);
+        c.cnot(0, 1);
+        let iface = CircuitInterface::hierarchical(3, vec![0], vec![], true);
+        assert_eq!(run(&c, &iface), vec![]);
+
+        // Without the CNOT, line 1 ends holding x.
+        let mut dirty = Circuit::new(3);
+        dirty.not(1);
+        dirty.mct(vec![Control::negative(0), Control::negative(2)], 1);
+        assert_eq!(run(&dirty, &iface), vec![Code::DirtyAncilla]);
+    }
+
+    /// A gate onto line 16 that fires on exactly one of the 2^16 inputs
+    /// on lines 0..16: the one equal to `x`.
+    fn minterm(c: &mut Circuit, x: u64) {
+        let controls = (0..16)
+            .map(|l| {
+                if x >> l & 1 == 1 {
+                    Control::positive(l)
+                } else {
+                    Control::negative(l)
+                }
+            })
+            .collect();
+        c.mct(controls, 16);
+    }
+
+    #[test]
+    fn the_exhaustive_sweep_finds_a_line_live_on_one_input_in_65_536() {
+        // The AND of all 16 inputs is 1 only on the last input of the
+        // last batch.
+        let mut c = Circuit::new(17);
+        minterm(&mut c, 0xFFFF);
+        let iface = CircuitInterface::hierarchical(17, (0..16).collect(), vec![], true);
+        assert_eq!(run(&c, &iface), vec![Code::DirtyAncilla]);
+
+        // Released while live on one input in the middle of the sweep.
+        let mut c = Circuit::new(18);
+        minterm(&mut c, 0xA5C3);
+        c.cnot(0, 17);
+        let iface = CircuitInterface::hierarchical(18, (0..16).collect(), vec![17], true)
+            .with_releases(vec![(16, 1)]);
+        let mut diags = Vec::new();
+        check(c.packed(), &iface, &mut diags);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, Code::ReleaseOfLive);
+        assert_eq!(diags[0].span, Span::gate_line(1, 16));
+    }
+
+    #[test]
+    fn a_sampled_sweep_denies_on_a_witness_and_otherwise_only_notes() {
+        // 20 inputs: sampled. Line 20 ends holding x0 ∧ x1; line 21
+        // holds x0·x1 ⊕ x0·¬x1 ⊕ x0 = 0, which no two writes pair.
+        let mut c = Circuit::new(22);
+        c.toffoli(0, 1, 20);
+        c.toffoli(0, 1, 21);
+        c.mct(vec![Control::positive(0), Control::negative(1)], 21);
+        c.cnot(0, 21);
+        let iface = CircuitInterface::hierarchical(22, (0..20).collect(), vec![], true);
+        let mut diags = Vec::new();
+        check(c.packed(), &iface, &mut diags);
+        let codes: Vec<Code> = diags.iter().map(|d| d.code).collect();
+        assert_eq!(codes, vec![Code::DirtyAncilla, Code::UnprovenAncilla]);
+        assert_eq!(diags[1].span, Span::line(21));
+        assert!(
+            diags[1].message.contains("sampled inputs only"),
+            "{}",
+            diags[1].message
+        );
     }
 }

@@ -47,7 +47,8 @@
 //! assert_eq!(out[0b11], 0); // 1 ^ 1
 //! ```
 
-use crate::packed::{GateArena, PackedGate};
+use crate::gate::Control;
+use crate::packed::GateArena;
 use qda_logic::par;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -521,25 +522,72 @@ impl BatchState {
         let mut base = 0;
         while base < full {
             for (_, g) in arena.iter() {
-                self.apply_gate_chunk(&g, base);
+                self.apply_gate_chunk(g.controls(), g.target(), base);
             }
             base += LANE_CHUNK;
         }
         if base < wpl {
             for (_, g) in arena.iter() {
-                self.apply_gate_tail(&g, base, wpl - base);
+                self.apply_gate_tail(g.controls(), g.target(), base, wpl - base);
             }
         }
+    }
+
+    /// Applies one gate, given as its decoded controls and its target, to
+    /// every state. A caller that replays a gate list over many batches
+    /// decodes each gate's mask words once ([`crate::PackedGate::controls`])
+    /// instead of once per batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a line is out of range.
+    pub fn apply_gate(&mut self, controls: &[Control], target: usize) {
+        let wpl = self.words_per_line;
+        let full = wpl - wpl % LANE_CHUNK;
+        for base in (0..full).step_by(LANE_CHUNK) {
+            self.apply_gate_chunk(controls.iter().copied(), target, base);
+        }
+        if full < wpl {
+            self.apply_gate_tail(controls.iter().copied(), target, full, wpl - full);
+        }
+    }
+
+    /// Sets `line` to 0 in every state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is out of range.
+    pub fn clear_lane(&mut self, line: usize) {
+        assert!(line < self.num_lines, "line {line} out of range");
+        let wpl = self.words_per_line;
+        self.lanes[line * wpl..(line + 1) * wpl].fill(0);
+    }
+
+    /// Whether `line` is 1 in some valid (non-phantom) state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is out of range.
+    pub fn lane_is_nonzero(&self, line: usize) -> bool {
+        let lane = self.lane(line);
+        lane.iter()
+            .enumerate()
+            .any(|(w, &word)| word & self.word_mask(w) != 0)
     }
 
     /// Applies one gate to the full-width lane block at word offset
     /// `base`: fixed-size loops, branchless polarity (`lane ^ inv` with
     /// `inv ∈ {0, !0}`), no bounds checks surviving into the loop body.
     #[inline]
-    fn apply_gate_chunk(&mut self, gate: &PackedGate<'_>, base: usize) {
+    fn apply_gate_chunk(
+        &mut self,
+        controls: impl Iterator<Item = Control>,
+        target: usize,
+        base: usize,
+    ) {
         let wpl = self.words_per_line;
         let mut fire = [u64::MAX; LANE_CHUNK];
-        for c in gate.controls() {
+        for c in controls {
             let inv = if c.is_positive() { 0 } else { u64::MAX };
             let start = c.line() * wpl + base;
             let lane: &[u64; LANE_CHUNK] = self.lanes[start..start + LANE_CHUNK]
@@ -549,7 +597,7 @@ impl BatchState {
                 fire[k] &= lane[k] ^ inv;
             }
         }
-        let start = gate.target() * wpl + base;
+        let start = target * wpl + base;
         let target: &mut [u64; LANE_CHUNK] = (&mut self.lanes[start..start + LANE_CHUNK])
             .try_into()
             .expect("chunk is LANE_CHUNK words");
@@ -561,17 +609,23 @@ impl BatchState {
     /// Applies one gate to the ragged tail block (`len < LANE_CHUNK`
     /// words at offset `base`) — same branchless shape, variable width.
     #[inline]
-    fn apply_gate_tail(&mut self, gate: &PackedGate<'_>, base: usize, len: usize) {
+    fn apply_gate_tail(
+        &mut self,
+        controls: impl Iterator<Item = Control>,
+        target: usize,
+        base: usize,
+        len: usize,
+    ) {
         let wpl = self.words_per_line;
         let mut fire = [u64::MAX; LANE_CHUNK];
-        for c in gate.controls() {
+        for c in controls {
             let inv = if c.is_positive() { 0 } else { u64::MAX };
             let start = c.line() * wpl + base;
             for (f, lane) in fire.iter_mut().zip(&self.lanes[start..start + len]) {
                 *f &= lane ^ inv;
             }
         }
-        let start = gate.target() * wpl + base;
+        let start = target * wpl + base;
         for (lane, f) in self.lanes[start..start + len].iter_mut().zip(&fire) {
             *lane ^= f;
         }
@@ -864,6 +918,37 @@ mod tests {
                 assert!(agree, "{states} states, state {s}");
             }
         }
+    }
+
+    #[test]
+    fn per_gate_application_matches_the_arena_path() {
+        // Sub-chunk tail only, chunks + tail, and the two-chunk shape.
+        let c = wide_cascade();
+        for states in [40, 19 * 64 - 5, BATCH_STATES] {
+            let mut batch = BatchState::zeros(70, states);
+            batch.load_consecutive(&[0, 1, 2, 68], 0);
+            let mut whole = batch.clone();
+            whole.apply_arena(c.packed());
+            for (_, g) in c.packed().iter() {
+                batch.apply_gate(&g.controls().collect::<Vec<_>>(), g.target());
+            }
+            assert_eq!(batch, whole, "{states} states");
+        }
+    }
+
+    #[test]
+    fn the_nonzero_test_ignores_phantom_states_and_clear_lane_zeroes() {
+        // A NOT sets all 64 bits of the one lane word; 3 states are valid.
+        let mut b = BatchState::zeros(2, 3);
+        b.apply_gate(&[], 1);
+        assert!(b.lane_is_nonzero(1) && !b.lane_is_nonzero(0));
+        for state in 0..3 {
+            b.set(1, state, false);
+        }
+        assert_ne!(b.lane(1), &[0], "phantom bits stay set");
+        assert!(!b.lane_is_nonzero(1), "only phantom bits are set");
+        b.clear_lane(1);
+        assert_eq!(b.lane(1), &[0]);
     }
 
     #[test]

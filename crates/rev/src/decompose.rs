@@ -12,7 +12,6 @@
 //! (relative-phase) and pessimistic (plain-Toffoli) cost models.
 
 use crate::circuit::Circuit;
-use crate::cost::t_count_mct;
 use crate::gate::Gate;
 
 /// Rewrites every gate with more than `max_controls` controls into a
@@ -128,20 +127,6 @@ pub fn plain_toffoli_t_count(circuit: &Circuit) -> u64 {
         .sum()
 }
 
-/// Ratio between the plain-Toffoli and relative-phase T-counts of a gate
-/// (→ 1.75 for large control counts).
-pub fn model_gap(controls: usize) -> f64 {
-    if controls < 2 {
-        return 1.0;
-    }
-    let plain = if controls == 2 {
-        7
-    } else {
-        7 * (2 * (controls as u64 - 2) + 1)
-    };
-    plain as f64 / t_count_mct(controls) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,12 +210,6 @@ mod tests {
         }
         expanded.apply(&mut s);
         assert!(s.get(5), "target flipped when all controls set");
-    }
-
-    #[test]
-    fn model_gap_approaches_seven_fourths() {
-        assert!((model_gap(2) - 1.0).abs() < 1e-9);
-        assert!(model_gap(20) > 1.5 && model_gap(20) < 1.8);
     }
 
     #[test]

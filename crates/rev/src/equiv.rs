@@ -192,10 +192,9 @@ impl<F: Fn(u64) -> u64> Check<'_, F> {
                 .all(|(l, before)| lanes_equal(state, state.lane(*l), before));
         }
         if clean && self.options.check_ancilla_clean {
-            let zero = vec![0u64; state.words_per_line()];
             clean = (0..self.circuit.num_lines())
                 .filter(|l| !output_lines.contains(l) && !input_lines.contains(l))
-                .all(|l| lanes_equal(state, state.lane(l), &zero));
+                .all(|l| !state.lane_is_nonzero(l));
         }
         if clean {
             return None;

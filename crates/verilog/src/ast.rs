@@ -1,5 +1,7 @@
 //! Abstract syntax tree of the Verilog subset.
 
+use std::collections::HashMap;
+
 /// Direction / kind of a signal declaration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SignalKind {
@@ -143,26 +145,37 @@ pub struct Module {
 }
 
 impl Module {
-    /// Looks up a signal declaration by name.
-    pub fn signal(&self, name: &str) -> Option<&Signal> {
-        self.signals.iter().find(|s| s.name == name)
+    /// Every declared signal by name. A name declared twice resolves to
+    /// its first declaration.
+    pub fn signal_table(&self) -> HashMap<&str, &Signal> {
+        let mut table = HashMap::with_capacity(self.signals.len());
+        for s in &self.signals {
+            table.entry(s.name.as_str()).or_insert(s);
+        }
+        table
     }
 
     /// Input signals in port order.
     pub fn inputs(&self) -> Vec<&Signal> {
-        self.ports
-            .iter()
-            .filter_map(|p| self.signal(p))
-            .filter(|s| s.kind == SignalKind::Input)
-            .collect()
+        ports_of(&self.ports, &self.signal_table(), SignalKind::Input)
     }
 
     /// Output signals in port order.
     pub fn outputs(&self) -> Vec<&Signal> {
-        self.ports
-            .iter()
-            .filter_map(|p| self.signal(p))
-            .filter(|s| s.kind == SignalKind::Output)
-            .collect()
+        ports_of(&self.ports, &self.signal_table(), SignalKind::Output)
     }
+}
+
+/// The ports of one kind, in port order, resolved through a
+/// [`Module::signal_table`].
+pub(crate) fn ports_of<'m>(
+    ports: &[String],
+    table: &HashMap<&str, &'m Signal>,
+    kind: SignalKind,
+) -> Vec<&'m Signal> {
+    ports
+        .iter()
+        .filter_map(|p| table.get(p.as_str()).copied())
+        .filter(|s| s.kind == kind)
+        .collect()
 }

@@ -7,7 +7,7 @@
 //! are rejected). Hostile input is refused at [`MAX_NESTING`],
 //! [`MAX_WORD_BITS`] and [`MAX_AIG_NODES`].
 
-use crate::ast::{Assign, BinOp, Expr, Module, SignalKind, UnOp};
+use crate::ast::{ports_of, Assign, BinOp, Expr, Module, Signal, SignalKind, UnOp};
 use crate::words;
 use crate::{VerilogError, MAX_AIG_NODES, MAX_NESTING, MAX_WORD_BITS};
 use qda_logic::aig::{Aig, Lit};
@@ -51,9 +51,11 @@ fn quadratic_cost(op: BinOp, a: &[Lit], b: &[Lit]) -> usize {
 /// division that cannot be bit-blasted, or a design past the nesting,
 /// width or node bounds.
 pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
+    // Every name resolves through one table.
+    let signals = module.signal_table();
     // Map input bits onto PIs in port order.
-    let inputs = module.inputs();
-    let outputs = module.outputs();
+    let inputs = ports_of(&module.ports, &signals, SignalKind::Input);
+    let outputs = ports_of(&module.ports, &signals, SignalKind::Output);
     let num_pis: usize = inputs.iter().map(|s| s.width()).sum();
     let num_po_bits: usize = outputs.iter().map(|s| s.width()).sum();
     if num_pis + num_po_bits > MAX_AIG_NODES {
@@ -73,8 +75,8 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
     // One driver per signal.
     let mut by_target: HashMap<&str, &Assign> = HashMap::new();
     for a in &module.assigns {
-        let sig = module
-            .signal(&a.target)
+        let sig = signals
+            .get(a.target.as_str())
             .ok_or_else(|| VerilogError::elaborate(format!("assign to undeclared {}", a.target)))?;
         if sig.kind == SignalKind::Input {
             return Err(VerilogError::elaborate(format!(
@@ -91,10 +93,10 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
     }
 
     // Evaluate on demand with cycle detection; `depth` counts levels and hops.
-    fn eval_signal<'m>(
+    fn eval_signal(
         name: &str,
-        module: &'m Module,
-        by_target: &HashMap<&str, &'m Assign>,
+        signals: &HashMap<&str, &Signal>,
+        by_target: &HashMap<&str, &Assign>,
         aig: &mut Aig,
         env: &mut HashMap<String, Vec<Lit>>,
         visiting: &mut HashSet<String>,
@@ -103,8 +105,8 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
         if let Some(w) = env.get(name) {
             return Ok(w.clone());
         }
-        let sig = module
-            .signal(name)
+        let sig = signals
+            .get(name)
             .ok_or_else(|| VerilogError::elaborate(format!("undeclared signal {name}")))?;
         let assign = by_target
             .get(name)
@@ -115,7 +117,7 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
             )));
         }
         let hop = depth + 1;
-        let word = eval_expr(&assign.expr, module, by_target, aig, env, visiting, hop)?;
+        let word = eval_expr(&assign.expr, signals, by_target, aig, env, visiting, hop)?;
         visiting.remove(name);
         // Resize to the declared width (Verilog truncates/zero-extends).
         let word = words::resize(&word, sig.width());
@@ -123,10 +125,10 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
         Ok(word)
     }
 
-    fn eval_expr<'m>(
+    fn eval_expr(
         expr: &Expr,
-        module: &'m Module,
-        by_target: &HashMap<&str, &'m Assign>,
+        signals: &HashMap<&str, &Signal>,
+        by_target: &HashMap<&str, &Assign>,
         aig: &mut Aig,
         env: &mut HashMap<String, Vec<Lit>>,
         visiting: &mut HashSet<String>,
@@ -138,10 +140,10 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
             )));
         }
         let mut eval = |e: &Expr, aig: &mut Aig| {
-            eval_expr(e, module, by_target, aig, env, visiting, depth + 1)
+            eval_expr(e, signals, by_target, aig, env, visiting, depth + 1)
         };
         let word = match expr {
-            Expr::Ident(name) => eval_signal(name, module, by_target, aig, env, visiting, depth)?,
+            Expr::Ident(name) => eval_signal(name, signals, by_target, aig, env, visiting, depth)?,
             Expr::Literal { bits, .. } => words::constant(bits.len().max(1), bits),
             Expr::Index(inner, i) => {
                 let w = eval(inner, aig)?;
@@ -271,7 +273,7 @@ pub fn elaborate(module: &Module) -> Result<Aig, VerilogError> {
     for sig in &outputs {
         let word = eval_signal(
             &sig.name,
-            module,
+            &signals,
             &by_target,
             &mut aig,
             &mut env,
@@ -498,6 +500,43 @@ mod tests {
         );
         for x in 0..16u64 {
             assert_eq!(aig.eval(x), x % 5);
+        }
+    }
+
+    #[test]
+    fn thirty_thousand_declared_wires_elaborate() {
+        // Each `assign` resolves its target by name; a linear scan per
+        // name made this module quadratic to elaborate.
+        let n = 30_000;
+        let mut body = String::new();
+        for i in 0..n {
+            body.push_str(&format!("wire w{i};\n"));
+        }
+        for i in 0..n {
+            body.push_str(&format!("assign w{i} = a;\n"));
+        }
+        body.push_str(&format!("assign y = w{};\n", n - 1));
+        let aig = elaborate_body(&body).expect("elaborate");
+        assert_eq!((aig.num_pis(), aig.num_pos()), (1, 1));
+        assert_eq!((aig.eval(0), aig.eval(1)), (0, 1));
+    }
+
+    #[test]
+    fn the_first_declaration_of_a_name_wins() {
+        // `a` is first a 2-bit input, `y` first a 1-bit output: the
+        // later declarations neither widen them nor change their kind.
+        let aig = build(
+            "module m(a, y);
+               input [1:0] a;
+               wire [3:0] a;
+               output y;
+               output [2:0] y;
+               assign y = a;
+             endmodule",
+        );
+        assert_eq!((aig.num_pis(), aig.num_pos()), (2, 1));
+        for x in 0..4u64 {
+            assert_eq!(aig.eval(x), x & 1, "y = a[0] at a = {x}");
         }
     }
 }

@@ -443,7 +443,7 @@ mod tests {
         assert_eq!(m.name, "m");
         assert_eq!(m.ports, vec!["a", "b", "y"]);
         assert_eq!(m.signals.len(), 3);
-        assert_eq!(m.signal("a").unwrap().width(), 4);
+        assert_eq!(m.signal_table()["a"].width(), 4);
         assert_eq!(m.assigns.len(), 1);
     }
 
