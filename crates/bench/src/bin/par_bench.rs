@@ -177,7 +177,7 @@ fn main() {
     );
 
     // 3. DSE portfolio race (flows, refinement combos, and their nested
-    // optimizer/resynthesis shards all on the one pool).
+    // equivalence sweeps and resynthesis races all on the one pool).
     let design = Design::intdiv(portfolio_n);
     let mut reports = Vec::new();
     for cap in CAPS {

@@ -50,7 +50,7 @@
 //! the budget's size caps ([`FlowError::OverBudget`]).
 
 use crate::design::Design;
-use qda_analyze::{CircuitInterface, Code, Report, Severity};
+use qda_analyze::{lifecycle, wellformed, CircuitInterface, Code, Report, Severity};
 use qda_classical::collapse::{collapse_to_bdds, CollapseError};
 use qda_classical::esop_extract::extract_multi_esop;
 use qda_classical::exorcism::{minimize_esop, ExorcismOptions};
@@ -695,16 +695,18 @@ impl Synthesized {
         let mut stages = StageTimings::default();
         // Ancilla release discipline is checked on the *raw* synthesis
         // output: the recorded release positions index its gate list,
-        // which opt/resynth would invalidate.
+        // which opt/resynth would invalidate. Only the lifecycle check
+        // reports release findings, and it runs on a well-formed circuit
+        // only, as in the full analyzer.
         let mut release_diags = Vec::new();
         if passes.analyze && !interface.releases.is_empty() {
             budget.check_deadline()?;
             let start = Instant::now();
-            release_diags = qda_analyze::analyze(&circuit, &interface)
-                .diagnostics
-                .into_iter()
-                .filter(|d| matches!(d.code, Code::UseAfterRelease | Code::ReleaseOfLive))
-                .collect();
+            let arena = circuit.packed();
+            if wellformed::check(arena, &interface, &mut release_diags) {
+                lifecycle::check(arena, &interface, &mut release_diags);
+            }
+            release_diags.retain(|d| matches!(d.code, Code::UseAfterRelease | Code::ReleaseOfLive));
             stages.analyze += start.elapsed();
         }
         let interface = CircuitInterface {
@@ -1164,6 +1166,40 @@ impl fmt::Display for FlowGraph {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    #[test]
+    fn releasing_a_live_line_is_an_analysis_violation() {
+        // Line 2 holds a·b when the interface says it was released after
+        // gate 1: the raw-circuit release check must deny it, while the
+        // same circuit without the release passes.
+        let mut circuit = Circuit::new(3);
+        circuit.toffoli(0, 1, 2);
+        let interface = CircuitInterface::hierarchical(3, vec![0, 1], vec![2], true);
+        let passes = PostPasses {
+            opt: true,
+            resynth: false,
+            analyze: true,
+        };
+        let clean = Synthesized {
+            circuit: circuit.clone(),
+            interface: interface.clone(),
+        };
+        assert!(clean.post_process(passes, &FlowBudget::unlimited()).is_ok());
+        let released = Synthesized {
+            circuit,
+            interface: interface.with_releases(vec![(2, 1)]),
+        };
+        match released.post_process(passes, &FlowBudget::unlimited()) {
+            Err(FlowError::AnalysisViolation { report }) => {
+                assert_eq!(
+                    report.diagnostics[0].code,
+                    Code::ReleaseOfLive,
+                    "{report:?}"
+                );
+            }
+            other => panic!("expected a release violation, got {other:?}"),
+        }
+    }
 
     #[test]
     fn functional_flow_small_intdiv() {

@@ -38,9 +38,9 @@ fn parallel_report_is_byte_identical_to_serial() {
     }
 }
 
-/// DSE jobs nest pool use: each flow's back half runs the peephole
-/// optimizer (support-disjoint component sharding), equivalence sweeps,
-/// and — in the portfolio — the resynthesis candidate race, all on the
+/// DSE jobs nest pool use: each flow's back half runs the equivalence
+/// sweeps of the peephole optimizer and the verifier and — in the
+/// portfolio — the resynthesis candidate race, all on the
 /// same shared worker pool the DSE jobs themselves ride. This must drain
 /// without deadlock and report identically at any cap, repeatedly, on a
 /// warm pool.

@@ -256,39 +256,6 @@ pub fn load_constant_bits(circuit: &mut Circuit, dst: &[usize], bits: &[bool]) {
     }
 }
 
-/// Appends `b ← b + value (mod 2^n)` for a classical constant, using a
-/// scratch register that is loaded, added and unloaded.
-///
-/// `scratch` must be a clean register of the same width; it is returned
-/// clean.
-///
-/// # Panics
-///
-/// Panics if widths differ.
-pub fn add_constant(
-    circuit: &mut Circuit,
-    value: u64,
-    b: &[usize],
-    scratch: &[usize],
-    ancilla: usize,
-    control: Option<Control>,
-) {
-    assert_eq!(scratch.len(), b.len(), "register width mismatch");
-    let ctl: Vec<usize> = control.into_iter().map(Control::line).collect();
-    validate_roles(
-        circuit,
-        &[
-            ("b", b),
-            ("scratch", scratch),
-            ("ancilla", &[ancilla]),
-            ("control", &ctl),
-        ],
-    );
-    load_constant(circuit, scratch, value);
-    cuccaro_add(circuit, scratch, b, ancilla, None, control);
-    load_constant(circuit, scratch, value);
-}
-
 /// Appends swaps realizing a cyclic left rotation of the register lines by
 /// `k` positions (value × 2^k mod (2^n − 1)-ish relabeling; used for the
 /// constant shifts of the Newton designs, where a *logical* shift is a pure
@@ -484,21 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_addition() {
-        let b: Vec<usize> = (0..4).collect();
-        let scratch: Vec<usize> = (4..8).collect();
-        let mut c = Circuit::new(9);
-        add_constant(&mut c, 11, &b, &scratch, 8, None);
-        for y in 0..16u64 {
-            let mut s = BitState::zeros(9);
-            s.write_register(&b, y);
-            c.apply(&mut s);
-            assert_eq!(s.read_register(&b), (y + 11) & 15);
-            assert_eq!(s.read_register(&scratch), 0, "scratch clean");
-        }
-    }
-
-    #[test]
     fn rotation_by_swaps() {
         let reg: Vec<usize> = (0..5).collect();
         let mut c = Circuit::new(5);
@@ -560,10 +512,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "control")]
-    fn add_constant_rejects_control_inside_target_register() {
+    #[should_panic(expected = "`b` and `control` share line 1")]
+    fn adder_rejects_control_inside_a_register() {
         let mut c = Circuit::new(9);
-        add_constant(&mut c, 3, &[0, 1], &[2, 3], 4, Some(Control::positive(1)));
+        cuccaro_add(
+            &mut c,
+            &[2, 3],
+            &[0, 1],
+            4,
+            None,
+            Some(Control::positive(1)),
+        );
     }
 
     #[test]

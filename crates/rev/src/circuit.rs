@@ -8,7 +8,7 @@
 use crate::batchsim::{consecutive_batches_in, span_jobs, BatchState};
 use crate::cost::CircuitCost;
 use crate::gate::{Control, Gate};
-use crate::packed::GateArena;
+use crate::packed::{words_for_lines, GateArena};
 use crate::state::BitState;
 use qda_logic::par;
 use std::fmt;
@@ -134,6 +134,44 @@ impl Circuit {
             self.num_lines
         );
         self.arena.push(&gate);
+    }
+
+    /// Appends the gate given by its packed masks, one `u64` word per 64
+    /// lines ([`words_for_lines`]): bit `l % 64` of word `l / 64` of
+    /// `ctrl` makes line `l` a control, and the same bit of `pol` makes
+    /// that control positive. Writes the words straight into the arena —
+    /// no control list is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics on what [`Gate::mct`] and [`Circuit::add_gate`] reject: a
+    /// controlled target, a polarity bit outside the control mask, or a
+    /// line not below [`Circuit::num_lines`]; also on masks of another
+    /// word count.
+    pub fn add_masks(&mut self, ctrl: &[u64], pol: &[u64], target: usize) {
+        let n = self.num_lines;
+        assert!(
+            ctrl.len() == words_for_lines(n) && pol.len() == ctrl.len(),
+            "gate masks must have {} words for {n} lines",
+            words_for_lines(n)
+        );
+        for (w, (&c, &p)) in ctrl.iter().zip(pol).enumerate() {
+            let lines_here = n.saturating_sub(w * 64).min(64);
+            let in_range = if lines_here == 64 {
+                u64::MAX
+            } else {
+                (1u64 << lines_here) - 1
+            };
+            assert!(c & !in_range == 0, "gate exceeds {n} lines");
+            assert!(p & !c == 0, "polarity bits outside the control mask");
+        }
+        assert!(target < n, "gate exceeds {n} lines");
+        assert!(
+            (ctrl[target / 64] >> (target % 64)) & 1 == 0,
+            "target {target} cannot be controlled"
+        );
+        let target = u32::try_from(target).expect("line indices fit in u32");
+        self.arena.push_masks(ctrl, pol, target);
     }
 
     /// Appends a NOT gate.
@@ -465,6 +503,41 @@ mod tests {
     fn rejects_out_of_range_gates() {
         let mut c = Circuit::new(2);
         c.toffoli(0, 1, 2);
+    }
+
+    #[test]
+    fn add_masks_appends_what_add_gate_appends() {
+        // Controls 1 (positive), 4 and 69 (negative), target 3.
+        let mut a = Circuit::new(70);
+        a.add_masks(&[0b1_0010, 1 << 5], &[0b10, 0], 3);
+        let mut b = Circuit::new(70);
+        b.mct(
+            vec![
+                Control::positive(1),
+                Control::negative(4),
+                Control::negative(69),
+            ],
+            3,
+        );
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be controlled")]
+    fn add_masks_rejects_a_controlled_target() {
+        Circuit::new(2).add_masks(&[0b11], &[0b01], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "polarity bits outside the control mask")]
+    fn add_masks_rejects_polarity_without_control() {
+        Circuit::new(3).add_masks(&[0b001], &[0b100], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 3 lines")]
+    fn add_masks_rejects_out_of_range_controls() {
+        Circuit::new(3).add_masks(&[0b1001], &[0], 1);
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub enum MergeRule {
 /// Returns the fused gate and the rule that applied, or `None` when no
 /// control-merge template matches. Equal gates are *not* merged — they
 /// cancel outright, which the optimizer handles as its own (cheaper)
-/// rule. Both templates are a handful of whole-word mask operations:
+/// rule. Both templates are a handful of whole-word mask operations, and
+/// only a returned match allocates:
 ///
 /// * **Polarity** — control masks equal, polarity masks differing in
 ///   exactly one bit: drop that bit from both masks.
@@ -71,21 +72,21 @@ pub fn merge_packed(a: &PackedGate<'_>, b: &PackedGate<'_>) -> Option<(PackedGat
     {
         return None;
     }
-    let a_minus_b: Vec<u64> = ca.iter().zip(cb).map(|(&x, &y)| x & !y).collect();
-    let b_minus_a: Vec<u64> = ca.iter().zip(cb).map(|(&x, &y)| !x & y).collect();
-    let a_extra: u32 = a_minus_b.iter().map(|w| w.count_ones()).sum();
-    let b_extra: u32 = b_minus_a.iter().map(|w| w.count_ones()).sum();
-    let (large, extra) = match (a_extra, b_extra) {
-        (1, 0) => (a, a_minus_b),
-        (0, 1) => (b, b_minus_a),
+    // Controls of `x` missing from `y`.
+    let extra = |x: &[u64], y: &[u64]| -> u32 {
+        x.iter().zip(y).map(|(&x, &y)| (x & !y).count_ones()).sum()
+    };
+    let (large, small) = match (extra(ca, cb), extra(cb, ca)) {
+        (1, 0) => (a, b),
+        (0, 1) => (b, a),
         _ => return None,
     };
     let ctrl = large.ctrl_words().to_vec();
     let pol: Vec<u64> = large
         .pol_words()
         .iter()
-        .zip(&extra)
-        .map(|(&p, &e)| p ^ e)
+        .zip(large.ctrl_words().iter().zip(small.ctrl_words()))
+        .map(|(&p, (&cl, &cs))| p ^ (cl & !cs))
         .collect();
     Some((
         PackedGateBuf::from_masks(ctrl, pol, target),

@@ -36,8 +36,9 @@
 
 use crate::gate::{Control, Gate};
 
-/// Sentinel for "no node" in the arena's links.
-const NIL: usize = usize::MAX;
+/// Sentinel for "no node" in the arena's links (and the optimizer's
+/// per-component links).
+pub(crate) const NIL: usize = usize::MAX;
 
 /// Number of `u64` mask words needed for `num_lines` lines (at least one,
 /// so empty circuits still have a well-formed stride).
@@ -425,13 +426,26 @@ impl GateArena {
         self.push_buf(&PackedGateBuf::from_gate(gate, self.wpg))
     }
 
-    /// Appends an owned packed gate at the end; returns its id.
+    /// Appends an owned packed gate at the end (zero-extended to the
+    /// arena's stride); returns its id.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer's stride differs from the arena's.
+    /// Panics if the buffer is wider than the arena's stride.
     pub fn push_buf(&mut self, buf: &PackedGateBuf) -> usize {
-        let id = self.alloc_slot(buf);
+        self.push_masks(&buf.ctrl, &buf.pol, buf.target)
+    }
+
+    /// Appends a gate given by its mask words (shorter masks are
+    /// zero-extended to the arena's stride); returns its id. Callers
+    /// validate the masks ([`crate::circuit::Circuit::add_masks`] is the
+    /// checked public form).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the masks are wider than the arena's stride.
+    pub(crate) fn push_masks(&mut self, ctrl: &[u64], pol: &[u64], target: u32) -> usize {
+        let id = self.alloc_slot(ctrl, pol, target);
         // Link at the tail.
         self.prev[id] = self.tail;
         self.next[id] = NIL;
@@ -453,26 +467,19 @@ impl GateArena {
     ///
     /// Panics if the view's stride exceeds this arena's.
     pub fn push_view(&mut self, view: PackedGate<'_>) -> usize {
-        assert!(
-            view.ctrl.len() <= self.wpg,
-            "gate stride exceeds the arena's"
-        );
-        let mut ctrl = view.ctrl.to_vec();
-        let mut pol = view.pol.to_vec();
-        ctrl.resize(self.wpg, 0);
-        pol.resize(self.wpg, 0);
-        self.push_buf(&PackedGateBuf::from_masks(ctrl, pol, view.target))
+        self.push_masks(view.ctrl, view.pol, view.target)
     }
 
-    /// Inserts an owned packed gate immediately before live gate `id`;
-    /// returns the new id.
+    /// Inserts an owned packed gate (zero-extended to the arena's
+    /// stride) immediately before live gate `id`; returns the new id.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is dead.
+    /// Panics if `id` is dead or the buffer is wider than the arena's
+    /// stride.
     pub fn insert_before(&mut self, id: usize, buf: &PackedGateBuf) -> usize {
         assert!(self.is_live(id), "insert_before dead id {id}");
-        let new = self.alloc_slot(buf);
+        let new = self.alloc_slot(&buf.ctrl, &buf.pol, buf.target);
         let before = self.prev[id];
         self.prev[new] = before;
         self.next[new] = id;
@@ -486,16 +493,18 @@ impl GateArena {
         new
     }
 
-    fn alloc_slot(&mut self, buf: &PackedGateBuf) -> usize {
-        assert_eq!(
-            buf.ctrl.len(),
-            self.wpg,
-            "packed gate stride does not match the arena"
+    fn alloc_slot(&mut self, ctrl: &[u64], pol: &[u64], target: u32) -> usize {
+        assert!(
+            ctrl.len() == pol.len() && ctrl.len() <= self.wpg,
+            "packed gate masks are wider than the arena stride"
         );
         let id = self.target.len();
-        self.ctrl.extend_from_slice(&buf.ctrl);
-        self.pol.extend_from_slice(&buf.pol);
-        self.target.push(buf.target);
+        let pad = self.wpg - ctrl.len();
+        self.ctrl.extend_from_slice(ctrl);
+        self.ctrl.extend(std::iter::repeat_n(0, pad));
+        self.pol.extend_from_slice(pol);
+        self.pol.extend(std::iter::repeat_n(0, pad));
+        self.target.push(target);
         self.prev.push(NIL);
         self.next.push(NIL);
         self.live.push(true);
@@ -553,6 +562,76 @@ impl GateArena {
             "gate {id} has no control on line {line}"
         );
         self.pol[at] ^= 1 << b;
+    }
+
+    /// The mask words and target of live gate `id`, writable in place.
+    /// Callers keep the polarity mask a subset of the control mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is dead.
+    pub(crate) fn masks_mut(&mut self, id: usize) -> (&mut [u64], &mut [u64], usize) {
+        assert!(self.is_live(id), "masks_mut of dead id {id}");
+        let at = id * self.wpg;
+        (
+            &mut self.ctrl[at..at + self.wpg],
+            &mut self.pol[at..at + self.wpg],
+            self.target[id] as usize,
+        )
+    }
+
+    /// Number of slots, dead ones included: the bound of every id, and
+    /// the length of side tables indexed by id.
+    #[must_use]
+    pub fn slot_count(&self) -> usize {
+        self.target.len()
+    }
+
+    /// Drops the dead slots: the live gates move to slots `0..len` in
+    /// circuit order. This is done in place when ids increase along the
+    /// live list, which holds for every arena edited only by appends,
+    /// removals and in-place rewrites: a live gate then only moves to a
+    /// lower slot, whose occupant has already moved. An arena with
+    /// inserted gates ([`GateArena::insert_before`]) is copied instead.
+    pub(crate) fn compact(&mut self) {
+        let mut cur = self.head;
+        while cur != NIL && self.next[cur] != NIL {
+            if self.next[cur] < cur {
+                let mut out = GateArena::new(self.num_lines);
+                for (_, g) in self.iter() {
+                    out.push_masks(g.ctrl, g.pol, g.target);
+                }
+                *self = out;
+                return;
+            }
+            cur = self.next[cur];
+        }
+        let wpg = self.wpg;
+        let mut cur = self.head;
+        let mut k = 0;
+        while cur != NIL {
+            if k != cur {
+                self.ctrl.copy_within(cur * wpg..(cur + 1) * wpg, k * wpg);
+                self.pol.copy_within(cur * wpg..(cur + 1) * wpg, k * wpg);
+                self.target[k] = self.target[cur];
+            }
+            cur = self.next[cur];
+            k += 1;
+        }
+        debug_assert_eq!(k, self.len);
+        self.ctrl.truncate(k * wpg);
+        self.pol.truncate(k * wpg);
+        self.target.truncate(k);
+        self.live.clear();
+        self.live.resize(k, true);
+        self.prev.clear();
+        self.prev
+            .extend((0..k).map(|i| i.checked_sub(1).unwrap_or(NIL)));
+        self.next.clear();
+        self.next
+            .extend((1..=k).map(|i| if i < k { i } else { NIL }));
+        self.head = if k > 0 { 0 } else { NIL };
+        self.tail = k.checked_sub(1).unwrap_or(NIL);
     }
 
     /// Grows the arena to `num_lines` lines, re-striding every slot's
@@ -753,6 +832,34 @@ mod tests {
             arena.gate(arena.last().unwrap()).control_on(128),
             Some(true)
         );
+    }
+
+    #[test]
+    fn compaction_keeps_the_live_sequence_in_slots_0_to_len() {
+        let gates: Vec<Gate> = (0..6).map(|t| g(&[((t + 1) % 6, t % 2 == 0)], t)).collect();
+        let mut arena = GateArena::from_gates(6, &gates);
+        arena.remove(0);
+        arena.remove(3);
+        arena.remove(5);
+        let expected = arena.to_gates();
+        // Out of slot order: compaction copies.
+        let mut spliced = arena.clone();
+        let buf = PackedGateBuf::from_gate(&g(&[], 0), 1);
+        spliced.insert_before(1, &buf);
+        let before = spliced.clone();
+        spliced.compact();
+        assert_eq!(spliced, before);
+        assert_eq!(spliced.slot_count(), spliced.len());
+        assert_eq!(spliced.first(), Some(0));
+        arena.compact();
+        assert_eq!(arena.to_gates(), expected);
+        assert_eq!(arena.slot_count(), 3);
+        let ids: Vec<usize> = arena.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(arena.last(), Some(2));
+        arena.push(&g(&[], 5));
+        assert_eq!(arena.len(), 4);
+        assert_eq!(arena.window_before(3, 8), vec![2, 1, 0]);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! random MPMCT cascade and a random permutation. This module is the one
 //! home for them, so the suites stop re-rolling their own (subtly
 //! different) copies and a generator fix reaches every consumer at once.
-//! It also holds [`resynthesize_full_sweep`], the plain windowed
-//! resynthesis sweep the production pass is checked against.
+//! It also holds the plain reference engines the production passes are
+//! checked against: [`resynthesize_full_sweep`] for windowed
+//! resynthesis and [`optimize_by_components`] for the peephole
+//! optimizer.
 //!
 //! Enable it from a dependent's `[dev-dependencies]`:
 //!
@@ -18,14 +20,15 @@
 
 use crate::circuit::Circuit;
 use crate::gate::{Control, Gate};
-use crate::opt::equivalence_witness;
-use crate::opt::rules::RewriteCost;
+use crate::opt::rules::{merge_packed, MergeRule, RewriteCost};
+use crate::opt::{equivalence_witness, OptOptions, OptStats, Optimized, UnionFind};
 use crate::packed::{GateArena, PackedGateBuf};
 use crate::resynth::{
     ResynthOptions, ResynthStats, Resynthesized, WindowSynthesizer, MAX_WINDOW_LINES,
 };
 use proptest::prelude::*;
 use qda_logic::par;
+use std::collections::VecDeque;
 
 /// A random mixed-polarity MPMCT circuit: the line count is drawn from
 /// `lines`, followed by up to `max_gates` gates whose target, control
@@ -244,4 +247,265 @@ fn full_sweep(
         *circuit = Circuit::from_arena(list);
     }
     changed
+}
+
+/// The reference peephole optimizer: the rule catalogue, window and
+/// worklist order of [`crate::opt::optimize_assuming`], run the plain
+/// way. Every peephole pass splits the cascade into support-connected
+/// components, copies each component into an arena of its own, runs that
+/// component's worklist there, and merges the survivors back in original
+/// gate order into a fresh arena. The constant pass decodes every gate's
+/// controls against a per-line constant lattice value.
+///
+/// The production optimizer must return the identical circuit and
+/// identical [`OptStats`].
+pub fn optimize_by_components(
+    circuit: &Circuit,
+    options: &OptOptions,
+    zero_lines: &[usize],
+) -> Optimized {
+    let window = options.window.max(1);
+    let mut stats = OptStats::default();
+    let mut arena = circuit.clone().into_arena();
+    let mut first = true;
+    loop {
+        let before_const = stats.total_rewrites();
+        if !zero_lines.is_empty() {
+            const_prop_reference(&mut arena, zero_lines, &mut stats);
+        }
+        let const_changed = stats.total_rewrites() != before_const;
+        if !first && !const_changed {
+            break;
+        }
+        arena = split_and_merge_pass(&arena, window, &mut stats);
+        first = false;
+        if zero_lines.is_empty() {
+            break;
+        }
+    }
+    Optimized {
+        circuit: Circuit::from_arena(arena),
+        stats,
+    }
+}
+
+/// The constant lattice of the reference constant pass.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum ConstVal {
+    /// Provably `0` at this point for every assumed start state.
+    Zero,
+    /// Provably `1` at this point for every assumed start state.
+    One,
+    /// Unknown / input-dependent.
+    Top,
+}
+
+/// One forward constant-propagation sweep, one [`ConstVal`] per line.
+fn const_prop_reference(arena: &mut GateArena, zero_lines: &[usize], stats: &mut OptStats) {
+    let mut vals = vec![ConstVal::Top; arena.num_lines()];
+    for &l in zero_lines {
+        vals[l] = ConstVal::Zero;
+    }
+    let mut cur = arena.first();
+    while let Some(i) = cur {
+        cur = arena.next_live(i);
+        let g = arena.gate(i);
+        let target = g.target();
+        let mut dead = false;
+        let mut drops: Vec<usize> = Vec::new();
+        for c in g.controls() {
+            match (vals[c.line()], c.is_positive()) {
+                (ConstVal::Zero, true) | (ConstVal::One, false) => {
+                    dead = true;
+                    break;
+                }
+                (ConstVal::Zero, false) | (ConstVal::One, true) => drops.push(c.line()),
+                (ConstVal::Top, _) => {}
+            }
+        }
+        if dead {
+            stats.const_dead += 1;
+            arena.remove(i);
+            continue;
+        }
+        let controls_left = g.num_controls() - drops.len();
+        if !drops.is_empty() {
+            stats.const_drops += drops.len() as u64;
+            let mut ctrl = g.ctrl_words().to_vec();
+            let mut pol = g.pol_words().to_vec();
+            for &l in &drops {
+                ctrl[l >> 6] &= !(1u64 << (l & 63));
+                pol[l >> 6] &= !(1u64 << (l & 63));
+            }
+            let t = u32::try_from(target).expect("line counts fit u32");
+            arena.replace(i, &PackedGateBuf::from_masks(ctrl, pol, t));
+        }
+        vals[target] = match (controls_left, vals[target]) {
+            (0, ConstVal::Zero) => ConstVal::One,
+            (0, ConstVal::One) => ConstVal::Zero,
+            _ => ConstVal::Top,
+        };
+    }
+}
+
+/// One reference peephole pass: components copied out, optimized one
+/// by one, and merged back in original gate order.
+fn split_and_merge_pass(arena: &GateArena, window: usize, stats: &mut OptStats) -> GateArena {
+    let ids: Vec<usize> = arena.iter().map(|(id, _)| id).collect();
+    let mut uf = UnionFind::new(arena.num_lines());
+    for &id in &ids {
+        let g = arena.gate(id);
+        let root = uf.find(g.target());
+        for c in g.controls() {
+            uf.join(c.line(), root);
+        }
+    }
+    let mut comp_of_root: Vec<Option<usize>> = vec![None; arena.num_lines().max(1)];
+    let mut components: Vec<Vec<usize>> = Vec::new();
+    for (key, &id) in ids.iter().enumerate() {
+        let root = uf.find(arena.gate(id).target());
+        let ci = *comp_of_root[root].get_or_insert_with(|| {
+            components.push(Vec::new());
+            components.len() - 1
+        });
+        components[ci].push(key);
+    }
+    let mut all: Vec<(usize, PackedGateBuf)> = Vec::new();
+    for keys in &components {
+        let mut sub = GateArena::new(arena.num_lines());
+        for &k in keys {
+            sub.push_view(arena.gate(ids[k]));
+        }
+        component_worklist(&mut sub, window, stats);
+        all.extend(
+            sub.iter()
+                .map(|(id, g)| (keys[id], PackedGateBuf::from_view(g))),
+        );
+    }
+    all.sort_by_key(|&(k, _)| k);
+    let mut out = GateArena::new(arena.num_lines());
+    for (_, buf) in &all {
+        out.push_buf(buf);
+    }
+    out
+}
+
+/// One applicable rewrite found by [`reference_rewrite`].
+enum RefRewrite {
+    Cancel(usize),
+    Merge(usize, PackedGateBuf, MergeRule),
+    NotAbsorb(usize, Vec<usize>),
+}
+
+/// The forward scan from `i` over a one-component arena.
+fn reference_rewrite(
+    arena: &GateArena,
+    i: usize,
+    window: usize,
+    rejected: &mut u64,
+) -> Option<RefRewrite> {
+    let g = arena.gate(i);
+    let mut next = arena.next_live(i);
+    let mut steps = 0;
+    while let Some(j) = next {
+        if steps >= window {
+            break;
+        }
+        let h = arena.gate(j);
+        if g == h {
+            if RewriteCost::of_controls(&[g.num_controls(), h.num_controls()], &[]).accepted() {
+                return Some(RefRewrite::Cancel(j));
+            }
+            *rejected += 1;
+        } else if let Some((gate, rule)) = merge_packed(&g, &h) {
+            let counts = [g.num_controls(), h.num_controls()];
+            if RewriteCost::of_controls(&counts, &[gate.view().num_controls()]).accepted() {
+                return Some(RefRewrite::Merge(j, gate, rule));
+            }
+            *rejected += 1;
+        }
+        if !g.commutes_with(&h) {
+            break;
+        }
+        next = arena.next_live(j);
+        steps += 1;
+    }
+    if g.num_controls() == 0 {
+        let l = g.target();
+        let mut flips = Vec::new();
+        let mut next = arena.next_live(i);
+        let mut steps = 0;
+        while let Some(j) = next {
+            if steps >= window {
+                break;
+            }
+            let h = arena.gate(j);
+            if h.num_controls() == 0 {
+                if h.target() == l {
+                    if RewriteCost::of_controls(&[0, 0], &[]).accepted() {
+                        return Some(RefRewrite::NotAbsorb(j, flips));
+                    }
+                    *rejected += 1;
+                }
+            } else if h.control_on(l).is_some() {
+                flips.push(j);
+            }
+            next = arena.next_live(j);
+            steps += 1;
+        }
+    }
+    None
+}
+
+/// Runs one component's own FIFO worklist to its fixpoint.
+fn component_worklist(arena: &mut GateArena, window: usize, stats: &mut OptStats) {
+    let n = arena.len();
+    let mut queue: VecDeque<usize> = (0..n).collect();
+    let mut queued = vec![true; n];
+    while let Some(i) = queue.pop_front() {
+        queued[i] = false;
+        if !arena.is_live(i) {
+            continue;
+        }
+        let Some(rewrite) = reference_rewrite(arena, i, window, &mut stats.rejected) else {
+            continue;
+        };
+        let mut requeue = arena.window_before(i, window);
+        let j = match &rewrite {
+            RefRewrite::Cancel(j) | RefRewrite::Merge(j, ..) | RefRewrite::NotAbsorb(j, _) => *j,
+        };
+        requeue.extend(arena.window_before(j, window));
+        match rewrite {
+            RefRewrite::Cancel(j) => {
+                arena.remove(i);
+                arena.remove(j);
+                stats.cancellations += 1;
+            }
+            RefRewrite::Merge(j, gate, rule) => {
+                arena.remove(i);
+                arena.replace(j, &gate);
+                requeue.push(j);
+                match rule {
+                    MergeRule::Polarity => stats.polarity_merges += 1,
+                    MergeRule::Subset => stats.subset_merges += 1,
+                }
+            }
+            RefRewrite::NotAbsorb(j, flips) => {
+                let line = arena.gate(i).target();
+                arena.remove(i);
+                arena.remove(j);
+                for &f in &flips {
+                    arena.flip_polarity(f, line);
+                }
+                requeue.extend(flips);
+                stats.not_absorptions += 1;
+            }
+        }
+        for id in requeue {
+            if arena.is_live(id) && !queued[id] {
+                queued[id] = true;
+                queue.push_back(id);
+            }
+        }
+    }
 }
