@@ -34,7 +34,6 @@ pub mod aig;
 pub mod cube;
 pub mod esop;
 pub mod hash;
-pub mod npn;
 pub mod par;
 pub mod sim;
 pub mod tt;

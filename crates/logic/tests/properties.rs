@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use qda_logic::aig::{Aig, Lit};
 use qda_logic::cube::Cube;
 use qda_logic::esop::Esop;
-use qda_logic::npn::{apply_transform, npn_canonical};
 use qda_logic::tt::TruthTable;
 
 fn arb_tt(n: usize) -> impl Strategy<Value = TruthTable> {
@@ -126,21 +125,5 @@ proptest! {
         let mut esop = Esop::from_truth_table(&tt);
         esop.reduce();
         prop_assert_eq!(esop.to_truth_table(), tt);
-    }
-
-    #[test]
-    fn npn_canonical_is_class_invariant(tt in any::<u16>(), flips in 0u8..16, perm_sel in 0usize..24, out in any::<bool>()) {
-        // Build a permutation from the selector.
-        let mut items = vec![0u8, 1, 2, 3];
-        let mut perm = [0u8; 4];
-        let mut sel = perm_sel;
-        for p in perm.iter_mut() {
-            let k = sel % items.len();
-            sel /= 4;
-            *p = items.remove(k);
-        }
-        let t = qda_logic::npn::NpnTransform { perm, input_flips: flips, output_flip: out };
-        let variant = apply_transform(tt, &t);
-        prop_assert_eq!(npn_canonical(tt).0, npn_canonical(variant).0);
     }
 }

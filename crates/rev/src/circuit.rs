@@ -58,7 +58,6 @@ impl std::error::Error for TooWideError {}
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Circuit {
-    num_lines: usize,
     arena: GateArena,
 }
 
@@ -72,7 +71,6 @@ impl Circuit {
     /// An empty circuit on `num_lines` lines.
     pub fn new(num_lines: usize) -> Self {
         Self {
-            num_lines,
             arena: GateArena::new(num_lines),
         }
     }
@@ -80,15 +78,12 @@ impl Circuit {
     /// Wraps an arena as a circuit (the arena's gates become the
     /// cascade, its line count the circuit's).
     pub(crate) fn from_arena(arena: GateArena) -> Self {
-        Self {
-            num_lines: arena.num_lines(),
-            arena,
-        }
+        Self { arena }
     }
 
     /// Number of lines (qubits).
     pub fn num_lines(&self) -> usize {
-        self.num_lines
+        self.arena.num_lines()
     }
 
     /// Number of gates.
@@ -116,8 +111,7 @@ impl Circuit {
 
     /// Grows the circuit to at least `num_lines` lines.
     pub fn ensure_lines(&mut self, num_lines: usize) {
-        if num_lines > self.num_lines {
-            self.num_lines = num_lines;
+        if num_lines > self.num_lines() {
             self.arena.grow_lines(num_lines);
         }
     }
@@ -129,9 +123,9 @@ impl Circuit {
     /// Panics if the gate references a line outside the circuit.
     pub fn add_gate(&mut self, gate: Gate) {
         assert!(
-            gate.max_line() < self.num_lines,
+            gate.max_line() < self.num_lines(),
             "gate {gate} exceeds {} lines",
-            self.num_lines
+            self.num_lines()
         );
         self.arena.push(&gate);
     }
@@ -149,7 +143,7 @@ impl Circuit {
     /// line not below [`Circuit::num_lines`]; also on masks of another
     /// word count.
     pub fn add_masks(&mut self, ctrl: &[u64], pol: &[u64], target: usize) {
-        let n = self.num_lines;
+        let n = self.num_lines();
         assert!(
             ctrl.len() == words_for_lines(n) && pol.len() == ctrl.len(),
             "gate masks must have {} words for {n} lines",
@@ -207,7 +201,7 @@ impl Circuit {
     ///
     /// Panics if `other` uses more lines than `self`.
     pub fn extend_from(&mut self, other: &Circuit) {
-        assert!(other.num_lines <= self.num_lines, "line-space mismatch");
+        assert!(other.num_lines() <= self.num_lines(), "line-space mismatch");
         for (_, g) in other.arena.iter() {
             self.arena.push_view(g);
         }
@@ -217,15 +211,12 @@ impl Circuit {
     /// the reversed cascade.
     #[must_use]
     pub fn inverse(&self) -> Circuit {
-        let mut arena = GateArena::new(self.num_lines);
+        let mut arena = GateArena::new(self.num_lines());
         let ids: Vec<usize> = self.arena.iter().map(|(id, _)| id).collect();
         for &id in ids.iter().rev() {
             arena.push_view(self.arena.gate(id));
         }
-        Circuit {
-            num_lines: self.num_lines,
-            arena,
-        }
+        Circuit { arena }
     }
 
     /// Simulates the circuit on a state (in place).
@@ -241,7 +232,7 @@ impl Circuit {
     ///
     /// Panics if the circuit has more than 64 lines.
     pub fn simulate_u64(&self, input: u64) -> u64 {
-        assert!(self.num_lines <= 64, "too many lines for u64 simulation");
+        assert!(self.num_lines() <= 64, "too many lines for u64 simulation");
         let mut s = input;
         for (_, g) in self.arena.iter() {
             if g.fires_u64(s) {
@@ -267,12 +258,12 @@ impl Circuit {
     ///
     /// Panics if the circuit has more than 64 lines.
     pub fn simulate_batch(&self, inputs: &[u64]) -> Vec<u64> {
-        assert!(self.num_lines <= 64, "too many lines for u64 simulation");
+        assert!(self.num_lines() <= 64, "too many lines for u64 simulation");
         if inputs.is_empty() {
             return Vec::new();
         }
-        let all_lines: Vec<usize> = (0..self.num_lines).collect();
-        let mut state = BatchState::zeros(self.num_lines, inputs.len());
+        let all_lines: Vec<usize> = (0..self.num_lines()).collect();
+        let mut state = BatchState::zeros(self.num_lines(), inputs.len());
         state.load_register(&all_lines, inputs);
         self.apply_batch(&mut state);
         state.read_register(&all_lines)
@@ -295,20 +286,20 @@ impl Circuit {
     /// silently wrap in release builds (returning a one-entry
     /// "permutation" at exactly 64 lines).
     pub fn permutation(&self) -> Result<Vec<u64>, TooWideError> {
-        if self.num_lines > PERMUTATION_LINE_LIMIT {
+        if self.num_lines() > PERMUTATION_LINE_LIMIT {
             return Err(TooWideError {
-                lines: self.num_lines,
+                lines: self.num_lines(),
                 limit: PERMUTATION_LINE_LIMIT,
             });
         }
-        let size = 1u64 << self.num_lines;
-        let all_lines: Vec<usize> = (0..self.num_lines).collect();
+        let size = 1u64 << self.num_lines();
+        let all_lines: Vec<usize> = (0..self.num_lines()).collect();
         let (span, jobs) = span_jobs(size);
         let chunks = par::run_indexed(jobs, |job| {
             let lo = job as u64 * span;
             let hi = (lo + span).min(size);
             let mut out = Vec::with_capacity((hi - lo) as usize);
-            let mut state = BatchState::zeros(self.num_lines, 0);
+            let mut state = BatchState::zeros(self.num_lines(), 0);
             for (base, count) in consecutive_batches_in(lo, hi) {
                 state.reset(count);
                 state.load_consecutive(&all_lines, base);
@@ -332,7 +323,7 @@ impl Circuit {
 
 impl fmt::Display for Circuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "circuit on {} lines:", self.num_lines)?;
+        writeln!(f, "circuit on {} lines:", self.num_lines())?;
         for g in self.gates() {
             writeln!(f, "  {g}")?;
         }

@@ -34,9 +34,10 @@
 //!
 //! The pass edits one packed [`crate::packed::GateArena`] in place. At
 //! the start of every peephole pass it threads the **support-connected
-//! components** (union-find over lines) through per-slot links: gates in
-//! different components commute trivially and never rewrite together, so
-//! a scan follows only its own component's links and is bounded by
+//! components** (union-find over lines, which stops once all lines are
+//! one set) through per-slot links: gates in different components
+//! commute trivially and never rewrite together, so a scan follows only
+//! its own component's links and is bounded by
 //! [`OptOptions::window`] live gates of that component. One FIFO
 //! worklist serves every component, and a rewrite requeues only its
 //! neighbourhood, keeping the whole pass near-linear in circuit size.
@@ -187,13 +188,18 @@ struct ComponentLinks {
 
 impl ComponentLinks {
     /// Splits the live cascade into components (union-find over lines)
-    /// and threads each one's gates.
+    /// and threads each one's gates. The union stops once every line is
+    /// in one set: later joins could change no root.
     fn build(arena: &GateArena) -> Self {
         let mut uf = UnionFind::new(arena.num_lines());
+        let mut sets = arena.num_lines();
         for (_, g) in arena.iter() {
+            if sets <= 1 {
+                break;
+            }
             let root = uf.find(g.target());
             for c in g.controls() {
-                uf.join(c.line(), root);
+                sets -= usize::from(uf.join(c.line(), root));
             }
         }
         let mut links = Self {
@@ -466,13 +472,15 @@ impl UnionFind {
         r
     }
 
-    /// Joins `x`'s set into the set whose root is `root`. Keeping one
-    /// root while joining a gate's whole support keeps the trees flat.
-    pub(crate) fn join(&mut self, x: usize, root: usize) {
+    /// Joins `x`'s set into the set whose root is `root` and returns
+    /// whether two sets merged. Keeping one root while joining a gate's
+    /// whole support keeps the trees flat.
+    pub(crate) fn join(&mut self, x: usize, root: usize) -> bool {
         let r = self.find(x);
         if r != root {
             self.parent[r] = root;
         }
+        r != root
     }
 }
 

@@ -43,11 +43,16 @@ fn arb_window() -> impl Strategy<Value = usize> {
 }
 
 /// A random assumed-zero line set of a `lines`-line circuit: empty a
-/// quarter of the time, otherwise each line with probability ½.
+/// quarter of the time, otherwise [`random_lines`].
 fn zero_lines(lines: usize, rng: &mut TestRng) -> Vec<usize> {
     if rng.next_u64().is_multiple_of(4) {
         return Vec::new();
     }
+    random_lines(lines, rng)
+}
+
+/// Each line of a `lines`-line circuit with probability ½.
+fn random_lines(lines: usize, rng: &mut TestRng) -> Vec<usize> {
     let bits: Vec<u64> = (0..lines.div_ceil(64)).map(|_| rng.next_u64()).collect();
     (0..lines)
         .filter(|&l| (bits[l / 64] >> (l % 64)) & 1 == 1)
@@ -98,6 +103,106 @@ fn arb_grouped_circuit() -> impl Strategy<Value = Circuit> {
     })
 }
 
+/// A random circuit on 3–12 lines whose first gate controls every line
+/// but its target, followed by up to 40 random gates on subsets, so the
+/// component union has one set after that gate; with [`random_lines`].
+fn arb_full_support_first() -> impl Strategy<Value = (Circuit, Vec<usize>)> {
+    arb_circuit().prop_perturb(|rest, mut rng| {
+        let lines = rest.num_lines();
+        let all: Vec<usize> = (0..lines).collect();
+        let t = (rng.next_u64() % lines as u64) as usize;
+        let mut c = Circuit::new(lines);
+        c.add_gate(group_gate(&all, t, u64::MAX, rng.next_u64()));
+        c.extend_from(&rest);
+        (c, random_lines(lines, &mut rng))
+    })
+}
+
+/// A random circuit on 6–12 lines whose lines become one set only at
+/// its middle, with the index of that gate and [`random_lines`]. The
+/// first half keeps to groups of 2–4 lines (one gate of each group spans
+/// it); a chain of CNOTs, one per pair of neighbouring groups, then joins
+/// them; the second half mirrors the first half's tail, interleaved with
+/// gates on random supports, so scans and requeue windows cross the
+/// joining gate.
+fn arb_joined_in_the_middle() -> impl Strategy<Value = (Circuit, usize, Vec<usize>)> {
+    (6usize..13, 1usize..30).prop_perturb(|(lines, per_half), mut rng| {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut line = 0;
+        while lines - line >= 2 {
+            let size = (2 + (rng.next_u64() % 2) as usize).min(lines - line);
+            groups.push((line..line + size).collect());
+            line += size;
+        }
+        groups.last_mut().unwrap().extend(line..lines);
+        let mut first: Vec<Gate> = groups
+            .iter()
+            .map(|g| group_gate(g, 0, u64::MAX, rng.next_u64()))
+            .collect();
+        for _ in 0..per_half {
+            let group = &groups[(rng.next_u64() % groups.len() as u64) as usize];
+            let t = (rng.next_u64() % group.len() as u64) as usize;
+            let at = (rng.next_u64() % (first.len() as u64 + 1)) as usize;
+            first.insert(at, group_gate(group, t, rng.next_u64(), rng.next_u64()));
+        }
+        let mut c = Circuit::new(lines);
+        for g in &first {
+            c.add_gate(g.clone());
+        }
+        for pair in groups.windows(2) {
+            let control = if rng.next_u64() & 1 == 1 {
+                Control::positive(pair[0][0])
+            } else {
+                Control::negative(pair[0][0])
+            };
+            c.add_gate(Gate::mct(vec![control], pair[1][0]));
+        }
+        let middle = c.num_gates() - 1;
+        let all: Vec<usize> = (0..lines).collect();
+        for g in first.iter().rev().take(per_half) {
+            if rng.next_u64() % 3 == 0 {
+                let t = (rng.next_u64() % lines as u64) as usize;
+                c.add_gate(group_gate(
+                    &all,
+                    t,
+                    rng.next_u64() & rng.next_u64(),
+                    rng.next_u64(),
+                ));
+            }
+            c.add_gate(g.clone());
+        }
+        let zeros = random_lines(lines, &mut rng);
+        (c, middle, zeros)
+    })
+}
+
+/// The index of the gate after which every line of `c` is in one
+/// support-connected set, if any gate gets there.
+fn one_set_at(c: &Circuit) -> Option<usize> {
+    fn find(parent: &[usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            x = parent[x];
+        }
+        x
+    }
+    let mut parent: Vec<usize> = (0..c.num_lines()).collect();
+    let mut sets = c.num_lines();
+    for (i, g) in c.gates().iter().enumerate() {
+        let root = find(&parent, g.target());
+        for control in g.controls() {
+            let r = find(&parent, control.line());
+            if r != root {
+                parent[r] = root;
+                sets -= 1;
+            }
+        }
+        if sets == 1 {
+            return Some(i);
+        }
+    }
+    None
+}
+
 /// Asserts the in-place optimizer and the split-and-copy reference agree
 /// on circuit and statistics.
 fn assert_matches_reference(c: &Circuit, window: usize, zeros: &[usize]) {
@@ -137,6 +242,26 @@ proptest! {
     ) {
         let (c, zeros) = case;
         assert_matches_reference(&c, window, &zeros);
+    }
+
+    #[test]
+    fn a_full_support_first_gate_matches_the_reference(case in arb_full_support_first()) {
+        let (c, zeros) = case;
+        prop_assert_eq!(one_set_at(&c), Some(0));
+        for window in [1, 32] {
+            assert_matches_reference(&c, window, &[]);
+            assert_matches_reference(&c, window, &zeros);
+        }
+    }
+
+    #[test]
+    fn lines_joined_in_the_middle_match_the_reference(case in arb_joined_in_the_middle()) {
+        let (c, middle, zeros) = case;
+        prop_assert_eq!(one_set_at(&c), Some(middle));
+        for window in [1, 32] {
+            assert_matches_reference(&c, window, &[]);
+            assert_matches_reference(&c, window, &zeros);
+        }
     }
 
     #[test]
