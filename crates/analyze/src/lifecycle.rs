@@ -13,6 +13,9 @@
 //!   input when there are at most 16 of them, otherwise 1 024 seeded
 //!   samples.
 //!
+//! Both tiers read one [`CompiledCascade`] of the arena, so each gate's
+//! mask words are decoded once per check.
+//!
 //! A line is *clean* at a checkpoint if it pairs structurally or an
 //! exhaustive sweep finds it 0 on every input. A line that is 1 on some
 //! swept input yields a deny-level diagnostic ([`Code::ReleaseOfLive`]
@@ -23,7 +26,7 @@
 //! are [`Code::UseAfterRelease`].
 
 use qda_rev::batchsim::BATCH_STATES;
-use qda_rev::{BatchState, Control, GateArena};
+use qda_rev::{BatchState, CompiledCascade, GateArena};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::diag::{Code, Diagnostic, Span};
@@ -52,15 +55,13 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
     if iface.releases.is_empty() && (!iface.require_clean || iface.ancilla_lines().is_empty()) {
         return;
     }
-    // Decoded once: the sweep replays every gate once per batch.
-    let gates: Vec<(Vec<Control>, usize)> = arena
-        .iter()
-        .map(|(_, g)| (g.controls().collect(), g.target()))
-        .collect();
     let n = iface.num_lines;
+    // Decoded once, for the sweep and for the structural pass.
+    let cascade = CompiledCascade::new(arena);
+    let num_gates = cascade.len();
     let mut releases: Vec<(usize, usize)> = iface.releases.clone();
     releases.sort_by_key(|&(_, pos)| pos);
-    let live = sweep(&gates, iface, &releases);
+    let live = sweep(&cascade, iface, &releases);
     // Structural engine state.
     let mut versions = vec![0u64; n];
     let mut stacks: Vec<Vec<PendingWrite>> = vec![Vec::new(); n];
@@ -68,7 +69,7 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
     let mut released: Vec<Option<usize>> = vec![None; n];
     let mut next_release = 0;
 
-    for position in 0..=gates.len() {
+    for position in 0..=num_gates {
         // Releases scheduled before the gate at `position` executes.
         while next_release < releases.len() && releases[next_release].1 <= position {
             let (line, pos) = releases[next_release];
@@ -82,7 +83,7 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
                 diags.push(
                     Diagnostic::new(
                         Code::ReleaseOfLive,
-                        Span::gate_line(pos.min(gates.len().saturating_sub(1)), line),
+                        Span::gate_line(pos.min(num_gates.saturating_sub(1)), line),
                         format!("line {line} is released at gate {pos} while provably nonzero"),
                     )
                     .with_suggestion(format!("uncompute line {line} before releasing it")),
@@ -102,21 +103,26 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
             stacks[line].clear();
             released[line] = Some(pos);
         }
-        let Some((controls, t)) = gates.get(position) else {
+        if position == num_gates {
             break;
-        };
+        }
 
+        // The write's controls, with the version each control line has
+        // now (decoded once: both checks below read them).
+        let entry: PendingWrite = cascade
+            .controls(position)
+            .map(|c| (c.line(), c.is_positive(), versions[c.line()]))
+            .collect();
         // Use-after-release: reading a released line before it is
         // re-initialised by a target write.
-        for c in controls {
-            if let Some(rel) = released[c.line()] {
+        for &(line, _, _) in &entry {
+            if let Some(rel) = released[line] {
                 diags.push(
                     Diagnostic::new(
                         Code::UseAfterRelease,
-                        Span::gate_line(position, c.line()),
+                        Span::gate_line(position, line),
                         format!(
-                            "gate {position} controls on line {} after its release at gate {rel}",
-                            c.line()
+                            "gate {position} controls on line {line} after its release at gate {rel}"
                         ),
                     )
                     .with_suggestion("allocate a fresh line or move the release later"),
@@ -126,7 +132,7 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
         // A target write to a released line is its re-allocation: the
         // allocator handed back a |0⟩ line and the builder is computing
         // onto it again.
-        let t = *t;
+        let t = cascade.target(position);
         if released[t].is_some() {
             released[t] = None;
             stacks[t].clear();
@@ -134,10 +140,6 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
 
         // Structural engine: pair up the write with a matching pending
         // one (same controls, same control versions) or push it.
-        let entry: PendingWrite = controls
-            .iter()
-            .map(|c| (c.line(), c.is_positive(), versions[c.line()]))
-            .collect();
         if stacks[t].last() == Some(&entry) {
             stacks[t].pop();
         } else {
@@ -190,15 +192,13 @@ struct Live {
 }
 
 /// Simulates the circuit over the interface's inputs, every other line
-/// at |0⟩, in [`BATCH_STATES`]-state batches. A release is modeled as
-/// the allocator handles it: the line is checked, then cleared. Nothing
+/// at |0⟩, in [`BATCH_STATES`]-state batches; each batch replays the
+/// gate segments between release positions. A release is modeled as the
+/// allocator handles it: the line is checked, then cleared. Nothing
 /// writes a released line before its re-allocation, so that write finds
 /// the line at 0.
-fn sweep(
-    gates: &[(Vec<Control>, usize)],
-    iface: &CircuitInterface,
-    releases: &[(usize, usize)],
-) -> Live {
+fn sweep(cascade: &CompiledCascade, iface: &CircuitInterface, releases: &[(usize, usize)]) -> Live {
+    let num_gates = cascade.len();
     let inputs = &iface.input_lines;
     let n = iface.num_lines;
     let exhaustive = inputs.len() <= EXHAUSTIVE_INPUTS;
@@ -233,20 +233,20 @@ fn sweep(
                 state.load_register(lines, &values);
             }
         }
-        let mut next = 0;
-        for position in 0..=gates.len() {
-            while next < releases.len() && releases[next].1 <= position {
-                let line = releases[next].0;
-                if line < n {
-                    live.at_release[next] |= state.lane_is_nonzero(line);
-                    state.clear_lane(line);
-                }
-                next += 1;
+        // Releases past the last gate are never reached.
+        let mut applied = 0;
+        for (at_release, &(line, pos)) in live.at_release.iter_mut().zip(releases) {
+            if pos > num_gates {
+                break;
             }
-            if let Some((controls, target)) = gates.get(position) {
-                state.apply_gate(controls, *target);
+            cascade.apply_gates(&mut state, applied..pos);
+            applied = pos;
+            if line < n {
+                *at_release |= state.lane_is_nonzero(line);
+                state.clear_lane(line);
             }
         }
+        cascade.apply_gates(&mut state, applied..num_gates);
         for &line in &ends {
             live.at_end[line] |= state.lane_is_nonzero(line);
         }
@@ -257,7 +257,7 @@ fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qda_rev::Circuit;
+    use qda_rev::{BitState, Circuit, Control};
 
     fn run(c: &Circuit, iface: &CircuitInterface) -> Vec<Code> {
         let mut diags = Vec::new();
@@ -427,6 +427,76 @@ mod tests {
             diags[1].message.contains("sampled inputs only"),
             "{}",
             diags[1].message
+        );
+    }
+
+    /// [`sweep`]'s verdicts from a per-gate scalar replay of every input:
+    /// each release is checked, then cleared, before the gate at its
+    /// position runs.
+    fn scalar_live(
+        arena: &GateArena,
+        iface: &CircuitInterface,
+        releases: &[(usize, usize)],
+    ) -> (Vec<bool>, Vec<bool>) {
+        let mut at_release = vec![false; releases.len()];
+        let mut at_end = vec![false; iface.num_lines];
+        let gates: Vec<_> = arena.iter().map(|(_, g)| g).collect();
+        for x in 0..1u64 << iface.input_lines.len() {
+            let mut s = BitState::zeros(iface.num_lines);
+            s.write_register(&iface.input_lines, x);
+            for position in 0..=gates.len() {
+                for (live, &(line, _)) in at_release
+                    .iter_mut()
+                    .zip(releases)
+                    .filter(|(_, r)| r.1 == position)
+                {
+                    *live |= s.get(line);
+                    s.set(line, false);
+                }
+                if let Some(g) = gates.get(position) {
+                    s.apply_packed(g);
+                }
+            }
+            for line in iface.ancilla_lines() {
+                at_end[line] |= s.get(line);
+            }
+        }
+        (at_release, at_end)
+    }
+
+    #[test]
+    fn segment_replay_matches_a_per_gate_scalar_replay() {
+        // 11 inputs: two full batches, so the full-block kernel runs.
+        // Releases at position 0 (a fresh line, re-allocated by gate 5),
+        // mid-cascade (line 12 uncomputed, line 11 still x0·x1) and at the
+        // end (line 13 still ¬x3·x10); line 14 ends dirty.
+        let mut c = Circuit::new(16);
+        c.toffoli(0, 1, 11);
+        c.toffoli(11, 2, 12);
+        c.cnot(12, 15);
+        c.toffoli(11, 2, 12);
+        c.mct(vec![Control::negative(3), Control::positive(10)], 13);
+        c.cnot(13, 14);
+        let releases = vec![(14, 0), (12, 4), (11, 4), (13, 6)];
+        let iface = CircuitInterface::hierarchical(16, (0..11).collect(), vec![15], true)
+            .with_releases(releases.clone());
+        let live = sweep(&CompiledCascade::new(c.packed()), &iface, &releases);
+        let (at_release, at_end) = scalar_live(c.packed(), &iface, &releases);
+        assert!(live.exhaustive);
+        assert_eq!(live.at_release, at_release);
+        assert_eq!(live.at_release, vec![false, false, true, true]);
+        assert_eq!(live.at_end, at_end);
+
+        let mut diags = Vec::new();
+        check(c.packed(), &iface, &mut diags);
+        let found: Vec<(Code, Span)> = diags.iter().map(|d| (d.code, d.span)).collect();
+        assert_eq!(
+            found,
+            vec![
+                (Code::ReleaseOfLive, Span::gate_line(4, 11)),
+                (Code::ReleaseOfLive, Span::gate_line(5, 13)),
+                (Code::DirtyAncilla, Span::line(14)),
+            ]
         );
     }
 }

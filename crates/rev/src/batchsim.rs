@@ -18,6 +18,13 @@
 //!
 //! # Sweeps
 //!
+//! A [`CompiledCascade`] is a circuit decoded once for replay: per gate,
+//! its target and only its *nonzero* control-mask words. One block-major
+//! kernel pair applies it (or a range of its gates) to a [`BatchState`],
+//! and every sweep compiles each circuit once, before its batches, and
+//! shares it by reference across batches and pool jobs — so a gate's
+//! ⌈lines/64⌉ mask words are scanned once per sweep, not once per block.
+//!
 //! Every bit-parallel equivalence check of the crate (flow verification
 //! in [`crate::equiv`], the soundness gate
 //! [`crate::opt::equivalence_witness_assuming`]) runs on two crate-private
@@ -48,9 +55,10 @@
 //! ```
 
 use crate::gate::Control;
-use crate::packed::GateArena;
+use crate::packed::{BitIter, GateArena};
 use qda_logic::par;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::ops::Range;
 
 /// Default batch granularity for chunked bit-parallel runs (16 words per
 /// lane): large enough to amortize the per-gate dispatch over the gate
@@ -58,7 +66,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 pub const BATCH_STATES: usize = 1024;
 
 /// Lane words per vectorized kernel step: the hot gate-application loops
-/// of [`BatchState::apply_arena`] process fixed `[u64; LANE_CHUNK]`
+/// of [`CompiledCascade::apply`] process fixed `[u64; LANE_CHUNK]`
 /// blocks (512 bits — one or two SIMD registers on every current target)
 /// with no per-gate branch in the inner loop, so the compiler
 /// auto-vectorizes them. A full [`BATCH_STATES`] batch is exactly two
@@ -356,22 +364,30 @@ impl BatchState {
     }
 
     /// The first state in which `self` and a same-shape batch differ on
-    /// any line (phantom states ignored).
+    /// any line (phantom states ignored). The differences are ORed over
+    /// all lines one [`LANE_CHUNK`]-word block at a time, lowest block
+    /// first, in a stack array.
     pub(crate) fn first_difference(&self, other: &Self) -> Option<usize> {
         debug_assert_eq!(
             (self.num_lines, self.num_states),
             (other.num_lines, other.num_states)
         );
         let wpl = self.words_per_line;
-        let mut diff = vec![0u64; wpl];
-        for (a, b) in self.lanes.chunks(wpl).zip(other.lanes.chunks(wpl)) {
-            for ((d, x), y) in diff.iter_mut().zip(a).zip(b) {
-                *d |= x ^ y;
+        (0..wpl).step_by(LANE_CHUNK).find_map(|base| {
+            let len = LANE_CHUNK.min(wpl - base);
+            let mut diff = [0u64; LANE_CHUNK];
+            for line in 0..self.num_lines {
+                let at = line * wpl + base;
+                let (a, b) = (&self.lanes[at..at + len], &other.lanes[at..at + len]);
+                for ((d, x), y) in diff.iter_mut().zip(a).zip(b) {
+                    *d |= x ^ y;
+                }
             }
-        }
-        diff.iter().enumerate().find_map(|(w, &d)| {
-            let d = d & self.word_mask(w);
-            (d != 0).then(|| w * 64 + d.trailing_zeros() as usize)
+            diff[..len].iter().enumerate().find_map(|(i, &d)| {
+                let w = base + i;
+                let d = d & self.word_mask(w);
+                (d != 0).then(|| w * 64 + d.trailing_zeros() as usize)
+            })
         })
     }
 
@@ -498,60 +514,6 @@ impl BatchState {
         values
     }
 
-    /// Applies a whole gate cascade to all states, block-major: for each
-    /// [`LANE_CHUNK`]-word block of the lanes, every gate is applied to
-    /// that block before moving on (states are independent, so the
-    /// per-block order is immaterial — but the block's lane words stay
-    /// hot in cache across the entire cascade). The inner loops run over
-    /// fixed `[u64; LANE_CHUNK]` arrays with the control polarity folded
-    /// into a branchless XOR mask, so they auto-vectorize; nothing is
-    /// allocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena's line space exceeds the batch's.
-    pub fn apply_arena(&mut self, arena: &GateArena) {
-        assert!(
-            arena.num_lines() <= self.num_lines,
-            "arena on {} lines exceeds the {}-line batch",
-            arena.num_lines(),
-            self.num_lines
-        );
-        let wpl = self.words_per_line;
-        let full = wpl - wpl % LANE_CHUNK;
-        let mut base = 0;
-        while base < full {
-            for (_, g) in arena.iter() {
-                self.apply_gate_chunk(g.controls(), g.target(), base);
-            }
-            base += LANE_CHUNK;
-        }
-        if base < wpl {
-            for (_, g) in arena.iter() {
-                self.apply_gate_tail(g.controls(), g.target(), base, wpl - base);
-            }
-        }
-    }
-
-    /// Applies one gate, given as its decoded controls and its target, to
-    /// every state. A caller that replays a gate list over many batches
-    /// decodes each gate's mask words once ([`crate::PackedGate::controls`])
-    /// instead of once per batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a line is out of range.
-    pub fn apply_gate(&mut self, controls: &[Control], target: usize) {
-        let wpl = self.words_per_line;
-        let full = wpl - wpl % LANE_CHUNK;
-        for base in (0..full).step_by(LANE_CHUNK) {
-            self.apply_gate_chunk(controls.iter().copied(), target, base);
-        }
-        if full < wpl {
-            self.apply_gate_tail(controls.iter().copied(), target, full, wpl - full);
-        }
-    }
-
     /// Sets `line` to 0 in every state.
     ///
     /// # Panics
@@ -574,31 +536,198 @@ impl BatchState {
             .enumerate()
             .any(|(w, &word)| word & self.word_mask(w) != 0)
     }
+}
 
-    /// Applies one gate to the full-width lane block at word offset
+/// One nonzero control-mask word of a compiled gate: the gate controls
+/// line `64 * index + b` for every set bit `b` of `ctrl`, positively where
+/// the same bit of `pol` is set.
+#[derive(Clone, Copy, Debug)]
+struct MaskWord {
+    index: u32,
+    ctrl: u64,
+    pol: u64,
+}
+
+/// A gate cascade decoded once for batch replay.
+///
+/// Compiled from a [`GateArena`]'s live list, in circuit order: per gate,
+/// the target and only the *nonzero* control-mask words, all in one
+/// contiguous buffer. Replaying a gate on a block of states then costs its
+/// support, not the arena's ⌈lines/64⌉ mask words. A sweep compiles each
+/// circuit once, before its batches, and shares the cascade by reference
+/// across batches and pool jobs; [`crate::circuit::Circuit::apply_batch`]
+/// compiles and applies in one call.
+#[derive(Clone, Debug)]
+pub struct CompiledCascade {
+    num_lines: usize,
+    /// The target line of each gate.
+    targets: Vec<u32>,
+    /// Gate `g`'s control words are `words[offsets[g]..offsets[g + 1]]`.
+    offsets: Vec<u32>,
+    words: Vec<MaskWord>,
+}
+
+impl CompiledCascade {
+    /// Compiles the live gates of `arena`, in circuit order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cascade has `2^32` or more nonzero control words.
+    #[must_use]
+    pub fn new(arena: &GateArena) -> Self {
+        let mut targets = Vec::with_capacity(arena.len());
+        let mut offsets = Vec::with_capacity(arena.len() + 1);
+        let mut words = Vec::with_capacity(arena.len());
+        offsets.push(0);
+        for (_, g) in arena.iter() {
+            targets.push(u32::try_from(g.target()).expect("line indices fit in u32"));
+            // Polarity words are read only under a nonzero control word.
+            let pol = g.pol_words();
+            for (index, &ctrl) in g.ctrl_words().iter().enumerate() {
+                if ctrl != 0 {
+                    words.push(MaskWord {
+                        index: u32::try_from(index).expect("mask word indices fit in u32"),
+                        ctrl,
+                        pol: pol[index],
+                    });
+                }
+            }
+            offsets.push(u32::try_from(words.len()).expect("control words fit in u32"));
+        }
+        Self {
+            num_lines: arena.num_lines(),
+            targets,
+            offsets,
+            words,
+        }
+    }
+
+    /// Number of gates.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Whether the cascade has no gates.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.targets.is_empty()
+    }
+
+    /// The target line of gate `g` (a position in circuit order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    #[must_use]
+    pub fn target(&self, g: usize) -> usize {
+        self.targets[g] as usize
+    }
+
+    /// The controls of gate `g` in ascending line order, decoded from its
+    /// stored words only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    pub fn controls(&self, g: usize) -> impl Iterator<Item = Control> + '_ {
+        let words = &self.words[self.offsets[g] as usize..self.offsets[g + 1] as usize];
+        words.iter().flat_map(|w| {
+            let first = w.index as usize * 64;
+            BitIter(w.ctrl).map(move |b| {
+                if (w.pol >> b) & 1 == 1 {
+                    Control::positive(first + b)
+                } else {
+                    Control::negative(first + b)
+                }
+            })
+        })
+    }
+
+    /// Applies the whole cascade to every state of `state`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cascade's line space exceeds the batch's.
+    pub fn apply(&self, state: &mut BatchState) {
+        self.apply_gates(state, 0..self.len());
+    }
+
+    /// Applies the gates at positions `gates` (in circuit order) to every
+    /// state, block-major: for each [`LANE_CHUNK`]-word block of the
+    /// lanes, every gate of the range is applied to that block before
+    /// moving on (states are independent, so the per-block order is
+    /// immaterial — but the block's lane words stay hot in cache across
+    /// the range). The inner loops run over fixed `[u64; LANE_CHUNK]`
+    /// arrays with the control polarity folded into a branchless XOR
+    /// mask, so they auto-vectorize; nothing is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cascade's line space exceeds the batch's, or the
+    /// range runs past the last gate.
+    pub fn apply_gates(&self, state: &mut BatchState, gates: Range<usize>) {
+        assert!(
+            self.num_lines <= state.num_lines,
+            "cascade on {} lines exceeds the {}-line batch",
+            self.num_lines,
+            state.num_lines
+        );
+        assert!(
+            gates.end <= self.len(),
+            "gate range {gates:?} runs past the {}-gate cascade",
+            self.len()
+        );
+        let wpl = state.words_per_line;
+        let full = wpl - wpl % LANE_CHUNK;
+        let lanes = &mut state.lanes;
+        for base in (0..full).step_by(LANE_CHUNK) {
+            for g in gates.clone() {
+                self.apply_chunk(g, lanes, wpl, base);
+            }
+        }
+        if full < wpl {
+            for g in gates {
+                self.apply_tail(g, lanes, wpl, full, wpl - full);
+            }
+        }
+    }
+
+    /// Calls `f(line, inv)` for each control of gate `g`, where `inv` is
+    /// `0` for a positive control and `!0` for a negative one. The kernels
+    /// take this closure form: it replays measurably faster than an
+    /// iterator chain over the words.
+    #[inline]
+    fn for_each_control(&self, g: usize, mut f: impl FnMut(usize, u64)) {
+        let words = &self.words[self.offsets[g] as usize..self.offsets[g + 1] as usize];
+        for w in words {
+            let first = w.index as usize * 64;
+            let mut bits = w.ctrl;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                f(first + b as usize, ((w.pol >> b) & 1).wrapping_sub(1));
+            }
+        }
+    }
+
+    /// Applies gate `g` to the full-width lane block at word offset
     /// `base`: fixed-size loops, branchless polarity (`lane ^ inv` with
     /// `inv ∈ {0, !0}`), no bounds checks surviving into the loop body.
     #[inline]
-    fn apply_gate_chunk(
-        &mut self,
-        controls: impl Iterator<Item = Control>,
-        target: usize,
-        base: usize,
-    ) {
-        let wpl = self.words_per_line;
+    fn apply_chunk(&self, g: usize, lanes: &mut [u64], wpl: usize, base: usize) {
         let mut fire = [u64::MAX; LANE_CHUNK];
-        for c in controls {
-            let inv = if c.is_positive() { 0 } else { u64::MAX };
-            let start = c.line() * wpl + base;
-            let lane: &[u64; LANE_CHUNK] = self.lanes[start..start + LANE_CHUNK]
+        self.for_each_control(g, |line, inv| {
+            let start = line * wpl + base;
+            let lane: &[u64; LANE_CHUNK] = lanes[start..start + LANE_CHUNK]
                 .try_into()
                 .expect("chunk is LANE_CHUNK words");
             for k in 0..LANE_CHUNK {
                 fire[k] &= lane[k] ^ inv;
             }
-        }
-        let start = target * wpl + base;
-        let target: &mut [u64; LANE_CHUNK] = (&mut self.lanes[start..start + LANE_CHUNK])
+        });
+        let start = self.targets[g] as usize * wpl + base;
+        let target: &mut [u64; LANE_CHUNK] = (&mut lanes[start..start + LANE_CHUNK])
             .try_into()
             .expect("chunk is LANE_CHUNK words");
         for k in 0..LANE_CHUNK {
@@ -606,27 +735,19 @@ impl BatchState {
         }
     }
 
-    /// Applies one gate to the ragged tail block (`len < LANE_CHUNK`
+    /// Applies gate `g` to the ragged tail block (`len < LANE_CHUNK`
     /// words at offset `base`) — same branchless shape, variable width.
     #[inline]
-    fn apply_gate_tail(
-        &mut self,
-        controls: impl Iterator<Item = Control>,
-        target: usize,
-        base: usize,
-        len: usize,
-    ) {
-        let wpl = self.words_per_line;
+    fn apply_tail(&self, g: usize, lanes: &mut [u64], wpl: usize, base: usize, len: usize) {
         let mut fire = [u64::MAX; LANE_CHUNK];
-        for c in controls {
-            let inv = if c.is_positive() { 0 } else { u64::MAX };
-            let start = c.line() * wpl + base;
-            for (f, lane) in fire.iter_mut().zip(&self.lanes[start..start + len]) {
+        self.for_each_control(g, |line, inv| {
+            let start = line * wpl + base;
+            for (f, lane) in fire.iter_mut().zip(&lanes[start..start + len]) {
                 *f &= lane ^ inv;
             }
-        }
-        let start = target * wpl + base;
-        for (lane, f) in self.lanes[start..start + len].iter_mut().zip(&fire) {
+        });
+        let start = self.targets[g] as usize * wpl + base;
+        for (lane, f) in lanes[start..start + len].iter_mut().zip(&fire) {
             *lane ^= f;
         }
     }
@@ -683,7 +804,7 @@ mod tests {
         let inputs: Vec<u64> = (0..8).collect();
         let mut b = BatchState::zeros(3, inputs.len());
         b.load_register(&[0, 1, 2], &inputs);
-        b.apply_arena(&GateArena::from_gates(3, std::slice::from_ref(&g)));
+        CompiledCascade::new(&GateArena::from_gates(3, std::slice::from_ref(&g))).apply(&mut b);
         let out = b.read_register(&[0, 1, 2]);
         for (k, &x) in inputs.iter().enumerate() {
             assert_eq!(out[k], g.apply_u64(x), "input {x}");
@@ -743,7 +864,7 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn rejects_out_of_range_gates() {
         let mut b = BatchState::zeros(2, 4);
-        b.apply_arena(&GateArena::from_gates(3, &[Gate::toffoli(0, 1, 2)]));
+        CompiledCascade::new(&GateArena::from_gates(3, &[Gate::toffoli(0, 1, 2)])).apply(&mut b);
     }
 
     #[test]
@@ -899,17 +1020,18 @@ mod tests {
 
     #[test]
     fn apply_arena_matches_per_gate_apply_across_widths() {
-        // Word counts covering: sub-chunk tail only (1, 2), exactly one
-        // chunk (8), chunks + tail (19), and the hot two-chunk shape (16).
-        // The reference replays every state alone through the scalar
-        // engine.
+        // The compiled cascade, replayed whole. Word counts covering:
+        // sub-chunk tail only (1, 2), exactly one chunk (8), chunks + tail
+        // (19), and the hot two-chunk shape (16). The reference replays
+        // every state alone through the scalar engine.
         let c = wide_cascade();
+        let cascade = CompiledCascade::new(c.packed());
         for states in [40, 100, 8 * 64, 19 * 64 - 5, BATCH_STATES] {
             let mut batch = BatchState::zeros(70, states);
             for s in 0..states {
                 batch.set(s % 70, s, s % 3 == 0);
             }
-            batch.apply_arena(c.packed());
+            cascade.apply(&mut batch);
             for s in 0..states {
                 let mut state = BitState::zeros(70);
                 state.set(s % 70, s % 3 == 0);
@@ -922,17 +1044,26 @@ mod tests {
 
     #[test]
     fn per_gate_application_matches_the_arena_path() {
-        // Sub-chunk tail only, chunks + tail, and the two-chunk shape.
+        // One-gate ranges of the compiled cascade, in order, against the
+        // whole cascade at once. Sub-chunk tail only, chunks + tail, and
+        // the two-chunk shape.
         let c = wide_cascade();
+        let cascade = CompiledCascade::new(c.packed());
         for states in [40, 19 * 64 - 5, BATCH_STATES] {
             let mut batch = BatchState::zeros(70, states);
             batch.load_consecutive(&[0, 1, 2, 68], 0);
             let mut whole = batch.clone();
-            whole.apply_arena(c.packed());
-            for (_, g) in c.packed().iter() {
-                batch.apply_gate(&g.controls().collect::<Vec<_>>(), g.target());
+            cascade.apply(&mut whole);
+            for g in 0..c.num_gates() {
+                cascade.apply_gates(&mut batch, g..g + 1);
             }
             assert_eq!(batch, whole, "{states} states");
+        }
+        // Each compiled gate reads back as the arena's, across both words.
+        assert_eq!(cascade.len(), c.num_gates());
+        for (g, (_, gate)) in c.packed().iter().enumerate() {
+            assert_eq!(cascade.target(g), gate.target(), "gate {g}");
+            assert!(cascade.controls(g).eq(gate.controls()), "gate {g}");
         }
     }
 
@@ -940,7 +1071,7 @@ mod tests {
     fn the_nonzero_test_ignores_phantom_states_and_clear_lane_zeroes() {
         // A NOT sets all 64 bits of the one lane word; 3 states are valid.
         let mut b = BatchState::zeros(2, 3);
-        b.apply_gate(&[], 1);
+        CompiledCascade::new(&GateArena::from_gates(2, &[Gate::not(1)])).apply(&mut b);
         assert!(b.lane_is_nonzero(1) && !b.lane_is_nonzero(0));
         for state in 0..3 {
             b.set(1, state, false);
@@ -972,8 +1103,8 @@ mod tests {
             c.cnot(4, 2);
             c
         };
-        b.apply_arena(c.packed());
-        fresh.apply_arena(c.packed());
+        c.apply_batch(&mut b);
+        c.apply_batch(&mut fresh);
         assert_eq!(b, fresh);
     }
 

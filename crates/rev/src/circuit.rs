@@ -5,7 +5,7 @@
 //! [`Gate`] view is materialized only at API boundaries via
 //! [`Circuit::gates`].
 
-use crate::batchsim::{consecutive_batches_in, span_jobs, BatchState};
+use crate::batchsim::{consecutive_batches_in, span_jobs, BatchState, CompiledCascade};
 use crate::cost::CircuitCost;
 use crate::gate::{Control, Gate};
 use crate::packed::{words_for_lines, GateArena};
@@ -19,8 +19,7 @@ pub const PERMUTATION_LINE_LIMIT: usize = 24;
 
 /// A circuit was too wide for an explicit `2^n` permutation table.
 ///
-/// Returned by [`Circuit::permutation`] and
-/// [`crate::equiv::verify_permutation`] instead of aborting the process;
+/// Returned by [`Circuit::permutation`] instead of aborting the process;
 /// the flow layer surfaces it as a `FlowError` variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TooWideError {
@@ -242,13 +241,13 @@ impl Circuit {
         s
     }
 
-    /// Simulates the circuit on a batch of states (in place) with the
-    /// vectorized block-major kernel ([`BatchState::apply_arena`]): the
-    /// cascade is applied [`crate::batchsim::LANE_CHUNK`]-word block by
-    /// block, with branchless fixed-width inner loops and zero heap
-    /// allocation.
+    /// Simulates the circuit on a batch of states (in place): compiles
+    /// the cascade ([`CompiledCascade::new`]) and applies it with the
+    /// vectorized block-major kernel ([`CompiledCascade::apply`]). A
+    /// caller that replays the circuit over many batches compiles once
+    /// and applies the [`CompiledCascade`] per batch instead.
     pub fn apply_batch(&self, state: &mut BatchState) {
-        state.apply_arena(&self.arena);
+        CompiledCascade::new(&self.arena).apply(state);
     }
 
     /// Simulates many ≤64-line input words at once with the bit-parallel
@@ -274,7 +273,8 @@ impl Circuit {
     /// (`qda_logic::par`): each pool job sweeps one span of consecutive
     /// batches with a single reused [`BatchState`], and the spans are
     /// concatenated in index order — the table is byte-identical at any
-    /// worker count. The consecutive input blocks are synthesized
+    /// worker count. The cascade is compiled once, before the spans
+    /// ([`CompiledCascade`]). The consecutive input blocks are synthesized
     /// directly into the batch lanes ([`BatchState::load_consecutive`])
     /// — no input vector is ever materialized.
     ///
@@ -294,6 +294,7 @@ impl Circuit {
         }
         let size = 1u64 << self.num_lines();
         let all_lines: Vec<usize> = (0..self.num_lines()).collect();
+        let cascade = CompiledCascade::new(&self.arena);
         let (span, jobs) = span_jobs(size);
         let chunks = par::run_indexed(jobs, |job| {
             let lo = job as u64 * span;
@@ -303,7 +304,7 @@ impl Circuit {
             for (base, count) in consecutive_batches_in(lo, hi) {
                 state.reset(count);
                 state.load_consecutive(&all_lines, base);
-                state.apply_arena(&self.arena);
+                cascade.apply(&mut state);
                 out.extend(state.read_register(&all_lines));
             }
             out

@@ -23,8 +23,8 @@
 //! builds to a one-iteration loop — `verify_computes` then returned
 //! [`VerifyOutcome::Verified`] without checking anything.)
 
-use crate::batchsim::{first_exhaustive, first_sampled, BatchState, Starts};
-use crate::circuit::{Circuit, TooWideError, PERMUTATION_LINE_LIMIT};
+use crate::batchsim::{first_exhaustive, first_sampled, BatchState, CompiledCascade, Starts};
+use crate::circuit::Circuit;
 use crate::state::BitState;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -116,6 +116,8 @@ impl VerifyOutcome {
 /// they started)?
 struct Check<'a, F> {
     circuit: &'a Circuit,
+    /// `circuit`, compiled once for every batch of the sweep.
+    cascade: CompiledCascade,
     input_lines: &'a [usize],
     output_lines: &'a [usize],
     oracle: F,
@@ -179,7 +181,7 @@ impl<F: Fn(u64) -> u64> Check<'_, F> {
         } else {
             Vec::new()
         };
-        self.circuit.apply_batch(state);
+        self.cascade.apply(state);
 
         let actual = state.read_register(output_lines);
         let mut clean = actual
@@ -230,12 +232,13 @@ fn lanes_equal(state: &BatchState, a: &[u64], b: &[u64]) -> bool {
 /// [`VerifyOptions::batch`] is off, and report the same witness either
 /// way.
 ///
-/// Batch sweeps run on the [`crate::batchsim`] sweep drivers, which shard
-/// them across the worker pool (`qda_logic::par`) — exhaustive
-/// enumeration in spans of consecutive batches, sampling one pre-drawn
-/// batch per job — and keep the first failure in input order, so the
-/// outcome, witness included, is byte-identical to the serial sweep at
-/// any worker count.
+/// Batch sweeps compile the circuit once
+/// ([`crate::batchsim::CompiledCascade`]) and run on the
+/// [`crate::batchsim`] sweep drivers, which shard them across the worker
+/// pool (`qda_logic::par`) — exhaustive enumeration in spans of
+/// consecutive batches, sampling one pre-drawn batch per job — and keep
+/// the first failure in input order, so the outcome, witness included, is
+/// byte-identical to the serial sweep at any worker count.
 ///
 /// # Panics
 ///
@@ -252,6 +255,7 @@ pub fn verify_computes<F: Fn(u64) -> u64 + Sync>(
     let exhaustive = n < 64 && n <= options.exhaustive_limit;
     let check = Check {
         circuit,
+        cascade: CompiledCascade::new(circuit.packed()),
         input_lines,
         output_lines,
         oracle,
@@ -282,69 +286,6 @@ pub fn verify_computes<F: Fn(u64) -> u64 + Sync>(
             samples: options.random_samples,
         }
     })
-}
-
-/// Checks that a circuit realizes a given permutation over **all** its
-/// lines (used by transformation-based synthesis, whose specification is a
-/// reversible function on the full line space). Runs on the exhaustive
-/// [`crate::batchsim`] sweep driver, in bit-parallel batches over lanes
-/// synthesized in place ([`BatchState::load_consecutive`]); a mismatch
-/// witness is re-confirmed by scalar simulation.
-///
-/// # Errors
-///
-/// Returns [`TooWideError`] if the circuit has more than
-/// [`PERMUTATION_LINE_LIMIT`] lines (the exhaustive table would not fit —
-/// and a `2^n` size computed at ≥ 64 lines would wrap).
-///
-/// # Panics
-///
-/// Panics if `perm` does not have exactly `2^n` entries.
-pub fn verify_permutation(circuit: &Circuit, perm: &[u64]) -> Result<VerifyOutcome, TooWideError> {
-    if circuit.num_lines() > PERMUTATION_LINE_LIMIT {
-        return Err(TooWideError {
-            lines: circuit.num_lines(),
-            limit: PERMUTATION_LINE_LIMIT,
-        });
-    }
-    let size = 1u64 << circuit.num_lines();
-    assert!(
-        perm.len() as u64 == size,
-        "verify_permutation: permutation has {} entries, expected 2^{} = {size}",
-        perm.len(),
-        circuit.num_lines()
-    );
-    let all_lines: Vec<usize> = (0..circuit.num_lines()).collect();
-    let mismatch = first_exhaustive(circuit.num_lines(), &all_lines, || {
-        |state: &mut BatchState, starts: Starts<'_>| {
-            circuit.apply_batch(state);
-            let actual = state.read_register(&all_lines);
-            actual.iter().enumerate().find_map(|(k, &got)| {
-                let input = starts.value(0, k);
-                let expected = perm[input as usize];
-                if got == expected {
-                    return None;
-                }
-                // Scalar re-run: report a witness independent of the
-                // batch engine — and if the scalar value disagrees with
-                // the batch value *and* matches the permutation, the
-                // batch engine itself is broken; fail loudly instead of
-                // returning an incoherent Mismatch.
-                let scalar = circuit.simulate_u64(input);
-                assert!(
-                    scalar != expected,
-                    "batch simulation flagged input {input} (got {got}, expected {expected}) \
-                     but scalar simulation agrees with the permutation"
-                );
-                Some(VerifyOutcome::Mismatch {
-                    input,
-                    expected,
-                    actual: scalar,
-                })
-            })
-        }
-    });
-    Ok(mismatch.unwrap_or(VerifyOutcome::Verified))
 }
 
 #[cfg(test)]
@@ -550,53 +491,5 @@ mod tests {
             let out = verify_computes(&c, &inputs, &[64], |x| x & 1, &opts);
             assert!(matches!(out, VerifyOutcome::Mismatch { .. }), "{out:?}");
         }
-    }
-
-    #[test]
-    fn permutation_check() {
-        let mut c = Circuit::new(2);
-        c.cnot(0, 1);
-        let perm: Vec<u64> = vec![0b00, 0b11, 0b10, 0b01];
-        assert_eq!(verify_permutation(&c, &perm), Ok(VerifyOutcome::Verified));
-        let wrong: Vec<u64> = vec![0, 1, 2, 3];
-        assert!(matches!(
-            verify_permutation(&c, &wrong),
-            Ok(VerifyOutcome::Mismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn permutation_check_spans_multiple_batches() {
-        // 11 lines = 2048 states > one 1024-state batch.
-        let mut c = Circuit::new(11);
-        c.cnot(0, 10);
-        let perm = c.permutation().expect("11 lines is within the cap");
-        assert_eq!(verify_permutation(&c, &perm), Ok(VerifyOutcome::Verified));
-        let mut wrong = perm;
-        wrong.swap(1500, 1501);
-        let out = verify_permutation(&c, &wrong);
-        assert!(
-            matches!(out, Ok(VerifyOutcome::Mismatch { input: 1500, .. })),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "expected 2^2")]
-    fn permutation_length_mismatch_is_loud() {
-        let c = Circuit::new(2);
-        let _ = verify_permutation(&c, &[0, 1, 2]);
-    }
-
-    #[test]
-    fn permutation_check_rejects_wide_circuits_with_a_typed_error() {
-        let c = Circuit::new(64);
-        assert_eq!(
-            verify_permutation(&c, &[0]),
-            Err(TooWideError {
-                lines: 64,
-                limit: PERMUTATION_LINE_LIMIT
-            })
-        );
     }
 }

@@ -49,7 +49,7 @@ pub mod state;
 #[cfg(feature = "testkit")]
 pub mod testkit;
 
-pub use batchsim::BatchState;
+pub use batchsim::{BatchState, CompiledCascade};
 pub use circuit::{Circuit, LineAllocator, TooWideError};
 pub use cost::CircuitCost;
 pub use gate::{Control, Gate};

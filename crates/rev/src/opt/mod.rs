@@ -79,7 +79,7 @@
 
 pub mod rules;
 
-use crate::batchsim::{first_exhaustive, first_sampled, BatchState, Starts};
+use crate::batchsim::{first_exhaustive, first_sampled, BatchState, CompiledCascade, Starts};
 use crate::circuit::Circuit;
 use crate::packed::{GateArena, PackedGateBuf, NIL};
 use rules::{MergeRule, RewriteCost};
@@ -602,9 +602,10 @@ pub fn equivalence_witness(original: &Circuit, optimized: &Circuit) -> Option<Op
 /// Exhaustive over all `2^f` assignments of the `f` free (unassumed)
 /// lines when `f ≤` [`EXHAUSTIVE_LINE_LIMIT`], otherwise
 /// [`SAMPLED_STATES`] seeded-random assignments of the free lines, drawn
-/// per 64-line chunk of them. Both sweeps run on the
-/// [`crate::batchsim`] sweep drivers and report the first diverging
-/// state in sweep order at any worker count.
+/// per 64-line chunk of them. Both circuits are compiled once
+/// ([`CompiledCascade`]), and both sweeps run on the [`crate::batchsim`]
+/// sweep drivers and report the first diverging state in sweep order at
+/// any worker count.
 ///
 /// # Panics
 ///
@@ -626,15 +627,17 @@ pub fn equivalence_witness_assuming(
         zero[l] = true;
     }
     let free_lines: Vec<usize> = (0..n).filter(|&l| !zero[l]).collect();
+    let original = CompiledCascade::new(original.packed());
+    let optimized = CompiledCascade::new(optimized.packed());
     // Each job runs both circuits from the same start states, the
     // rewritten one in a spare buffer it reuses across its batches.
     let make_check = || {
-        let free_lines = &free_lines;
+        let (free_lines, original, optimized) = (&free_lines, &original, &optimized);
         let mut spare = BatchState::zeros(n, 0);
         move |state: &mut BatchState, starts: Starts<'_>| {
             spare.copy_from(state);
-            original.apply_batch(state);
-            optimized.apply_batch(&mut spare);
+            original.apply(state);
+            optimized.apply(&mut spare);
             let k = state.first_difference(&spare)?;
             Some(OptMismatch {
                 input: starts.state_words(free_lines, n, k),

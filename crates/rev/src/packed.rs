@@ -49,7 +49,7 @@ pub fn words_for_lines(num_lines: usize) -> usize {
 
 /// Iterator over the set bit positions of one mask word.
 #[derive(Clone, Copy, Debug)]
-struct BitIter(u64);
+pub(crate) struct BitIter(pub(crate) u64);
 
 impl Iterator for BitIter {
     type Item = usize;

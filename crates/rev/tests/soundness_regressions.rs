@@ -1,10 +1,10 @@
 //! Regression tests for the release-mode soundness holes: the
 //! `1u64 << 64` shift wrap that made `verify_computes` vacuously pass on
-//! 64-bit interfaces, the same wrap in `Circuit::permutation` /
-//! `verify_permutation`, and the debug-only double-release check in
-//! `LineAllocator`. The `release_mode` module compiles only without
-//! debug assertions, so the `cargo test --release` CI job proves the
-//! checks are real asserts, not `debug_assert!`s.
+//! 64-bit interfaces, the same wrap in `Circuit::permutation`, and the
+//! debug-only double-release check in `LineAllocator`. The
+//! `release_mode` module compiles only without debug assertions, so the
+//! `cargo test --release` CI job proves the checks are real asserts, not
+//! `debug_assert!`s.
 //!
 //! The `pinned_*` tests fix the exact witness every equivalence check
 //! reports — sampled and exhaustive, single- and multi-chunk, with and
@@ -13,7 +13,7 @@
 
 use qda_logic::par;
 use qda_rev::circuit::{Circuit, LineAllocator, TooWideError, PERMUTATION_LINE_LIMIT};
-use qda_rev::equiv::{verify_computes, verify_permutation, VerifyOptions, VerifyOutcome};
+use qda_rev::equiv::{verify_computes, VerifyOptions, VerifyOutcome};
 use qda_rev::gate::{Control, Gate};
 use qda_rev::opt::{equivalence_witness, equivalence_witness_assuming, OptMismatch};
 
@@ -87,18 +87,6 @@ fn permutation_of_64_line_circuit_is_a_typed_error_not_a_wrap() {
         }
     );
     assert!(err.to_string().contains("capped at 24 lines"), "{err}");
-}
-
-#[test]
-fn verify_permutation_rejects_wide_circuits_with_a_typed_error() {
-    let err = verify_permutation(&Circuit::new(64), &[0]).unwrap_err();
-    assert_eq!(err.lines, 64);
-}
-
-#[test]
-#[should_panic(expected = "expected 2^3")]
-fn verify_permutation_rejects_wrong_length_tables() {
-    let _ = verify_permutation(&Circuit::new(3), &[0, 1, 2]);
 }
 
 fn positive(lines: &[usize]) -> Vec<Control> {
@@ -186,6 +174,7 @@ fn pinned_exhaustive_witnesses_come_from_the_first_failing_span() {
     c.mct(vec![Control::negative(5), Control::positive(6)], 9);
     let mut perm = c.permutation().expect("14 lines is within the cap");
     perm.swap(5000, 13_000);
+    let lines: Vec<usize> = (0..14).collect();
     // Fires exactly when line 12 is set, which no gate of `c` changes.
     let mut b = c.clone();
     b.add_gate(Gate::mct(
@@ -199,12 +188,18 @@ fn pinned_exhaustive_witnesses_come_from_the_first_failing_span() {
     for cap in [1, 4] {
         par::with_worker_cap(cap, || {
             assert_eq!(
-                verify_permutation(&c, &perm),
-                Ok(VerifyOutcome::Mismatch {
+                verify_computes(
+                    &c,
+                    &lines,
+                    &lines,
+                    |x| perm[x as usize],
+                    &VerifyOptions::default()
+                ),
+                VerifyOutcome::Mismatch {
                     input: 5000,
                     expected: 12_504,
                     actual: 5016
-                }),
+                },
                 "cap {cap}"
             );
             assert_eq!(
