@@ -12,7 +12,7 @@
 //!   decompose into T gates under the paper's cost model) take a layer,
 //!   NOT/CNOT gates are Clifford and free.
 
-use qda_rev::{GateArena, PackedGate};
+use qda_rev::{Control, GateArena};
 
 /// Depth metrics of one circuit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -23,33 +23,36 @@ pub struct DepthMetrics {
     pub t_depth: usize,
 }
 
-/// Measures both depth metrics over the packed arena.
+/// Measures both depth metrics over the packed arena in one pass: each
+/// gate's control lines are decoded once, and the two schedules (index 0
+/// logical, index 1 T) advance together.
 pub fn measure(arena: &GateArena) -> DepthMetrics {
-    DepthMetrics {
-        logical_depth: asap(arena, |_| 1),
-        t_depth: asap(arena, |g| usize::from(g.num_controls() >= 2)),
-    }
-}
-
-fn asap(arena: &GateArena, duration: impl Fn(&PackedGate<'_>) -> usize) -> usize {
-    let mut read_end = vec![0usize; arena.num_lines()];
-    let mut write_end = vec![0usize; arena.num_lines()];
-    let mut depth = 0;
+    let mut read_end = vec![[0usize; 2]; arena.num_lines()];
+    let mut write_end = vec![[0usize; 2]; arena.num_lines()];
+    let mut depth = [0usize; 2];
+    let mut controls = Vec::new();
     for (_, gate) in arena {
+        controls.clear();
+        controls.extend(gate.controls().map(Control::line));
         let t = gate.target();
-        let mut start = read_end[t].max(write_end[t]);
-        for c in gate.controls() {
-            start = start.max(write_end[c.line()]);
+        let durations = [1, usize::from(controls.len() >= 2)];
+        for d in 0..2 {
+            let mut start = read_end[t][d].max(write_end[t][d]);
+            for &c in &controls {
+                start = start.max(write_end[c][d]);
+            }
+            let end = start + durations[d];
+            for &c in &controls {
+                read_end[c][d] = read_end[c][d].max(end);
+            }
+            write_end[t][d] = end;
+            depth[d] = depth[d].max(end);
         }
-        let end = start + duration(&gate);
-        for c in gate.controls() {
-            let r = &mut read_end[c.line()];
-            *r = (*r).max(end);
-        }
-        write_end[t] = end;
-        depth = depth.max(end);
     }
-    depth
+    DepthMetrics {
+        logical_depth: depth[0],
+        t_depth: depth[1],
+    }
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ use qda_classical::xmg_map::map_to_xmg;
 use qda_logic::aig::Aig;
 use qda_rev::circuit::{Circuit, TooWideError};
 use qda_rev::cost::CircuitCost;
-use qda_rev::equiv::{verify_computes, VerifyOptions, VerifyOutcome};
+use qda_rev::equiv::{verify_computes, verify_computes_batched, VerifyOptions, VerifyOutcome};
 use qda_rev::opt::{optimize_checked_assuming, OptMismatch, OptOptions, OptStats};
 use qda_rev::resynth::{ResynthOptions, ResynthStats};
 use qda_revsynth::embed::{minimum_additional_lines, optimum_embedding};
@@ -805,15 +805,17 @@ fn verify(circuit: &Circuit, interface: &CircuitInterface, aig: &Aig) -> VerifyO
     // them up in the AIG's truth tables, simulated 64 inputs per word.
     // The table is built here on every call and never shared with the
     // synthesis it checks. A sampled sweep reads only 1 024 states, where
-    // the table costs more than it saves, and walks the AIG per state; so
-    // does an interface whose width is not the AIG's (the table is indexed
-    // by the whole input value) and an AIG without outputs (no table).
+    // the table costs more than it saves, so it simulates the AIG on each
+    // batch's states, 64 per word; so does an interface whose width is not
+    // the AIG's (the table is indexed by the whole input value) and an AIG
+    // without outputs (no table).
     let n = inputs.len();
     if n <= options.exhaustive_limit && n == aig.num_pis() && aig.num_pos() > 0 {
         let tables = aig.to_truth_tables();
         verify_computes(circuit, inputs, outputs, |x| tables.eval(x), &options)
     } else {
-        verify_computes(circuit, inputs, outputs, |x| aig.eval(x), &options)
+        let oracle = |xs: &[u64], ys: &mut [u64]| aig.eval_many(xs, ys);
+        verify_computes_batched(circuit, inputs, outputs, oracle, &options)
     }
 }
 
@@ -1613,54 +1615,92 @@ mod tests {
         }
     }
 
+    /// The design AIG and the post-processed circuit `flow` makes of it.
+    fn post_processed(design: &Design, flow: &dyn Flow) -> (Aig, PostProcessed) {
+        let aig = compute_frontend(design, &flow.frontend_options())
+            .unwrap()
+            .aig;
+        let post = flow
+            .synthesize(design, &aig)
+            .unwrap()
+            .post_process(flow.passes(), &FlowBudget::unlimited())
+            .unwrap();
+        (aig, post)
+    }
+
+    /// `verify`'s verdict on `circuit`, asserted equal to the one the
+    /// per-state walk `|x| aig.eval(x)` gives, witness included.
+    fn walked_verdict(circuit: &Circuit, interface: &CircuitInterface, aig: &Aig) -> VerifyOutcome {
+        let walked = verify_computes(
+            circuit,
+            &interface.input_lines,
+            &interface.output_lines,
+            |x| aig.eval(x),
+            &verify_options(interface),
+        );
+        assert_eq!(verify(circuit, interface, aig), walked);
+        walked
+    }
+
     /// Below the exhaustive limit `verify` reads its oracle from the AIG's
     /// truth tables; a broken circuit gets the verdict, witness included,
     /// that the per-state walk gives.
     #[test]
     fn table_oracle_gives_the_per_state_verdict_on_broken_circuits() {
-        let design = Design::intdiv(6);
-        let flow = EsopFlow::with_factoring(1);
-        let frontend = compute_frontend(&design, &flow.frontend_options()).unwrap();
-        let aig = &frontend.aig;
-        let post = flow
-            .synthesize(&design, aig)
-            .unwrap()
-            .post_process(flow.passes(), &FlowBudget::unlimited())
-            .unwrap();
+        let (aig, post) = post_processed(&Design::intdiv(6), &EsopFlow::with_factoring(1));
         let interface = &post.interface;
         // Inputs on lines 0..6, outputs on 6..12, factors on 12..16.
         assert_eq!(post.circuit.num_lines(), 16);
         assert_eq!(
-            verify(&post.circuit, interface, aig),
+            walked_verdict(&post.circuit, interface, &aig),
             VerifyOutcome::Verified
         );
-        let walked_verdict = |broken: &Circuit| {
-            let walked = verify_computes(
-                broken,
-                &interface.input_lines,
-                &interface.output_lines,
-                |x| aig.eval(x),
-                &verify_options(interface),
-            );
-            assert_eq!(verify(broken, interface, aig), walked);
-            walked
-        };
         let mut wrong_output = post.circuit.clone();
         wrong_output.toffoli(0, 3, 6);
         assert!(matches!(
-            walked_verdict(&wrong_output),
+            walked_verdict(&wrong_output, interface, &aig),
             VerifyOutcome::Mismatch { .. }
         ));
         let mut dirty_factor = post.circuit.clone();
         dirty_factor.cnot(0, 12);
         assert!(matches!(
-            walked_verdict(&dirty_factor),
+            walked_verdict(&dirty_factor, interface, &aig),
             VerifyOutcome::DirtyLine { line: 12, .. }
         ));
     }
 
+    /// Above the exhaustive limit `verify` samples, and simulates the AIG
+    /// on each batch's states 64 per word; a broken circuit gets the
+    /// verdict, witness included, that the per-state walk gives.
+    #[test]
+    fn sampled_oracle_gives_the_per_state_verdict_on_broken_circuits() {
+        let (aig, post) = post_processed(&Design::intdiv(16), &HierarchicalFlow::default());
+        let interface = &post.interface;
+        let (inputs, outputs) = (&interface.input_lines, &interface.output_lines);
+        assert!(inputs.len() > verify_options(interface).exhaustive_limit);
+        assert_eq!(
+            walked_verdict(&post.circuit, interface, &aig),
+            VerifyOutcome::ProbablyCorrect { samples: 1024 }
+        );
+        let mut wrong_output = post.circuit.clone();
+        wrong_output.toffoli(inputs[0], inputs[3], outputs[0]);
+        assert!(matches!(
+            walked_verdict(&wrong_output, interface, &aig),
+            VerifyOutcome::Mismatch { .. }
+        ));
+        let ancilla = (0..post.circuit.num_lines())
+            .find(|l| !inputs.contains(l) && !outputs.contains(l))
+            .expect("Bennett cleanup leaves ancillae");
+        let mut dirty_ancilla = post.circuit.clone();
+        dirty_ancilla.cnot(inputs[0], ancilla);
+        assert!(matches!(
+            walked_verdict(&dirty_ancilla, interface, &aig),
+            VerifyOutcome::DirtyLine { line, .. } if line == ancilla
+        ));
+    }
+
     /// A module without outputs has no truth table to build; its sweep
-    /// keeps the per-state walk.
+    /// simulates the AIG instead.
     #[test]
     fn hierarchical_flow_verifies_a_design_without_outputs() {
         let frontend = FrontendArtifacts {

@@ -1,4 +1,4 @@
-//! Paper-style result tables and baseline comparisons.
+//! Paper-style result tables.
 
 use crate::dse::{configuration_name, PortfolioOutcome};
 use crate::flow::FlowOutcome;
@@ -181,31 +181,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Ratio helper for the paper's prose claims ("the number of qubits is
-/// 3.2× smaller compared to the RESDIV baseline").
-#[derive(Clone, Copy, Debug)]
-pub struct Comparison {
-    /// Numerator (usually the baseline).
-    pub baseline: f64,
-    /// Denominator (usually ours).
-    pub candidate: f64,
-}
-
-impl Comparison {
-    /// Builds from two counts.
-    pub fn of(baseline: u64, candidate: u64) -> Self {
-        Self {
-            baseline: baseline as f64,
-            candidate: candidate as f64,
-        }
-    }
-
-    /// How many times smaller the candidate is (`baseline / candidate`).
-    pub fn times_smaller(&self) -> f64 {
-        self.baseline / self.candidate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,11 +213,5 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("T", vec!["a", "b"]);
         t.add_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn comparison_ratios() {
-        let c = Comparison::of(48, 15);
-        assert!((c.times_smaller() - 3.2).abs() < 0.01);
     }
 }

@@ -5,7 +5,6 @@ use qda_arith::resdiv::resdiv_reciprocal;
 use qda_arith::{qnewton_circuit, recip_intdiv};
 use qda_core::design::Design;
 use qda_core::flow::{EsopFlow, Flow, FunctionalFlow, HierarchicalFlow};
-use qda_core::report::Comparison;
 use qda_rev::state::BitState;
 
 #[test]
@@ -45,7 +44,7 @@ fn tbs_beats_resdiv_on_qubits_by_paper_ratio() {
         .run(&Design::intdiv(n))
         .unwrap()
         .cost;
-    let ratio = Comparison::of(resdiv.qubits as u64, tbs.qubits as u64).times_smaller();
+    let ratio = resdiv.qubits as f64 / tbs.qubits as f64;
     assert!(
         (2.5..4.5).contains(&ratio),
         "expected ~3.2x fewer qubits, got {ratio:.2}"
@@ -64,7 +63,7 @@ fn esop_beats_resdiv_on_qubits_3x() {
         .run(&Design::intdiv(n))
         .unwrap()
         .cost;
-    let ratio = Comparison::of(resdiv.qubits as u64, esop.qubits as u64).times_smaller();
+    let ratio = resdiv.qubits as f64 / esop.qubits as f64;
     assert!(
         (2.5..4.0).contains(&ratio),
         "expected ~3x fewer qubits, got {ratio:.2}"
@@ -81,23 +80,13 @@ fn hierarchical_beats_resdiv_on_t_count() {
         .run(&Design::intdiv(n))
         .unwrap()
         .cost;
-    let t_ratio = Comparison::of(resdiv.t_count, hier.t_count).times_smaller();
+    let t_ratio = resdiv.t_count as f64 / hier.t_count as f64;
     assert!(
         t_ratio > 2.0,
         "expected several-fold smaller T-count, got {t_ratio:.2}"
     );
-    let q_ratio = Comparison::of(hier.cost_qubits(), resdiv.qubits as u64).times_smaller();
+    let q_ratio = hier.qubits as f64 / resdiv.qubits as f64;
     assert!(q_ratio > 2.0, "hierarchical pays in qubits: {q_ratio:.2}");
-}
-
-trait QubitsU64 {
-    fn cost_qubits(&self) -> u64;
-}
-
-impl QubitsU64 for qda_rev::cost::CircuitCost {
-    fn cost_qubits(&self) -> u64 {
-        self.qubits as u64
-    }
 }
 
 #[test]

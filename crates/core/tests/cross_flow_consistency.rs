@@ -2,6 +2,7 @@
 //! intermediate representation must stay the same Boolean function at
 //! every interface of Fig. 1.
 
+use qda_analyze::{depth, DepthMetrics};
 use qda_bdd::{Bdd, BddManager};
 use qda_classical::collapse::collapse_to_bdds;
 use qda_classical::esop_extract::extract_multi_esop;
@@ -13,6 +14,7 @@ use qda_core::flow::{EsopFlow, Flow, FlowOutcome, FunctionalFlow, HierarchicalFl
 use qda_logic::aig::Lit;
 use qda_logic::sim::{check_aig_equivalence, EquivalenceOutcome};
 use qda_rev::state::BitState;
+use qda_rev::{GateArena, PackedGate};
 use qda_revsynth::embed::{minimum_additional_lines, optimum_embedding};
 use qda_revsynth::hierarchical::CleanupStrategy;
 
@@ -204,6 +206,43 @@ fn check_outcome_against_table(outcome: &FlowOutcome, table: &[u64]) {
     }
 }
 
+/// The reference ASAP depth: one schedule per duration notion, each
+/// decoding every gate's controls on its own.
+fn reference_asap(arena: &GateArena, duration: impl Fn(&PackedGate<'_>) -> usize) -> usize {
+    let mut read_end = vec![0usize; arena.num_lines()];
+    let mut write_end = vec![0usize; arena.num_lines()];
+    let mut depth = 0;
+    for (_, gate) in arena {
+        let t = gate.target();
+        let mut start = read_end[t].max(write_end[t]);
+        for c in gate.controls() {
+            start = start.max(write_end[c.line()]);
+        }
+        let end = start + duration(&gate);
+        for c in gate.controls() {
+            let r = &mut read_end[c.line()];
+            *r = (*r).max(end);
+        }
+        write_end[t] = end;
+        depth = depth.max(end);
+    }
+    depth
+}
+
+/// The analyzer's one-pass depth metrics equal the two reference schedules.
+fn check_depth_against_reference(outcome: &FlowOutcome) {
+    let arena = outcome.circuit.packed();
+    assert_eq!(
+        depth::measure(arena),
+        DepthMetrics {
+            logical_depth: reference_asap(arena, |_| 1),
+            t_depth: reference_asap(arena, |g| usize::from(g.num_controls() >= 2)),
+        },
+        "{}",
+        outcome.flow_name
+    );
+}
+
 #[test]
 fn every_flow_verifies_with_post_opt_on_and_off_against_the_same_truth_table() {
     for d in [Design::intdiv(5), Design::newton(4)] {
@@ -216,6 +255,8 @@ fn every_flow_verifies_with_post_opt_on_and_off_against_the_same_truth_table() {
             // Both circuits realize the same truth table…
             check_outcome_against_table(&on, &table);
             check_outcome_against_table(&off, &table);
+            check_depth_against_reference(&on);
+            check_depth_against_reference(&off);
             // …and the optimized one never costs more.
             let name = &on.flow_name;
             assert!(

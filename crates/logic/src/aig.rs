@@ -262,6 +262,35 @@ impl Aig {
         y
     }
 
+    /// Evaluates all outputs on many assignments: `out[k] = self.eval(xs[k])`.
+    /// The assignments run 64 per simulation word through one reused node
+    /// buffer, so each AND costs one word operation per 64 assignments.
+    /// Usable for up to 64 PIs and 64 POs, as [`Aig::eval`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `out` differ in length.
+    pub fn eval_many(&self, xs: &[u64], out: &mut [u64]) {
+        assert_eq!(xs.len(), out.len(), "one output word per assignment");
+        let mut values = vec![0u64; self.fanins.len()];
+        for (xs, out) in xs.chunks(64).zip(out.chunks_mut(64)) {
+            for (i, value) in values[1..=self.num_pis].iter_mut().enumerate() {
+                *value = xs
+                    .iter()
+                    .enumerate()
+                    .fold(0, |word, (k, &x)| word | ((x >> i) & 1) << k);
+            }
+            self.simulate_ands(&mut values);
+            out.fill(0);
+            for (j, po) in self.pos.iter().enumerate() {
+                let word = Self::lit_value(&values, *po);
+                for (k, y) in out.iter_mut().enumerate() {
+                    *y |= ((word >> k) & 1) << j;
+                }
+            }
+        }
+    }
+
     /// 64-way parallel simulation: `inputs[i]` carries 64 assignments for
     /// PI `i`; returns one word per node.
     ///

@@ -85,7 +85,15 @@ pub(crate) fn word_count(num_vars: usize) -> usize {
 /// repeats within every word; from 6 on, whole words alternate in runs of
 /// `2^(var - 6)`. Unmasked: a table over fewer than 6 variables keeps only
 /// its low `2^n` bits.
-pub(crate) fn var_word(var: usize, w: usize) -> u64 {
+///
+/// ```
+/// use qda_logic::tt::var_word;
+///
+/// assert_eq!(var_word(0, 0), 0xAAAA_AAAA_AAAA_AAAA);
+/// assert_eq!((var_word(7, 1), var_word(7, 2)), (0, u64::MAX));
+/// ```
+#[inline]
+pub fn var_word(var: usize, w: usize) -> u64 {
     const BLOCKS: [u64; 6] = [
         0xAAAA_AAAA_AAAA_AAAA,
         0xCCCC_CCCC_CCCC_CCCC,

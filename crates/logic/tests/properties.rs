@@ -48,8 +48,12 @@ proptest! {
     #[test]
     fn aig_truth_tables_match_eval(aig in arb_aig()) {
         let tables = aig.to_truth_tables();
-        for x in 0..(1u64 << aig.num_pis()) {
+        let xs: Vec<u64> = (0..(1u64 << aig.num_pis())).collect();
+        let mut many = vec![0; xs.len()];
+        aig.eval_many(&xs, &mut many);
+        for (&x, &y) in xs.iter().zip(&many) {
             prop_assert_eq!(tables.eval(x), aig.eval(x));
+            prop_assert_eq!(y, aig.eval(x));
         }
     }
 

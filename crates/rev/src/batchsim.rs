@@ -57,6 +57,7 @@
 use crate::gate::Control;
 use crate::packed::{BitIter, GateArena};
 use qda_logic::par;
+use qda_logic::tt::var_word;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::ops::Range;
 
@@ -241,18 +242,6 @@ where
     });
     hits.into_iter().flatten().next()
 }
-
-/// Transposed lane word for value-bit `i` of the 64 consecutive values
-/// starting at a 64-aligned base: bits 0–5 cycle faster than a word, so
-/// their lanes are fixed periodic patterns.
-const LOW_BIT_PATTERNS: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
 
 /// In-place 64×64 bit-matrix transpose (masked delta swaps, LSB-first:
 /// bit `c` of `a[r]` ↔ bit `r` of `a[c]`). This is the fast path between
@@ -477,8 +466,10 @@ impl BatchState {
             let lane_start = line * self.words_per_line;
             for w in 0..self.words_per_line {
                 let word_base = base + 64 * w as u64;
-                let word = if let Some(&pattern) = LOW_BIT_PATTERNS.get(i) {
-                    pattern
+                // Bits 0–5 cycle faster than a word: their lanes are the
+                // fixed projection patterns.
+                let word = if i < 6 {
+                    var_word(i, 0)
                 } else if (word_base >> i) & 1 == 1 {
                     u64::MAX
                 } else {

@@ -16,6 +16,12 @@
 //! [`VerifyOutcome::DirtyLine`] is identical to what a pure scalar run
 //! ([`VerifyOptions::batch`] `= false`) would produce.
 //!
+//! The oracle side batches too: [`verify_computes_batched`] asks its
+//! oracle once per batch for every state's expected output (so an AIG
+//! can answer 64 states per simulation word), and scalar replay asks it
+//! for one input. [`verify_computes`] is the same sweep with a per-input
+//! oracle.
+//!
 //! Exhaustive enumeration requires `2^n` to be representable *and*
 //! affordable: with a full 64-bit interface the space can only ever be
 //! sampled, no matter how large [`VerifyOptions::exhaustive_limit`] is.
@@ -110,10 +116,10 @@ impl VerifyOutcome {
     }
 }
 
-/// One [`verify_computes`] question: does `circuit`, started with an input
-/// on `input_lines` and zeros elsewhere, leave `oracle`'s answer on
-/// `output_lines` (and, where the options ask, its ancillae and inputs as
-/// they started)?
+/// One [`verify_computes_batched`] question: does `circuit`, started with
+/// an input on `input_lines` and zeros elsewhere, leave `oracle`'s answer
+/// on `output_lines` (and, where the options ask, its ancillae and inputs
+/// as they started)? The oracle answers a slice of inputs at once.
 struct Check<'a, F> {
     circuit: &'a Circuit,
     /// `circuit`, compiled once for every batch of the sweep.
@@ -124,7 +130,7 @@ struct Check<'a, F> {
     options: &'a VerifyOptions,
 }
 
-impl<F: Fn(u64) -> u64> Check<'_, F> {
+impl<F: Fn(&[u64], &mut [u64])> Check<'_, F> {
     /// Replays input `x` scalar (one basis state, one gate at a time);
     /// returns the failure, if any.
     fn scalar(&self, x: u64) -> Option<VerifyOutcome> {
@@ -135,7 +141,8 @@ impl<F: Fn(u64) -> u64> Check<'_, F> {
         state.write_register(input_lines, x);
         circuit.apply(&mut state);
         let actual = state.read_register(output_lines);
-        let expected = (self.oracle)(x);
+        let mut expected = 0;
+        (self.oracle)(&[x], std::slice::from_mut(&mut expected));
         if actual != expected {
             return Some(VerifyOutcome::Mismatch {
                 input: x,
@@ -170,7 +177,9 @@ impl<F: Fn(u64) -> u64> Check<'_, F> {
     /// failure is exactly the one a pure scalar run would find.
     fn batch(&self, state: &mut BatchState, starts: Starts<'_>) -> Option<VerifyOutcome> {
         let (input_lines, output_lines) = (self.input_lines, self.output_lines);
-        let mut inputs = (0..state.num_states()).map(|k| starts.value(0, k));
+        let inputs: Vec<u64> = (0..state.num_states())
+            .map(|k| starts.value(0, k))
+            .collect();
         // Snapshot the lanes the preserved-inputs check compares against.
         let preserved: Vec<(usize, Vec<u64>)> = if self.options.check_inputs_preserved {
             input_lines
@@ -184,10 +193,9 @@ impl<F: Fn(u64) -> u64> Check<'_, F> {
         self.cascade.apply(state);
 
         let actual = state.read_register(output_lines);
-        let mut clean = actual
-            .iter()
-            .zip(inputs.clone())
-            .all(|(&a, x)| a == (self.oracle)(x));
+        let mut expected = vec![0; inputs.len()];
+        (self.oracle)(&inputs, &mut expected);
+        let mut clean = actual == expected;
         if clean {
             clean = preserved
                 .iter()
@@ -201,7 +209,7 @@ impl<F: Fn(u64) -> u64> Check<'_, F> {
         if clean {
             return None;
         }
-        let failure = inputs.find_map(|x| self.scalar(x));
+        let failure = inputs.iter().find_map(|&x| self.scalar(x));
         assert!(
             failure.is_some(),
             "batch simulation flagged a failure that scalar replay cannot reproduce"
@@ -244,6 +252,36 @@ fn lanes_equal(state: &BatchState, a: &[u64], b: &[u64]) -> bool {
 ///
 /// Panics if more than 64 input or output lines are given.
 pub fn verify_computes<F: Fn(u64) -> u64 + Sync>(
+    circuit: &Circuit,
+    input_lines: &[usize],
+    output_lines: &[usize],
+    oracle: F,
+    options: &VerifyOptions,
+) -> VerifyOutcome {
+    verify_computes_batched(
+        circuit,
+        input_lines,
+        output_lines,
+        |xs: &[u64], ys: &mut [u64]| {
+            for (&x, y) in xs.iter().zip(ys) {
+                *y = oracle(x);
+            }
+        },
+        options,
+    )
+}
+
+/// [`verify_computes`] with a batch oracle: `oracle(xs, ys)` writes the
+/// expected output of every input `xs[k]` to `ys[k]`. A bit-parallel batch
+/// asks it once for all of its states (so an oracle such as
+/// [`qda_logic::Aig::eval_many`] can answer 64 inputs per word), and scalar
+/// replay asks for one input at a time. The sweep, its states, their
+/// order and the reported witness are those of [`verify_computes`].
+///
+/// # Panics
+///
+/// Panics if more than 64 input or output lines are given.
+pub fn verify_computes_batched<F: Fn(&[u64], &mut [u64]) + Sync>(
     circuit: &Circuit,
     input_lines: &[usize],
     output_lines: &[usize],

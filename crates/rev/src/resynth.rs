@@ -55,6 +55,7 @@ use crate::opt::rules::RewriteCost;
 use crate::opt::{equivalence_witness, OptMismatch};
 use crate::packed::{GateArena, PackedGateBuf};
 use qda_logic::par;
+use qda_logic::tt::var_word;
 use std::collections::HashMap;
 
 /// Hard cap on the window support: `2^8` basis states per permutation
@@ -274,24 +275,6 @@ impl WindowSupport {
     }
 }
 
-/// Word `word` of local line `line`'s input lane: bit `b` is bit `line`
-/// of basis state `64·word + b`.
-fn basis_word(line: usize, word: usize) -> u64 {
-    const IN_WORD: [u64; 6] = [
-        0xAAAA_AAAA_AAAA_AAAA,
-        0xCCCC_CCCC_CCCC_CCCC,
-        0xF0F0_F0F0_F0F0_F0F0,
-        0xFF00_FF00_FF00_FF00,
-        0xFFFF_0000_FFFF_0000,
-        0xFFFF_FFFF_0000_0000,
-    ];
-    match IN_WORD.get(line) {
-        Some(&pattern) => pattern,
-        None if (word >> (line - 6)) & 1 == 1 => u64::MAX,
-        None => 0,
-    }
-}
-
 /// The cheapest sound candidate for one window permutation, on the
 /// window's local lines.
 struct Candidate {
@@ -491,7 +474,7 @@ impl<'a> Sweep<'a> {
         let mut lanes = [[0u64; LANE_WORDS]; MAX_WINDOW_LINES];
         for (line, lane) in lanes[..support.len].iter_mut().enumerate() {
             for (w, word) in lane[..words].iter_mut().enumerate() {
-                *word = basis_word(line, w);
+                *word = var_word(line, w);
             }
         }
         for &id in &self.window {
