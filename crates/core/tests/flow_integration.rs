@@ -6,7 +6,10 @@ use std::collections::BTreeMap;
 use qda_analyze::Report;
 use qda_core::design::Design;
 use qda_core::flow::{EsopFlow, Flow, FunctionalFlow, HierarchicalFlow};
+use qda_rev::circuit::Circuit;
 use qda_rev::equiv::{verify_computes, VerifyOptions, VerifyOutcome};
+use qda_rev::opt::OptStats;
+use qda_rev::resynth::ResynthStats;
 use qda_rev::state::BitState;
 use qda_revsynth::hierarchical::CleanupStrategy;
 
@@ -28,11 +31,57 @@ fn check_against_golden(outcome: &qda_core::flow::FlowOutcome, golden: impl Fn(u
     }
 }
 
+/// FNV-1a-64 digest of a circuit's `.real` text: pins the whole gate
+/// sequence, line by line, where the cost rows pin only its totals.
+fn real_digest(circuit: &Circuit) -> u64 {
+    qda_rev::io::to_real(circuit)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The functional flow's circuits and peephole counters are pinned
+/// exactly (`.real` digest, full [`OptStats`]).
 #[test]
 fn functional_flow_intdiv_matches_golden_model() {
-    for n in [4usize, 5, 6] {
+    let rows = [
+        (
+            4,
+            0x4dc5_f04b_4244_de22,
+            OptStats {
+                polarity_merges: 7,
+                const_dead: 13,
+                const_drops: 22,
+                ..OptStats::default()
+            },
+        ),
+        (
+            5,
+            0x31b0_c646_a946_e2a6,
+            OptStats {
+                polarity_merges: 23,
+                const_dead: 12,
+                const_drops: 27,
+                ..OptStats::default()
+            },
+        ),
+        (
+            6,
+            0x08a8_d72e_9f00_2767,
+            OptStats {
+                polarity_merges: 55,
+                const_dead: 38,
+                const_drops: 82,
+                ..OptStats::default()
+            },
+        ),
+    ];
+    for (n, digest, opt) in rows {
         let outcome = FunctionalFlow::default().run(&Design::intdiv(n)).unwrap();
         assert_eq!(outcome.cost.qubits, 2 * n - 1, "optimum embedding");
+        assert_eq!(real_digest(&outcome.circuit), digest, "INTDIV({n})");
+        assert_eq!(outcome.opt_stats, Some(opt), "INTDIV({n})");
         check_against_golden(&outcome, |x| qda_arith::recip_intdiv(n, x));
     }
 }
@@ -70,8 +119,9 @@ fn code_counts(report: &Report) -> Vec<(&'static str, usize)> {
     counts.into_iter().collect()
 }
 
-/// Table III's ESOP-flow costs, pinned exactly: `(qubits, T-count, gates)`
-/// at factoring depth p = 0 and p = 1, each exhaustively verified and
+/// Table III's ESOP-flow costs, pinned exactly: `(qubits, T-count, gates)`,
+/// the `.real` digest and the peephole counters ([`OptStats`]) at
+/// factoring depth p = 0 and p = 1, each exhaustively verified and
 /// free of analyzer diagnostics (the p = 1 factor ancillae included). A
 /// change to collapse, PSDKRO extraction, EXORCISM or REVS that moves a
 /// cost shows up here. INTDIV(10) and NEWTON(10) at p = 1 extract the
@@ -80,20 +130,97 @@ fn code_counts(report: &Report) -> Vec<(&'static str, usize)> {
 /// BDD collapse; it only completes through the truth-table collapse.
 #[test]
 fn esop_flow_table3_costs_are_pinned() {
+    let dead = |const_dead| OptStats {
+        const_dead,
+        ..OptStats::default()
+    };
     let rows = [
-        (Design::intdiv(5), 0, (10, 283, 19)),
-        (Design::intdiv(5), 1, (12, 232, 23)),
-        (Design::newton(5), 0, (10, 275, 20)),
-        (Design::newton(5), 1, (12, 224, 24)),
-        (Design::intdiv(6), 0, (12, 494, 34)),
-        (Design::intdiv(6), 1, (16, 318, 42)),
-        (Design::newton(6), 0, (12, 362, 22)),
-        (Design::newton(6), 1, (14, 239, 26)),
-        (Design::intdiv(10), 1, (43, 1_927, 194)),
-        (Design::newton(10), 1, (39, 1_779, 147)),
-        (Design::newton(11), 0, (22, 8_097, 214)),
+        (
+            Design::intdiv(5),
+            0,
+            (10, 283, 19),
+            0x5554_53f1_7d17_03f4,
+            dead(1),
+        ),
+        (
+            Design::intdiv(5),
+            1,
+            (12, 232, 23),
+            0x1daf_44bb_da44_2719,
+            dead(1),
+        ),
+        (
+            Design::newton(5),
+            0,
+            (10, 275, 20),
+            0xcd7e_e860_202d_13a9,
+            dead(0),
+        ),
+        (
+            Design::newton(5),
+            1,
+            (12, 224, 24),
+            0xc232_dc1e_fc68_aa44,
+            dead(0),
+        ),
+        (
+            Design::intdiv(6),
+            0,
+            (12, 494, 34),
+            0x2d28_4c37_c1b4_0cd0,
+            dead(1),
+        ),
+        (
+            Design::intdiv(6),
+            1,
+            (16, 318, 42),
+            0xf46b_6b43_a9ef_2c52,
+            dead(1),
+        ),
+        (
+            Design::newton(6),
+            0,
+            (12, 362, 22),
+            0x3f95_8e85_bdce_ab31,
+            dead(0),
+        ),
+        (
+            Design::newton(6),
+            1,
+            (14, 239, 26),
+            0x6bde_09dd_81ce_daa4,
+            dead(0),
+        ),
+        (
+            Design::intdiv(10),
+            1,
+            (43, 1_927, 194),
+            0x2209_764f_1b2d_fc32,
+            OptStats {
+                cancellations: 1,
+                subset_merges: 1,
+                ..OptStats::default()
+            },
+        ),
+        (
+            Design::newton(10),
+            1,
+            (39, 1_779, 147),
+            0x9ecf_da12_3e3b_8387,
+            dead(0),
+        ),
+        (
+            Design::newton(11),
+            0,
+            (22, 8_097, 214),
+            0xe1d9_f6f3_22dc_09e6,
+            OptStats {
+                cancellations: 1,
+                ..OptStats::default()
+            },
+        ),
     ];
-    for (design, p, want) in rows {
+    for (design, p, want, digest, opt) in rows {
         let outcome = EsopFlow::with_factoring(p).run(&design).unwrap();
         let cost = outcome.cost;
         assert_eq!(
@@ -101,6 +228,8 @@ fn esop_flow_table3_costs_are_pinned() {
             want,
             "{design} p = {p}"
         );
+        assert_eq!(real_digest(&outcome.circuit), digest, "{design} p = {p}");
+        assert_eq!(outcome.opt_stats, Some(opt), "{design} p = {p}");
         assert_eq!(
             outcome.verification,
             VerifyOutcome::Verified,
@@ -114,7 +243,8 @@ fn esop_flow_table3_costs_are_pinned() {
 /// Table IV's hierarchical-flow rows at the sizes the repository
 /// benchmark runs, pinned exactly: `(qubits, T-count, gates, accepted
 /// resynthesis windows, verification)`, then the analyzer's per-code
-/// diagnostic counts, logical depth and T-depth. A change to XMG
+/// diagnostic counts, logical depth and T-depth, then the `.real`
+/// digest with the full [`OptStats`] and [`ResynthStats`]. A change to XMG
 /// mapping, hierarchical synthesis, the peephole pass, the resynthesis
 /// back-ends or the analyzer that moves a circuit or a finding shows up
 /// here.
@@ -131,14 +261,57 @@ fn hierarchical_flow_table4_costs_are_pinned() {
                 VerifyOutcome::ProbablyCorrect { samples: 1024 },
             ),
             (vec![("QDA-A011", 2)], 872, 433),
+            (
+                0x50aa_d1db_7240_85b1,
+                OptStats {
+                    cancellations: 2,
+                    subset_merges: 326,
+                    not_absorptions: 4,
+                    ..OptStats::default()
+                },
+                ResynthStats {
+                    windows_attempted: 2_593,
+                    windows_accepted: 6,
+                    windows_rejected: 2_587,
+                    memo_hits: 2_399,
+                    clean_skips: 16_379,
+                    candidates_unsound: 0,
+                    gates_removed: 25,
+                    gates_added: 3,
+                    t_removed: 28,
+                    t_added: 22,
+                    passes: 7,
+                },
+            ),
         ),
         (
             Design::newton(8),
             (2_816, 29_253, 14_345, 31, VerifyOutcome::Verified),
             (vec![("QDA-A010", 1), ("QDA-A011", 2)], 883, 371),
+            (
+                0x0c17_7eee_dad3_ad52,
+                OptStats {
+                    subset_merges: 86,
+                    not_absorptions: 7,
+                    ..OptStats::default()
+                },
+                ResynthStats {
+                    windows_attempted: 12_488,
+                    windows_accepted: 31,
+                    windows_rejected: 12_457,
+                    memo_hits: 11_741,
+                    clean_skips: 41_341,
+                    candidates_unsound: 0,
+                    gates_removed: 172,
+                    gates_added: 141,
+                    t_removed: 140,
+                    t_added: 119,
+                    passes: 4,
+                },
+            ),
         ),
     ];
-    for (design, want, want_analysis) in rows {
+    for (design, want, want_analysis, want_circuit) in rows {
         let outcome = HierarchicalFlow::default().run(&design).unwrap();
         let resynth = outcome.resynth_stats.expect("resynthesis is on by default");
         assert_eq!(
@@ -157,6 +330,11 @@ fn hierarchical_flow_table4_costs_are_pinned() {
         assert_eq!(
             (code_counts(&analysis), depth.logical_depth, depth.t_depth),
             want_analysis,
+            "{design}"
+        );
+        assert_eq!(
+            (real_digest(&outcome.circuit), outcome.opt_stats, resynth),
+            (want_circuit.0, Some(want_circuit.1), want_circuit.2),
             "{design}"
         );
     }
