@@ -42,13 +42,10 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
 }
 
 /// The highest line a gate reads or writes, when that line is
-/// `num_lines` or more. Lines below the last mask word are all in range,
-/// so only that word's control bits are read.
+/// `num_lines` or more. Only the gate's highest nonzero control word is
+/// read.
 fn line_out_of_range(g: PackedGate<'_>, num_lines: usize) -> Option<usize> {
-    let last = g.ctrl_words().len() - 1;
-    let top = g.ctrl_words()[last];
-    let top_control = (top != 0).then(|| last * 64 + 63 - top.leading_zeros() as usize);
-    let max_line = top_control.map_or(g.target(), |c| c.max(g.target()));
+    let max_line = g.max_line();
     (max_line >= num_lines).then_some(max_line)
 }
 
@@ -59,12 +56,7 @@ fn broken_invariant(g: PackedGate<'_>) -> Option<String> {
     if g.control_on(g.target()).is_some() {
         return Some(format!("target {} cannot be controlled", g.target()));
     }
-    let words = g.ctrl_words().iter().zip(g.pol_words());
-    let (w, stray) = words
-        .map(|(c, p)| p & !c)
-        .enumerate()
-        .find(|&(_, s)| s != 0)?;
-    let line = w * 64 + stray.trailing_zeros() as usize;
+    let line = g.stray_polarity()?;
     Some(format!("line {line} has a polarity bit but no control"))
 }
 

@@ -18,12 +18,13 @@
 //!
 //! # Sweeps
 //!
-//! A [`CompiledCascade`] is a circuit decoded once for replay: per gate,
-//! its target and only its *nonzero* control-mask words. One block-major
-//! kernel pair applies it (or a range of its gates) to a [`BatchState`],
-//! and every sweep compiles each circuit once, before its batches, and
-//! shares it by reference across batches and pool jobs — so a gate's
-//! ⌈lines/64⌉ mask words are scanned once per sweep, not once per block.
+//! A [`CompiledCascade`] is a circuit gathered once for replay: per gate,
+//! its target and its nonzero control-mask words, in circuit order in one
+//! buffer. One block-major kernel pair applies it (or a range of its
+//! gates) to a [`BatchState`], and every sweep compiles each circuit
+//! once, before its batches, and shares it by reference across batches
+//! and pool jobs — so the arena's live list is walked once per sweep, not
+//! once per block.
 //!
 //! Every bit-parallel equivalence check of the crate (flow verification
 //! in [`crate::equiv`], the soundness gate
@@ -55,7 +56,7 @@
 //! ```
 
 use crate::gate::Control;
-use crate::packed::{BitIter, GateArena};
+use crate::packed::{BitIter, GateArena, MaskWord};
 use qda_logic::par;
 use qda_logic::tt::var_word;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -529,25 +530,16 @@ impl BatchState {
     }
 }
 
-/// One nonzero control-mask word of a compiled gate: the gate controls
-/// line `64 * index + b` for every set bit `b` of `ctrl`, positively where
-/// the same bit of `pol` is set.
-#[derive(Clone, Copy, Debug)]
-struct MaskWord {
-    index: u32,
-    ctrl: u64,
-    pol: u64,
-}
-
 /// A gate cascade decoded once for batch replay.
 ///
-/// Compiled from a [`GateArena`]'s live list, in circuit order: per gate,
-/// the target and only the *nonzero* control-mask words, all in one
-/// contiguous buffer. Replaying a gate on a block of states then costs its
-/// support, not the arena's ⌈lines/64⌉ mask words. A sweep compiles each
-/// circuit once, before its batches, and shares the cascade by reference
-/// across batches and pool jobs; [`crate::circuit::Circuit::apply_batch`]
-/// compiles and applies in one call.
+/// Gathered from a [`GateArena`]'s live list, in circuit order: per gate,
+/// the target and its nonzero control-mask words (the arena's own
+/// entries, [`crate::packed`]), all in one contiguous buffer, so a replay
+/// walks the cascade front to back with no links or slot lookups. A sweep
+/// compiles each circuit once, before its batches, and shares the cascade
+/// by reference across batches and pool jobs;
+/// [`crate::circuit::Circuit::apply_batch`] compiles and applies in one
+/// call.
 #[derive(Clone, Debug)]
 pub struct CompiledCascade {
     num_lines: usize,
@@ -572,17 +564,7 @@ impl CompiledCascade {
         offsets.push(0);
         for (_, g) in arena.iter() {
             targets.push(u32::try_from(g.target()).expect("line indices fit in u32"));
-            // Polarity words are read only under a nonzero control word.
-            let pol = g.pol_words();
-            for (index, &ctrl) in g.ctrl_words().iter().enumerate() {
-                if ctrl != 0 {
-                    words.push(MaskWord {
-                        index: u32::try_from(index).expect("mask word indices fit in u32"),
-                        ctrl,
-                        pol: pol[index],
-                    });
-                }
-            }
+            words.extend_from_slice(g.mask_words());
             offsets.push(u32::try_from(words.len()).expect("control words fit in u32"));
         }
         Self {

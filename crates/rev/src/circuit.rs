@@ -1,9 +1,9 @@
 //! Reversible circuits: cascades of MPMCT gates on a fixed set of lines.
 //!
-//! Gates are stored **packed** in a [`GateArena`] (control/polarity mask
-//! words, struct-of-arrays — see [`crate::packed`]); the legacy
-//! [`Gate`] view is materialized only at API boundaries via
-//! [`Circuit::gates`].
+//! Gates are stored **packed** in a [`GateArena`] (each gate's nonzero
+//! control/polarity mask words, struct-of-arrays — see
+//! [`crate::packed`]); the legacy [`Gate`] view is materialized only at
+//! API boundaries via [`Circuit::gates`].
 
 use crate::batchsim::{consecutive_batches_in, span_jobs, BatchState, CompiledCascade};
 use crate::cost::CircuitCost;
@@ -129,11 +129,12 @@ impl Circuit {
         self.arena.push(&gate);
     }
 
-    /// Appends the gate given by its packed masks, one `u64` word per 64
+    /// Appends the gate given by its dense masks, one `u64` word per 64
     /// lines ([`words_for_lines`]): bit `l % 64` of word `l / 64` of
     /// `ctrl` makes line `l` a control, and the same bit of `pol` makes
-    /// that control positive. Writes the words straight into the arena —
-    /// no control list is built.
+    /// that control positive. The arena keeps the nonzero words only
+    /// ([`crate::packed`]), written straight from the masks — no control
+    /// list is built.
     ///
     /// # Panics
     ///

@@ -205,7 +205,7 @@ impl Gate {
         }
     }
 
-    /// Returns a copy with lines remapped through `map` (`map[old] = new`).
+    /// Returns a copy with every line `l` remapped to `map(l)`.
     ///
     /// The result is re-canonicalized: a non-monotonic map reorders the
     /// control list, and the sorted-controls invariant behind structural
@@ -214,20 +214,19 @@ impl Gate {
     ///
     /// # Panics
     ///
-    /// Panics if a referenced line is missing from the map, or if the map
-    /// collides two of the gate's lines onto one (the remapped gate would
-    /// be malformed).
+    /// Panics if the map collides two of the gate's lines onto one (the
+    /// remapped gate would be malformed), or where `map` itself panics.
     #[must_use]
-    pub fn remapped(&self, map: &[usize]) -> Gate {
+    pub fn remapped(&self, map: impl Fn(usize) -> usize) -> Gate {
         let controls: Vec<Control> = self
             .controls
             .iter()
             .map(|c| Control {
-                line: map[c.line()] as u32,
+                line: map(c.line()) as u32,
                 positive: c.positive,
             })
             .collect();
-        let target = map[self.target()];
+        let target = map(self.target());
         let gate = Gate::mct(controls, target);
         assert_eq!(
             gate.num_controls(),
@@ -267,9 +266,9 @@ mod tests {
     use crate::opt::rules::merge_packed;
     use crate::packed::{GateArena, PackedGateBuf};
 
-    /// The one-word packed form, where control lookup and conflict live.
+    /// The packed form, where control lookup and conflict live.
     fn packed(g: &Gate) -> PackedGateBuf {
-        PackedGateBuf::from_gate(g, 1)
+        PackedGateBuf::from_gate(g)
     }
 
     #[test]
@@ -310,10 +309,10 @@ mod tests {
     #[test]
     fn shifting_and_remapping() {
         let g = Gate::toffoli(0, 1, 2);
-        let s = g.remapped(&[10, 11, 12]);
+        let s = g.remapped(|l| [10, 11, 12][l]);
         assert_eq!(s.target(), 12);
         assert_eq!(s.controls()[0].line(), 10);
-        let r = g.remapped(&[5, 4, 3]);
+        let r = g.remapped(|l| [5, 4, 3][l]);
         assert_eq!(r.target(), 3);
         assert_eq!(r.max_line(), 5);
     }
@@ -435,24 +434,24 @@ mod tests {
         // A decreasing map reverses the line order; the remapped gate must
         // still keep its controls sorted or structural equality breaks.
         let g = Gate::mct(vec![Control::positive(0), Control::negative(1)], 2);
-        let r = g.remapped(&[5, 4, 3]);
+        let r = g.remapped(|l| [5, 4, 3][l]);
         assert_eq!(
             r.controls(),
             &[Control::negative(4), Control::positive(5)],
             "controls sorted after remap"
         );
         // Remapping with the inverse map round-trips.
-        let mut inv = vec![0; 6];
+        let mut inv = [0; 6];
         for (old, &new) in [5usize, 4, 3].iter().enumerate() {
             inv[new] = old;
         }
-        assert_eq!(r.remapped(&inv), g);
+        assert_eq!(r.remapped(|l| inv[l]), g);
     }
 
     #[test]
     #[should_panic(expected = "collides")]
     fn remapping_onto_a_shared_line_is_loud() {
         let g = Gate::mct(vec![Control::positive(0), Control::positive(1)], 2);
-        let _ = g.remapped(&[0, 0, 2]);
+        let _ = g.remapped(|l| [0, 0, 2][l]);
     }
 }

@@ -81,7 +81,7 @@ pub mod rules;
 
 use crate::batchsim::{first_exhaustive, first_sampled, BatchState, CompiledCascade, Starts};
 use crate::circuit::Circuit;
-use crate::packed::{GateArena, PackedGateBuf, NIL};
+use crate::packed::{words_for_lines, GateArena, PackedGateBuf, NIL};
 use rules::{MergeRule, RewriteCost};
 use std::collections::VecDeque;
 use std::fmt;
@@ -389,58 +389,44 @@ pub fn optimize_assuming(
 }
 
 /// One forward constant-propagation sweep over the arena. It tracks two
-/// line masks — lines provably `0` and lines provably `1` at the current
-/// point for every assumed start state (the `zero_lines` start in the
-/// first, every other line in neither) — removes gates with a provably
-/// unsatisfiable control and clears provably satisfied control bits in
-/// place, word by word. Counts land in `stats.const_dead` /
-/// `stats.const_drops`.
+/// dense line masks — lines of provably constant value at the current
+/// point for every assumed start state (the `zero_lines` start there,
+/// every other line does not), and that value — removes gates with a
+/// provably unsatisfiable control and drops provably satisfied controls
+/// in place, walking each gate's nonzero mask words only. Counts land in
+/// `stats.const_dead` / `stats.const_drops`.
 fn const_prop_pass(arena: &mut GateArena, zero_lines: &[usize], stats: &mut OptStats) {
-    let words = arena.words_per_gate();
-    let mut zero = vec![0u64; words];
+    let words = words_for_lines(arena.num_lines());
+    let mut known = vec![0u64; words];
     let mut one = vec![0u64; words];
     for &l in zero_lines {
         assert!(l < arena.num_lines(), "zero line {l} out of range");
-        zero[l / 64] |= 1 << (l % 64);
+        known[l / 64] |= 1 << (l % 64);
     }
     let mut cur = arena.first();
     while let Some(i) = cur {
         cur = arena.next_live(i);
-        let (ctrl, pol, target) = arena.masks_mut(i);
+        let g = arena.gate(i);
         // A positive control on a known 0 or a negative one on a known 1
-        // can never be satisfied: the gate never fires. (Words without a
-        // control are skipped: wide circuits are sparse.)
-        let dead = (0..words)
-            .any(|w| ctrl[w] != 0 && ctrl[w] & ((pol[w] & zero[w]) | (!pol[w] & one[w])) != 0);
-        if dead {
+        // can never be satisfied: the gate never fires.
+        if !g.may_fire(&known, &one) {
             stats.const_dead += 1;
             arena.remove(i);
             continue;
         }
-        // The converse controls are always satisfied and carry no
-        // information: drop them.
-        let mut controls_left = 0;
-        for w in 0..words {
-            if ctrl[w] == 0 {
-                continue;
-            }
-            let drop = ctrl[w] & ((pol[w] & one[w]) | (!pol[w] & zero[w]));
-            if drop != 0 {
-                stats.const_drops += u64::from(drop.count_ones());
-                ctrl[w] &= !drop;
-                pol[w] &= !drop;
-            }
-            controls_left += ctrl[w].count_ones();
-        }
+        let (target, controls) = (g.target(), g.num_controls());
+        // Every other control on a known line is always satisfied and
+        // carries no information: drop it.
+        let dropped = arena.drop_controls(i, &known);
+        stats.const_drops += u64::from(dropped);
         // A NOT flips a known target value; any other gate makes it
         // input-dependent.
         let (w, bit) = (target / 64, 1u64 << (target % 64));
-        let (was_zero, was_one) = (zero[w] & bit, one[w] & bit);
-        zero[w] &= !bit;
-        one[w] &= !bit;
-        if controls_left == 0 {
-            zero[w] |= was_one;
-            one[w] |= was_zero;
+        if controls == dropped as usize {
+            one[w] ^= known[w] & bit;
+        } else {
+            known[w] &= !bit;
+            one[w] &= !bit;
         }
     }
 }

@@ -31,8 +31,9 @@ pub enum MergeRule {
 /// Returns the fused gate and the rule that applied, or `None` when no
 /// control-merge template matches. Equal gates are *not* merged — they
 /// cancel outright, which the optimizer handles as its own (cheaper)
-/// rule. Both templates are a handful of whole-word mask operations, and
-/// only a returned match allocates:
+/// rule. Both templates are mask operations over the words where either
+/// gate has a control ([`crate::packed`]), and only a returned match
+/// allocates:
 ///
 /// * **Polarity** — control masks equal, polarity masks differing in
 ///   exactly one bit: drop that bit from both masks.
@@ -44,54 +45,11 @@ pub fn merge_packed(a: &PackedGate<'_>, b: &PackedGate<'_>) -> Option<(PackedGat
     if a.target() != b.target() {
         return None;
     }
-    let target = u32::try_from(a.target()).expect("line counts fit u32");
-    let (ca, cb) = (a.ctrl_words(), b.ctrl_words());
-    let (pa, pb) = (a.pol_words(), b.pol_words());
-    if ca == cb {
-        let diff_bits: u32 = pa.iter().zip(pb).map(|(&x, &y)| (x ^ y).count_ones()).sum();
-        if diff_bits != 1 {
-            return None; // 0 differing bits = equal gates, which cancel
-        }
-        let ctrl: Vec<u64> = ca
-            .iter()
-            .zip(pa.iter().zip(pb))
-            .map(|(&c, (&x, &y))| c & !(x ^ y))
-            .collect();
-        let pol: Vec<u64> = pa.iter().zip(pb).map(|(&x, &y)| x & y).collect();
-        return Some((
-            PackedGateBuf::from_masks(ctrl, pol, target),
-            MergeRule::Polarity,
-        ));
+    if let Some(merged) = a.polarity_merge(b) {
+        return Some((merged, MergeRule::Polarity));
     }
-    // Shared controls must agree in polarity for the subset template.
-    if pa
-        .iter()
-        .zip(pb)
-        .zip(ca.iter().zip(cb))
-        .any(|((&x, &y), (&cx, &cy))| (x ^ y) & (cx & cy) != 0)
-    {
-        return None;
-    }
-    // Controls of `x` missing from `y`.
-    let extra = |x: &[u64], y: &[u64]| -> u32 {
-        x.iter().zip(y).map(|(&x, &y)| (x & !y).count_ones()).sum()
-    };
-    let (large, small) = match (extra(ca, cb), extra(cb, ca)) {
-        (1, 0) => (a, b),
-        (0, 1) => (b, a),
-        _ => return None,
-    };
-    let ctrl = large.ctrl_words().to_vec();
-    let pol: Vec<u64> = large
-        .pol_words()
-        .iter()
-        .zip(large.ctrl_words().iter().zip(small.ctrl_words()))
-        .map(|(&p, (&cl, &cs))| p ^ (cl & !cs))
-        .collect();
-    Some((
-        PackedGateBuf::from_masks(ctrl, pol, target),
-        MergeRule::Subset,
-    ))
+    let merged = a.subset_merge(b).or_else(|| b.subset_merge(a))?;
+    Some((merged, MergeRule::Subset))
 }
 
 /// The cost delta of replacing `removed` gates with `added` gates.
@@ -168,7 +126,7 @@ mod tests {
     }
 
     fn packed(g: &Gate) -> PackedGateBuf {
-        PackedGateBuf::from_gate(g, 1)
+        PackedGateBuf::from_gate(g)
     }
 
     fn commutes(a: &Gate, b: &Gate) -> bool {

@@ -1,15 +1,15 @@
-//! Packed-mask gate IR: the struct-of-arrays arena behind [`Circuit`](crate::circuit::Circuit).
+//! Packed-mask gate IR: the support-sparse arena behind [`Circuit`](crate::circuit::Circuit).
 //!
 //! This is the crate's one gate IR: every gate relation the passes use is
 //! defined here or in [`crate::opt::rules`], and a legacy [`Gate`] (a
 //! sorted `Vec<Control>`) is only the validated construction and display
 //! view. The packed form flattens an MPMCT gate into a **control
-//! mask** and a **polarity mask** of `words_per_gate` `u64` words plus a
-//! target index: bit `l % 64` of word `l / 64` of the control mask says
-//! line `l` is a control, and the same bit of the polarity mask says that
-//! control is positive (the polarity mask is always a subset of the
-//! control mask). The gate fires on a basis state `s` (same line-per-bit
-//! layout as [`crate::state::BitState`]) iff
+//! mask** and a **polarity mask** over the circuit's lines plus a target
+//! index: bit `l % 64` of word `l / 64` of the control mask says line `l`
+//! is a control, and the same bit of the polarity mask says that control
+//! is positive (the polarity mask is always a subset of the control
+//! mask). The gate fires on a basis state `s` (same line-per-bit layout
+//! as [`crate::state::BitState`]) iff
 //!
 //! ```text
 //! (s ^ pol) & ctrl == 0        for every mask word
@@ -24,15 +24,25 @@
 //! * `a` and `b` commute iff they share a target, neither target is in
 //!   the other's support, or their controls conflict.
 //!
+//! The masks are stored **support-sparse**: a gate keeps only its
+//! nonzero control words, each as a `(word index, control word, polarity
+//! word)` entry, in ascending word order; a word without an entry is zero
+//! in both masks. A gate that touches three lines of a 16 324-line
+//! circuit stores at most two entries where dense masks would need 2 ×
+//! 256 words, and a gate of a circuit of at most 64 lines has at most
+//! one. Every relation walks the entries, so its cost follows the gate's
+//! support, not the line count. A word whose last control is dropped
+//! loses its entry, so equal gates have equal entry lists and `==` is a
+//! slice compare.
+//!
 //! [`GateArena`] stores all gates of a circuit in struct-of-arrays form —
-//! one flat `Vec<u64>` for all control words, one for all polarity words,
-//! flat target/link arrays — threaded by a doubly-linked live list, so it
-//! serves both as [`Circuit`](crate::circuit::Circuit)'s storage and as the mutable rewrite arena
-//! the `opt`/`resynth` passes edit in place (it subsumes the former
-//! `opt/window.rs` `GateList`). Slot ids are stable for the lifetime of
-//! the arena and never recycled. The legacy [`Gate`] view is materialized
-//! only at API boundaries (`io`, diagnostics, `gates()`, resynthesis
-//! window extraction).
+//! one flat `Vec` of entries, in which each slot owns a contiguous run,
+//! and flat slot/link arrays — threaded by a doubly-linked live list, so
+//! it serves both as [`Circuit`](crate::circuit::Circuit)'s storage and as
+//! the mutable rewrite arena the `opt`/`resynth` passes edit in place.
+//! Slot ids are stable for the lifetime of the arena and never recycled.
+//! The legacy [`Gate`] view is materialized only at API boundaries (`io`,
+//! diagnostics, `gates()`, resynthesis window extraction).
 
 use crate::gate::{Control, Gate};
 
@@ -40,8 +50,9 @@ use crate::gate::{Control, Gate};
 /// per-component links).
 pub(crate) const NIL: usize = usize::MAX;
 
-/// Number of `u64` mask words needed for `num_lines` lines (at least one,
-/// so empty circuits still have a well-formed stride).
+/// Number of `u64` words of a dense mask over `num_lines` lines (at
+/// least one): the word count [`Circuit::add_masks`](crate::circuit::Circuit::add_masks)
+/// takes.
 #[must_use]
 pub fn words_for_lines(num_lines: usize) -> usize {
     num_lines.div_ceil(64).max(1)
@@ -64,43 +75,63 @@ impl Iterator for BitIter {
     }
 }
 
-/// A borrowed packed view of one gate: control mask words, polarity mask
-/// words (subset of the control mask), and the target line. `Copy` and
-/// allocation-free — this is what the inner engines pass around.
+/// One nonzero control-mask word of a gate: the gate controls line
+/// `64 * index + b` for every set bit `b` of `ctrl`, positively where the
+/// same bit of `pol` is set (`ctrl != 0`, `pol` a subset of `ctrl`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct MaskWord {
+    pub(crate) index: u32,
+    pub(crate) ctrl: u64,
+    pub(crate) pol: u64,
+}
+
+/// Appends the entries of a control sequence sorted by line to `out`.
+fn pack_controls(controls: &[Control], out: &mut Vec<MaskWord>) {
+    let from = out.len();
+    for c in controls {
+        let index = u32::try_from(c.line() / 64).expect("line indices fit in u32");
+        let bit = 1u64 << (c.line() % 64);
+        let pol = if c.is_positive() { bit } else { 0 };
+        match out[from..].last_mut() {
+            Some(w) if w.index == index => {
+                w.ctrl |= bit;
+                w.pol |= pol;
+            }
+            _ => out.push(MaskWord {
+                index,
+                ctrl: bit,
+                pol,
+            }),
+        }
+    }
+}
+
+fn target_u32(target: usize) -> u32 {
+    u32::try_from(target).expect("line indices fit in u32")
+}
+
+/// A borrowed packed view of one gate: its nonzero control words and its
+/// target line. `Copy` and allocation-free — this is what the inner
+/// engines pass around.
 #[derive(Clone, Copy, Debug)]
 pub struct PackedGate<'a> {
-    ctrl: &'a [u64],
-    pol: &'a [u64],
+    words: &'a [MaskWord],
     target: u32,
 }
 
 impl PartialEq for PackedGate<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.target == other.target && self.ctrl == other.ctrl && self.pol == other.pol
+        self.target == other.target && self.words == other.words
     }
 }
 
 impl Eq for PackedGate<'_> {}
 
 impl<'a> PackedGate<'a> {
-    /// A view over raw mask slices. `pol` must be a subset of `ctrl` and
-    /// the target bit must be clear in `ctrl` (callers inside this module
-    /// maintain both).
-    pub(crate) fn from_raw(ctrl: &'a [u64], pol: &'a [u64], target: u32) -> Self {
-        debug_assert_eq!(ctrl.len(), pol.len());
-        Self { ctrl, pol, target }
-    }
-
-    /// The control mask words.
-    #[must_use]
-    pub fn ctrl_words(&self) -> &'a [u64] {
-        self.ctrl
-    }
-
-    /// The polarity mask words (set bit = positive control).
-    #[must_use]
-    pub fn pol_words(&self) -> &'a [u64] {
-        self.pol
+    /// The nonzero control words, in ascending word order (the compiled
+    /// cascade gathers them).
+    pub(crate) fn mask_words(&self) -> &'a [MaskWord] {
+        self.words
     }
 
     /// The target line.
@@ -112,21 +143,22 @@ impl<'a> PackedGate<'a> {
     /// Number of controls (popcount of the control mask).
     #[must_use]
     pub fn num_controls(&self) -> usize {
-        self.ctrl.iter().map(|w| w.count_ones() as usize).sum()
+        self.words
+            .iter()
+            .map(|w| w.ctrl.count_ones() as usize)
+            .sum()
     }
 
     /// The controls in ascending line order, decoded on the fly — no
     /// allocation.
     pub fn controls(&self) -> impl Iterator<Item = Control> + 'a {
-        let pol = self.pol;
-        self.ctrl.iter().enumerate().flat_map(move |(w, &cw)| {
-            let pw = pol[w];
-            BitIter(cw).map(move |b| {
-                let line = w * 64 + b;
-                if (pw >> b) & 1 == 1 {
-                    Control::positive(line)
+        self.words.iter().flat_map(|w| {
+            let (first, pol) = (w.index as usize * 64, w.pol);
+            BitIter(w.ctrl).map(move |b| {
+                if (pol >> b) & 1 == 1 {
+                    Control::positive(first + b)
                 } else {
-                    Control::negative(line)
+                    Control::negative(first + b)
                 }
             })
         })
@@ -135,11 +167,9 @@ impl<'a> PackedGate<'a> {
     /// `Some(positive)` when `line` is a control.
     #[must_use]
     pub fn control_on(&self, line: usize) -> Option<bool> {
-        let (w, b) = (line / 64, line % 64);
-        if w >= self.ctrl.len() || (self.ctrl[w] >> b) & 1 == 0 {
-            return None;
-        }
-        Some((self.pol[w] >> b) & 1 == 1)
+        let bit = 1u64 << (line % 64);
+        let w = self.words.iter().find(|w| w.index as usize == line / 64)?;
+        (w.ctrl & bit != 0).then_some(w.pol & bit != 0)
     }
 
     /// Whether the gate reads or writes `line`.
@@ -148,14 +178,34 @@ impl<'a> PackedGate<'a> {
         self.target() == line || self.control_on(line).is_some()
     }
 
+    /// The highest line the gate reads or writes.
+    #[must_use]
+    pub fn max_line(&self) -> usize {
+        self.words.last().map_or(self.target(), |w| {
+            let top = w.index as usize * 64 + 63 - w.ctrl.leading_zeros() as usize;
+            top.max(self.target())
+        })
+    }
+
+    /// The lowest line with a polarity bit but no control bit, if any.
+    /// Every constructor keeps the polarity mask inside the control mask,
+    /// so this is `None` for every gate of a well-built arena.
+    #[must_use]
+    pub fn stray_polarity(&self) -> Option<usize> {
+        self.words.iter().find_map(|w| {
+            let stray = w.pol & !w.ctrl;
+            (stray != 0).then(|| w.index as usize * 64 + stray.trailing_zeros() as usize)
+        })
+    }
+
     /// Whether the gate fires on the packed basis state `state` (same
     /// line-per-bit word layout as the masks; missing trailing words are
     /// treated as zero).
     #[must_use]
     pub fn fires_words(&self, state: &[u64]) -> bool {
-        self.ctrl.iter().enumerate().all(|(w, &cw)| {
-            let s = state.get(w).copied().unwrap_or(0);
-            (s ^ self.pol[w]) & cw == 0
+        self.words.iter().all(|w| {
+            let s = state.get(w.index as usize).copied().unwrap_or(0);
+            (s ^ w.pol) & w.ctrl == 0
         })
     }
 
@@ -163,19 +213,42 @@ impl<'a> PackedGate<'a> {
     /// circuits only).
     #[must_use]
     pub fn fires_u64(&self, state: u64) -> bool {
-        debug_assert_eq!(self.ctrl.len(), 1, "fires_u64 needs a single-word gate");
-        (state ^ self.pol[0]) & self.ctrl[0] == 0
+        self.words.iter().all(|w| {
+            debug_assert_eq!(w.index, 0, "fires_u64 needs a single-word gate");
+            (state ^ w.pol) & w.ctrl == 0
+        })
+    }
+
+    /// Whether the gate fires on some state whose lines in the dense mask
+    /// `known` hold the matching bits of `value`: every control on a known
+    /// line is satisfied by `value` (a control on another line can be
+    /// satisfied by the state). Missing trailing words are zero.
+    pub(crate) fn may_fire(&self, known: &[u64], value: &[u64]) -> bool {
+        self.words.iter().all(|w| {
+            let at = w.index as usize;
+            let k = known.get(at).copied().unwrap_or(0);
+            let v = value.get(at).copied().unwrap_or(0);
+            (v ^ w.pol) & w.ctrl & k == 0
+        })
     }
 
     /// Whether some shared control line is demanded with opposite
     /// polarities — the two gates can never both fire.
     #[must_use]
     pub fn controls_conflict(&self, other: &PackedGate<'_>) -> bool {
-        self.ctrl
-            .iter()
-            .zip(other.ctrl)
-            .zip(self.pol.iter().zip(other.pol))
-            .any(|((&ca, &cb), (&pa, &pb))| (ca & cb) & (pa ^ pb) != 0)
+        let (mut a, mut b) = (self.words, other.words);
+        while let (Some(x), Some(y)) = (a.first(), b.first()) {
+            if x.index == y.index && (x.ctrl & y.ctrl) & (x.pol ^ y.pol) != 0 {
+                return true;
+            }
+            if x.index <= y.index {
+                a = &a[1..];
+            }
+            if y.index <= x.index {
+                b = &b[1..];
+            }
+        }
+        false
     }
 
     /// Whether the two gates commute: same target, neither target in the
@@ -187,6 +260,70 @@ impl<'a> PackedGate<'a> {
             || self.controls_conflict(other)
     }
 
+    /// The polarity-merge template of [`crate::opt::rules::merge_packed`]
+    /// on a same-target pair: when the control masks are equal and the
+    /// polarity masks differ in exactly one bit, the gate without that
+    /// control.
+    pub(crate) fn polarity_merge(&self, other: &PackedGate<'_>) -> Option<PackedGateBuf> {
+        let pairs = || self.words.iter().zip(other.words);
+        if self.words.len() != other.words.len()
+            || pairs().any(|(x, y)| x.index != y.index || x.ctrl != y.ctrl)
+        {
+            return None;
+        }
+        let diff_bits: u32 = pairs().map(|(x, y)| (x.pol ^ y.pol).count_ones()).sum();
+        if diff_bits != 1 {
+            return None; // 0 differing bits = equal gates, which cancel
+        }
+        let words = pairs()
+            .map(|(x, y)| MaskWord {
+                index: x.index,
+                ctrl: x.ctrl & !(x.pol ^ y.pol),
+                pol: x.pol & y.pol,
+            })
+            .filter(|w| w.ctrl != 0)
+            .collect();
+        Some(PackedGateBuf {
+            words,
+            target: self.target,
+        })
+    }
+
+    /// The subset-merge template of [`crate::opt::rules::merge_packed`] on
+    /// a same-target pair: when this gate's control mask is `other`'s plus
+    /// exactly one bit and the polarities agree on the shared controls,
+    /// this gate with the extra bit's polarity flipped.
+    pub(crate) fn subset_merge(&self, other: &PackedGate<'_>) -> Option<PackedGateBuf> {
+        let mut rest = other.words;
+        let mut extra = None;
+        for (k, x) in self.words.iter().enumerate() {
+            let (ctrl, pol) = match rest.first() {
+                Some(y) if y.index < x.index => return None, // a control `self` lacks
+                Some(y) if y.index == x.index => {
+                    rest = &rest[1..];
+                    (y.ctrl, y.pol)
+                }
+                _ => (0, 0),
+            };
+            if ctrl & !x.ctrl != 0 || (x.pol ^ pol) & ctrl != 0 {
+                return None;
+            }
+            let bits = x.ctrl & !ctrl;
+            match (bits.count_ones(), extra) {
+                (0, _) => {}
+                (1, None) => extra = Some((k, bits)),
+                _ => return None,
+            }
+        }
+        let (k, bit) = extra.filter(|_| rest.is_empty())?;
+        let mut words = self.words.to_vec();
+        words[k].pol ^= bit;
+        Some(PackedGateBuf {
+            words,
+            target: self.target,
+        })
+    }
+
     /// Materializes the legacy [`Gate`] view (API boundaries and
     /// diagnostics only — allocates).
     #[must_use]
@@ -196,45 +333,23 @@ impl<'a> PackedGate<'a> {
 }
 
 /// An owned packed gate: the result type of packed rewrites (control
-/// merges) before they are written back into an arena.
+/// merges) and the staging form of new gates before they are written
+/// into an arena.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PackedGateBuf {
-    ctrl: Vec<u64>,
-    pol: Vec<u64>,
+    words: Vec<MaskWord>,
     target: u32,
 }
 
 impl PackedGateBuf {
-    /// Packs a legacy gate into `words` mask words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a control or the target does not fit in `words` words.
+    /// Packs a legacy gate.
     #[must_use]
-    pub fn from_gate(gate: &Gate, words: usize) -> Self {
-        let mut ctrl = vec![0u64; words];
-        let mut pol = vec![0u64; words];
-        for c in gate.controls() {
-            let (w, b) = (c.line() / 64, c.line() % 64);
-            assert!(
-                w < words,
-                "control line {} exceeds the mask stride",
-                c.line()
-            );
-            ctrl[w] |= 1 << b;
-            if c.is_positive() {
-                pol[w] |= 1 << b;
-            }
-        }
-        assert!(
-            gate.target() / 64 < words,
-            "target line {} exceeds the mask stride",
-            gate.target()
-        );
+    pub fn from_gate(gate: &Gate) -> Self {
+        let mut words = Vec::new();
+        pack_controls(gate.controls(), &mut words);
         Self {
-            ctrl,
-            pol,
-            target: u32::try_from(gate.target()).expect("line indices fit in u32"),
+            words,
+            target: target_u32(gate.target()),
         }
     }
 
@@ -242,39 +357,51 @@ impl PackedGateBuf {
     #[must_use]
     pub fn from_view(view: PackedGate<'_>) -> Self {
         Self {
-            ctrl: view.ctrl.to_vec(),
-            pol: view.pol.to_vec(),
+            words: view.words.to_vec(),
             target: view.target,
         }
-    }
-
-    /// Builds directly from mask words (rewrite results).
-    pub(crate) fn from_masks(ctrl: Vec<u64>, pol: Vec<u64>, target: u32) -> Self {
-        debug_assert_eq!(ctrl.len(), pol.len());
-        Self { ctrl, pol, target }
     }
 
     /// The borrowed view of this buffer.
     #[must_use]
     pub fn view(&self) -> PackedGate<'_> {
-        PackedGate::from_raw(&self.ctrl, &self.pol, self.target)
+        PackedGate {
+            words: &self.words,
+            target: self.target,
+        }
     }
+}
+
+/// Where a slot's entries lie in [`GateArena`]'s entry buffer, and its
+/// target.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    start: u32,
+    len: u32,
+    target: u32,
+}
+
+/// An entry-buffer offset or run length.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("an arena holds fewer than 2^32 mask-word entries")
 }
 
 /// Struct-of-arrays gate storage threaded by a doubly-linked live list.
 ///
-/// All control words live in one flat `Vec<u64>` (`words_per_gate` words
-/// per slot), likewise the polarity words; targets and links are flat
-/// arrays. Removal unlinks a slot without shifting anything; insertion
-/// appends a slot and links it in place. Ids are stable and never
-/// recycled, so side tables indexed by id stay valid across rewrites.
+/// The nonzero control words of all gates live in one flat `Vec` of
+/// `(word index, control word, polarity word)` entries, each slot owning
+/// a contiguous run of them in ascending word order; slot runs, targets
+/// and links are flat arrays. Removal unlinks a slot without shifting
+/// anything; insertion appends a slot and links it in place; a rewrite
+/// that widens a gate moves its run to the end of the buffer, and
+/// [`GateArena::compact`] reclaims what is left behind. Ids are stable
+/// and never recycled, so side tables indexed by id stay valid across
+/// rewrites.
 #[derive(Clone, Debug)]
 pub struct GateArena {
     num_lines: usize,
-    wpg: usize,
-    ctrl: Vec<u64>,
-    pol: Vec<u64>,
-    target: Vec<u32>,
+    words: Vec<MaskWord>,
+    slots: Vec<Slot>,
     prev: Vec<usize>,
     next: Vec<usize>,
     live: Vec<bool>,
@@ -302,10 +429,8 @@ impl GateArena {
     pub fn new(num_lines: usize) -> Self {
         Self {
             num_lines,
-            wpg: words_for_lines(num_lines),
-            ctrl: Vec::new(),
-            pol: Vec::new(),
-            target: Vec::new(),
+            words: Vec::new(),
+            slots: Vec::new(),
             prev: Vec::new(),
             next: Vec::new(),
             live: Vec::new(),
@@ -325,16 +450,10 @@ impl GateArena {
         arena
     }
 
-    /// The line count the mask stride was sized for.
+    /// The arena's line count.
     #[must_use]
     pub fn num_lines(&self) -> usize {
         self.num_lines
-    }
-
-    /// Mask words per gate.
-    #[must_use]
-    pub fn words_per_gate(&self) -> usize {
-        self.wpg
     }
 
     /// Number of live gates.
@@ -375,12 +494,12 @@ impl GateArena {
     #[must_use]
     pub fn gate(&self, id: usize) -> PackedGate<'_> {
         assert!(self.is_live(id), "gate() of dead id {id}");
-        let at = id * self.wpg;
-        PackedGate::from_raw(
-            &self.ctrl[at..at + self.wpg],
-            &self.pol[at..at + self.wpg],
-            self.target[id],
-        )
+        let slot = self.slots[id];
+        let start = slot.start as usize;
+        PackedGate {
+            words: &self.words[start..start + slot.len as usize],
+            target: slot.target,
+        }
     }
 
     /// Materializes live gate `id` as a legacy [`Gate`].
@@ -423,63 +542,56 @@ impl GateArena {
 
     /// Appends a legacy gate at the end; returns its id.
     pub fn push(&mut self, gate: &Gate) -> usize {
-        self.push_buf(&PackedGateBuf::from_gate(gate, self.wpg))
-    }
-
-    /// Appends an owned packed gate at the end (zero-extended to the
-    /// arena's stride); returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is wider than the arena's stride.
-    pub fn push_buf(&mut self, buf: &PackedGateBuf) -> usize {
-        self.push_masks(&buf.ctrl, &buf.pol, buf.target)
-    }
-
-    /// Appends a gate given by its mask words (shorter masks are
-    /// zero-extended to the arena's stride); returns its id. Callers
-    /// validate the masks ([`crate::circuit::Circuit::add_masks`] is the
-    /// checked public form).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the masks are wider than the arena's stride.
-    pub(crate) fn push_masks(&mut self, ctrl: &[u64], pol: &[u64], target: u32) -> usize {
-        let id = self.alloc_slot(ctrl, pol, target);
-        // Link at the tail.
-        self.prev[id] = self.tail;
-        self.next[id] = NIL;
-        if self.tail != NIL {
-            self.next[self.tail] = id;
-        } else {
-            self.head = id;
-        }
-        self.tail = id;
-        self.len += 1;
+        let start = self.words.len();
+        pack_controls(gate.controls(), &mut self.words);
+        let id = self.new_slot(start, target_u32(gate.target()));
+        self.link_last(id);
         id
     }
 
-    /// Appends a borrowed packed view (possibly from an arena with a
-    /// smaller stride — the mask words are zero-extended); returns its
-    /// id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view's stride exceeds this arena's.
-    pub fn push_view(&mut self, view: PackedGate<'_>) -> usize {
-        self.push_masks(view.ctrl, view.pol, view.target)
+    /// Appends an owned packed gate at the end; returns its id.
+    pub fn push_buf(&mut self, buf: &PackedGateBuf) -> usize {
+        self.push_view(buf.view())
     }
 
-    /// Inserts an owned packed gate (zero-extended to the arena's
-    /// stride) immediately before live gate `id`; returns the new id.
+    /// Appends a gate given by its dense mask words (word `w` covers lines
+    /// `64 * w..64 * w + 64`); only the nonzero control words are stored.
+    /// Returns its id. Callers validate the masks
+    /// ([`crate::circuit::Circuit::add_masks`] is the checked public
+    /// form).
+    pub(crate) fn push_masks(&mut self, ctrl: &[u64], pol: &[u64], target: u32) -> usize {
+        let start = self.words.len();
+        for (index, (&ctrl, &pol)) in ctrl.iter().zip(pol).enumerate() {
+            if ctrl != 0 {
+                self.words.push(MaskWord {
+                    index: offset(index),
+                    ctrl,
+                    pol,
+                });
+            }
+        }
+        let id = self.new_slot(start, target);
+        self.link_last(id);
+        id
+    }
+
+    /// Appends a borrowed packed view (possibly of another arena); returns
+    /// its id.
+    pub fn push_view(&mut self, view: PackedGate<'_>) -> usize {
+        let id = self.alloc(view);
+        self.link_last(id);
+        id
+    }
+
+    /// Inserts an owned packed gate immediately before live gate `id`;
+    /// returns the new id.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is dead or the buffer is wider than the arena's
-    /// stride.
+    /// Panics if `id` is dead.
     pub fn insert_before(&mut self, id: usize, buf: &PackedGateBuf) -> usize {
         assert!(self.is_live(id), "insert_before dead id {id}");
-        let new = self.alloc_slot(&buf.ctrl, &buf.pol, buf.target);
+        let new = self.alloc(buf.view());
         let before = self.prev[id];
         self.prev[new] = before;
         self.next[new] = id;
@@ -493,22 +605,47 @@ impl GateArena {
         new
     }
 
-    fn alloc_slot(&mut self, ctrl: &[u64], pol: &[u64], target: u32) -> usize {
-        assert!(
-            ctrl.len() == pol.len() && ctrl.len() <= self.wpg,
-            "packed gate masks are wider than the arena stride"
-        );
-        let id = self.target.len();
-        let pad = self.wpg - ctrl.len();
-        self.ctrl.extend_from_slice(ctrl);
-        self.ctrl.extend(std::iter::repeat_n(0, pad));
-        self.pol.extend_from_slice(pol);
-        self.pol.extend(std::iter::repeat_n(0, pad));
-        self.target.push(target);
+    /// Copies `view`'s entries to the end of the buffer into a new,
+    /// unlinked slot.
+    fn alloc(&mut self, view: PackedGate<'_>) -> usize {
+        let start = self.words.len();
+        self.words.extend_from_slice(view.words);
+        self.new_slot(start, view.target)
+    }
+
+    /// A new unlinked slot owning the entries from `start` to the end of
+    /// the buffer.
+    fn new_slot(&mut self, start: usize, target: u32) -> usize {
+        let id = self.slots.len();
+        self.slots.push(Slot {
+            start: offset(start),
+            len: offset(self.words.len() - start),
+            target,
+        });
         self.prev.push(NIL);
         self.next.push(NIL);
         self.live.push(true);
         id
+    }
+
+    /// Links the new slot `id` at the tail.
+    fn link_last(&mut self, id: usize) {
+        self.prev[id] = self.tail;
+        self.next[id] = NIL;
+        if self.tail != NIL {
+            self.next[self.tail] = id;
+        } else {
+            self.head = id;
+        }
+        self.tail = id;
+        self.len += 1;
+    }
+
+    /// Live slot `id`'s entries, writable in place.
+    fn words_mut(&mut self, id: usize) -> &mut [MaskWord] {
+        let slot = self.slots[id];
+        let start = slot.start as usize;
+        &mut self.words[start..start + slot.len as usize]
     }
 
     /// Unlinks live gate `id`.
@@ -534,17 +671,25 @@ impl GateArena {
     }
 
     /// Overwrites live gate `id` in place (same position in the cascade).
+    /// A gate with more entries than the slot's run moves to a new run at
+    /// the end of the buffer.
     ///
     /// # Panics
     ///
     /// Panics if `id` is dead.
     pub fn replace(&mut self, id: usize, buf: &PackedGateBuf) {
         assert!(self.is_live(id), "replace of dead id {id}");
-        assert_eq!(buf.ctrl.len(), self.wpg, "stride mismatch");
-        let at = id * self.wpg;
-        self.ctrl[at..at + self.wpg].copy_from_slice(&buf.ctrl);
-        self.pol[at..at + self.wpg].copy_from_slice(&buf.pol);
-        self.target[id] = buf.target;
+        let n = buf.words.len();
+        let slot = &mut self.slots[id];
+        if n > slot.len as usize {
+            slot.start = offset(self.words.len());
+            self.words.extend_from_slice(&buf.words);
+        } else {
+            let start = slot.start as usize;
+            self.words[start..start + n].copy_from_slice(&buf.words);
+        }
+        slot.len = offset(n);
+        slot.target = buf.target;
     }
 
     /// Flips the polarity of the control `id` has on `line`, in place
@@ -555,109 +700,69 @@ impl GateArena {
     /// Panics if `id` is dead or has no control on `line`.
     pub fn flip_polarity(&mut self, id: usize, line: usize) {
         assert!(self.is_live(id), "flip_polarity of dead id {id}");
-        let (w, b) = (line / 64, line % 64);
-        let at = id * self.wpg + w;
-        assert!(
-            (self.ctrl[at] >> b) & 1 == 1,
-            "gate {id} has no control on line {line}"
-        );
-        self.pol[at] ^= 1 << b;
+        let bit = 1u64 << (line % 64);
+        let word = self
+            .words_mut(id)
+            .iter_mut()
+            .find(|w| w.index as usize == line / 64 && w.ctrl & bit != 0)
+            .unwrap_or_else(|| panic!("gate {id} has no control on line {line}"));
+        word.pol ^= bit;
     }
 
-    /// The mask words and target of live gate `id`, writable in place.
-    /// Callers keep the polarity mask a subset of the control mask.
+    /// Drops the controls live gate `id` has on the lines of the dense
+    /// mask `lines` (missing trailing words are zero), removing every
+    /// entry left without a control — the constant pass's edit. Returns
+    /// the number of controls dropped.
     ///
     /// # Panics
     ///
     /// Panics if `id` is dead.
-    pub(crate) fn masks_mut(&mut self, id: usize) -> (&mut [u64], &mut [u64], usize) {
-        assert!(self.is_live(id), "masks_mut of dead id {id}");
-        let at = id * self.wpg;
-        (
-            &mut self.ctrl[at..at + self.wpg],
-            &mut self.pol[at..at + self.wpg],
-            self.target[id] as usize,
-        )
+    pub fn drop_controls(&mut self, id: usize, lines: &[u64]) -> u32 {
+        assert!(self.is_live(id), "drop_controls of dead id {id}");
+        let words = self.words_mut(id);
+        let (mut kept, mut dropped) = (0, 0);
+        for k in 0..words.len() {
+            let mut w = words[k];
+            let drop = w.ctrl & lines.get(w.index as usize).copied().unwrap_or(0);
+            dropped += drop.count_ones();
+            w.ctrl &= !drop;
+            w.pol &= !drop;
+            if w.ctrl != 0 {
+                words[kept] = w;
+                kept += 1;
+            }
+        }
+        self.slots[id].len = offset(kept);
+        dropped
     }
 
     /// Number of slots, dead ones included: the bound of every id, and
     /// the length of side tables indexed by id.
     #[must_use]
     pub fn slot_count(&self) -> usize {
-        self.target.len()
+        self.slots.len()
     }
 
-    /// Drops the dead slots: the live gates move to slots `0..len` in
-    /// circuit order. This is done in place when ids increase along the
-    /// live list, which holds for every arena edited only by appends,
-    /// removals and in-place rewrites: a live gate then only moves to a
-    /// lower slot, whose occupant has already moved. An arena with
-    /// inserted gates ([`GateArena::insert_before`]) is copied instead.
-    pub(crate) fn compact(&mut self) {
-        let mut cur = self.head;
-        while cur != NIL && self.next[cur] != NIL {
-            if self.next[cur] < cur {
-                let mut out = GateArena::new(self.num_lines);
-                for (_, g) in self.iter() {
-                    out.push_masks(g.ctrl, g.pol, g.target);
-                }
-                *self = out;
-                return;
-            }
-            cur = self.next[cur];
+    /// Drops the dead slots and the entries no live slot owns: the live
+    /// gates move to slots `0..len` in circuit order, their entries
+    /// gathered into one buffer in the same order.
+    pub fn compact(&mut self) {
+        let mut out = GateArena::new(self.num_lines);
+        for (_, g) in self.iter() {
+            out.push_view(g);
         }
-        let wpg = self.wpg;
-        let mut cur = self.head;
-        let mut k = 0;
-        while cur != NIL {
-            if k != cur {
-                self.ctrl.copy_within(cur * wpg..(cur + 1) * wpg, k * wpg);
-                self.pol.copy_within(cur * wpg..(cur + 1) * wpg, k * wpg);
-                self.target[k] = self.target[cur];
-            }
-            cur = self.next[cur];
-            k += 1;
-        }
-        debug_assert_eq!(k, self.len);
-        self.ctrl.truncate(k * wpg);
-        self.pol.truncate(k * wpg);
-        self.target.truncate(k);
-        self.live.clear();
-        self.live.resize(k, true);
-        self.prev.clear();
-        self.prev
-            .extend((0..k).map(|i| i.checked_sub(1).unwrap_or(NIL)));
-        self.next.clear();
-        self.next
-            .extend((1..=k).map(|i| if i < k { i } else { NIL }));
-        self.head = if k > 0 { 0 } else { NIL };
-        self.tail = k.checked_sub(1).unwrap_or(NIL);
+        *self = out;
     }
 
-    /// Grows the arena to `num_lines` lines, re-striding every slot's
-    /// mask words if the per-gate word count grows. Shrinking is not
-    /// supported (existing gates could fall out of range).
+    /// Grows the arena to `num_lines` lines. Entries carry their own word
+    /// index, so no gate is touched. Shrinking is not supported (existing
+    /// gates could fall out of range).
     pub fn grow_lines(&mut self, num_lines: usize) {
         assert!(
             num_lines >= self.num_lines,
             "GateArena only grows: {} -> {num_lines}",
             self.num_lines
         );
-        let new_wpg = words_for_lines(num_lines);
-        if new_wpg != self.wpg {
-            let slots = self.target.len();
-            let mut ctrl = vec![0u64; slots * new_wpg];
-            let mut pol = vec![0u64; slots * new_wpg];
-            for s in 0..slots {
-                for w in 0..self.wpg {
-                    ctrl[s * new_wpg + w] = self.ctrl[s * self.wpg + w];
-                    pol[s * new_wpg + w] = self.pol[s * self.wpg + w];
-                }
-            }
-            self.ctrl = ctrl;
-            self.pol = pol;
-            self.wpg = new_wpg;
-        }
         self.num_lines = num_lines;
     }
 
@@ -743,14 +848,33 @@ mod tests {
     fn packing_beyond_64_lines_uses_two_words() {
         let gate = g(&[(3, true), (70, false)], 68);
         let arena = GateArena::from_gates(72, std::slice::from_ref(&gate));
-        assert_eq!(arena.words_per_gate(), 2);
         let v = arena.gate(0);
+        assert_eq!(
+            v.mask_words(),
+            &[
+                MaskWord {
+                    index: 0,
+                    ctrl: 1 << 3,
+                    pol: 1 << 3
+                },
+                MaskWord {
+                    index: 1,
+                    ctrl: 1 << 6,
+                    pol: 0
+                }
+            ]
+        );
         assert_eq!(v.num_controls(), 2);
         assert_eq!(v.control_on(3), Some(true));
         assert_eq!(v.control_on(70), Some(false));
         assert_eq!(v.control_on(68), None);
         assert!(v.acts_on(68));
+        assert_eq!(v.max_line(), 70);
         assert_eq!(v.to_gate(), gate);
+        // A gate in one high word stores that word alone.
+        let high = PackedGateBuf::from_gate(&g(&[(200, true)], 5));
+        assert_eq!(high.view().mask_words().len(), 1);
+        assert_eq!(high.view().mask_words()[0].index, 3);
     }
 
     #[test]
@@ -791,15 +915,12 @@ mod tests {
         assert_eq!(arena.len(), 2);
         let head = arena.first().unwrap();
         assert_eq!(arena.gate(head).target(), 1);
-        let buf = PackedGateBuf::from_gate(&g(&[(1, true)], 0), arena.words_per_gate());
+        let buf = PackedGateBuf::from_gate(&g(&[(1, true)], 0));
         let new = arena.insert_before(head, &buf);
         assert_eq!(arena.first(), Some(new));
         let targets: Vec<usize> = arena.iter().map(|(_, v)| v.target()).collect();
         assert_eq!(targets, vec![0, 1, 2]);
-        arena.replace(
-            head,
-            &PackedGateBuf::from_gate(&g(&[], 2), arena.words_per_gate()),
-        );
+        arena.replace(head, &PackedGateBuf::from_gate(&g(&[], 2)));
         let targets: Vec<usize> = arena.iter().map(|(_, v)| v.target()).collect();
         assert_eq!(targets, vec![0, 2, 2]);
         assert_eq!(arena.window_before(arena.last().unwrap(), 8), {
@@ -819,12 +940,11 @@ mod tests {
     }
 
     #[test]
-    fn growing_restrides_masks() {
+    fn growing_lines_keeps_every_gate() {
         let gate = g(&[(0, true), (50, false)], 20);
         let mut arena = GateArena::from_gates(51, std::slice::from_ref(&gate));
-        assert_eq!(arena.words_per_gate(), 1);
         arena.grow_lines(130);
-        assert_eq!(arena.words_per_gate(), 3);
+        assert_eq!(arena.num_lines(), 130);
         assert_eq!(arena.to_gates(), vec![gate]);
         arena.push(&g(&[(128, true)], 5));
         assert_eq!(arena.len(), 2);
@@ -835,6 +955,29 @@ mod tests {
     }
 
     #[test]
+    fn dropping_a_word_s_last_control_removes_its_entry() {
+        let mut arena = GateArena::from_gates(130, &[g(&[(1, true), (70, false)], 0)]);
+        let mut lines = vec![0u64; 3];
+        lines[1] = 1 << 6;
+        assert_eq!(arena.drop_controls(0, &lines), 1);
+        assert_eq!(
+            arena.gate(0),
+            PackedGateBuf::from_gate(&g(&[(1, true)], 0)).view()
+        );
+        assert_eq!(arena.gate(0).mask_words().len(), 1);
+        // A wider rewrite moves the gate's run to the end of the buffer;
+        // compaction drops the two entries left behind.
+        arena.replace(
+            0,
+            &PackedGateBuf::from_gate(&g(&[(1, true), (129, true)], 0)),
+        );
+        assert_eq!(arena.words.len(), 4);
+        arena.compact();
+        assert_eq!(arena.words.len(), 2);
+        assert_eq!(arena.materialize(0), g(&[(1, true), (129, true)], 0));
+    }
+
+    #[test]
     fn compaction_keeps_the_live_sequence_in_slots_0_to_len() {
         let gates: Vec<Gate> = (0..6).map(|t| g(&[((t + 1) % 6, t % 2 == 0)], t)).collect();
         let mut arena = GateArena::from_gates(6, &gates);
@@ -842,9 +985,9 @@ mod tests {
         arena.remove(3);
         arena.remove(5);
         let expected = arena.to_gates();
-        // Out of slot order: compaction copies.
+        // Out of slot order.
         let mut spliced = arena.clone();
-        let buf = PackedGateBuf::from_gate(&g(&[], 0), 1);
+        let buf = PackedGateBuf::from_gate(&g(&[], 0));
         spliced.insert_before(1, &buf);
         let before = spliced.clone();
         spliced.compact();

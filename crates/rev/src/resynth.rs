@@ -51,6 +51,7 @@
 //! a silently wrong cost figure.
 
 use crate::circuit::Circuit;
+use crate::gate::Control;
 use crate::opt::rules::RewriteCost;
 use crate::opt::{equivalence_witness, OptMismatch};
 use crate::packed::{GateArena, PackedGateBuf};
@@ -200,14 +201,8 @@ impl SupportTable {
         self.offsets.resize(id + 1, self.lines.len());
         let gate = arena.gate(id);
         let from = self.lines.len();
-        for (w, &word) in gate.ctrl_words().iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                self.lines.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-        // Control bits come out ascending; only the target needs placing.
+        self.lines.extend(gate.controls().map(Control::line));
+        // Controls come out ascending; only the target needs placing.
         let at = from + self.lines[from..].partition_point(|&l| l < gate.target());
         self.lines.insert(at, gate.target());
         self.offsets.push(self.lines.len());
@@ -408,12 +403,11 @@ impl<'a> Sweep<'a> {
         stats.gates_added += cost.gates_added as u64;
         stats.t_removed += cost.t_removed;
         stats.t_added += cost.t_added;
-        let words = self.arena.words_per_gate();
         let replacement: Vec<PackedGateBuf> = best
             .circuit
             .gates()
             .iter()
-            .map(|g| PackedGateBuf::from_gate(&g.remapped(support.lines()), words))
+            .map(|g| PackedGateBuf::from_gate(&g.remapped(|l| support.lines()[l])))
             .collect();
         let resume = self.splice(&replacement, inside);
         Visit::Spliced { resume }
@@ -515,15 +509,10 @@ impl<'a> Sweep<'a> {
         states: usize,
         stats: &mut ResynthStats,
     ) -> Option<Candidate> {
-        let lines = support.lines();
-        let k = lines.len();
-        let mut to_local = vec![usize::MAX; lines[k - 1] + 1];
-        for (local, &line) in lines.iter().enumerate() {
-            to_local[line] = local;
-        }
+        let k = support.len;
         let mut sub = Circuit::new(k);
         for &w in &self.window {
-            sub.add_gate(self.arena.materialize(w).remapped(&to_local));
+            sub.add_gate(self.arena.materialize(w).remapped(|l| support.local(l)));
         }
         let perm: Vec<u64> = self.table[..states].iter().map(|&y| u64::from(y)).collect();
         debug_assert_eq!(

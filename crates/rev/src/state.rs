@@ -162,10 +162,10 @@ mod tests {
     fn gate_application_beyond_word_boundary() {
         let mut s = BitState::zeros(130);
         s.set(100, true);
-        let g = PackedGateBuf::from_gate(&Gate::mct(vec![Control::positive(100)], 129), 3);
+        let g = PackedGateBuf::from_gate(&Gate::mct(vec![Control::positive(100)], 129));
         s.apply_packed(&g.view());
         assert!(s.get(129));
-        let h = PackedGateBuf::from_gate(&Gate::mct(vec![Control::negative(100)], 128), 3);
+        let h = PackedGateBuf::from_gate(&Gate::mct(vec![Control::negative(100)], 128));
         s.apply_packed(&h.view());
         assert!(!s.get(128));
     }

@@ -20,7 +20,7 @@
 
 use crate::circuit::Circuit;
 use crate::gate::{Control, Gate};
-use crate::opt::rules::{merge_packed, MergeRule, RewriteCost};
+use crate::opt::rules::{MergeRule, RewriteCost};
 use crate::opt::{equivalence_witness, OptOptions, OptStats, Optimized, UnionFind};
 use crate::packed::{GateArena, PackedGateBuf};
 use crate::resynth::{
@@ -189,7 +189,7 @@ fn full_sweep(
         }
         let mut sub = Circuit::new(k);
         for &w in &ids {
-            sub.add_gate(list.materialize(w).remapped(&to_local));
+            sub.add_gate(list.materialize(w).remapped(|l| to_local[l]));
         }
         let perm = sub
             .permutation()
@@ -232,9 +232,8 @@ fn full_sweep(
         // (every window gate commutes with the skipped gates it passes),
         // then the window's gates go.
         let resume = list.next_live(*ids.last().expect("non-empty window"));
-        let words = list.words_per_gate();
         for g in replacement.gates() {
-            let buf = PackedGateBuf::from_gate(&g.remapped(&support), words);
+            let buf = PackedGateBuf::from_gate(&g.remapped(|l| support[l]));
             list.insert_before(ids[0], &buf);
         }
         for &w in &ids {
@@ -249,13 +248,178 @@ fn full_sweep(
     changed
 }
 
+/// A gate in the dense word-array form: one control and one polarity
+/// word per 64 lines of its circuit, whatever the gate's support. This is
+/// the reference representation of the differential suites: the
+/// reference optimizer [`optimize_by_components`] runs on it, and the
+/// wide-circuit properties check every
+/// [`PackedGate`](crate::packed::PackedGate) relation and
+/// [`merge_packed`](crate::opt::rules::merge_packed) against its
+/// definitions.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DenseGate {
+    /// Control mask: bit `l % 64` of word `l / 64` makes line `l` a
+    /// control.
+    pub ctrl: Vec<u64>,
+    /// Polarity mask (set bit = positive control), a subset of `ctrl`.
+    pub pol: Vec<u64>,
+    /// The target line.
+    pub target: usize,
+}
+
+impl DenseGate {
+    /// Packs `gate` into `words` mask words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a control lies beyond `words` words.
+    pub fn from_gate(gate: &Gate, words: usize) -> Self {
+        let mut ctrl = vec![0u64; words];
+        let mut pol = vec![0u64; words];
+        for c in gate.controls() {
+            ctrl[c.line() / 64] |= 1 << (c.line() % 64);
+            if c.is_positive() {
+                pol[c.line() / 64] |= 1 << (c.line() % 64);
+            }
+        }
+        Self {
+            ctrl,
+            pol,
+            target: gate.target(),
+        }
+    }
+
+    /// The controls in ascending line order.
+    pub fn controls(&self) -> Vec<Control> {
+        (0..self.ctrl.len() * 64)
+            .filter_map(|l| self.control_on(l).map(|p| (l, p)))
+            .map(|(l, p)| {
+                if p {
+                    Control::positive(l)
+                } else {
+                    Control::negative(l)
+                }
+            })
+            .collect()
+    }
+
+    /// The legacy view.
+    pub fn to_gate(&self) -> Gate {
+        Gate::mct(self.controls(), self.target)
+    }
+
+    /// Popcount of the control mask.
+    pub fn num_controls(&self) -> usize {
+        self.ctrl.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// `Some(positive)` when `line` is a control.
+    pub fn control_on(&self, line: usize) -> Option<bool> {
+        let (w, b) = (line / 64, line % 64);
+        if w >= self.ctrl.len() || (self.ctrl[w] >> b) & 1 == 0 {
+            return None;
+        }
+        Some((self.pol[w] >> b) & 1 == 1)
+    }
+
+    /// Whether the gate reads or writes `line`.
+    pub fn acts_on(&self, line: usize) -> bool {
+        self.target == line || self.control_on(line).is_some()
+    }
+
+    /// The highest line the gate reads or writes.
+    pub fn max_line(&self) -> usize {
+        self.controls()
+            .last()
+            .map_or(self.target, |c| c.line().max(self.target))
+    }
+
+    /// `(s ^ pol) & ctrl == 0` for every word (missing state words are
+    /// zero).
+    pub fn fires_words(&self, state: &[u64]) -> bool {
+        self.ctrl.iter().enumerate().all(|(w, &cw)| {
+            let s = state.get(w).copied().unwrap_or(0);
+            (s ^ self.pol[w]) & cw == 0
+        })
+    }
+
+    /// `(ctrl_a & ctrl_b) & (pol_a ^ pol_b) != 0` in some word.
+    pub fn controls_conflict(&self, other: &DenseGate) -> bool {
+        self.ctrl
+            .iter()
+            .zip(&other.ctrl)
+            .zip(self.pol.iter().zip(&other.pol))
+            .any(|((&ca, &cb), (&pa, &pb))| (ca & cb) & (pa ^ pb) != 0)
+    }
+
+    /// Same target, neither target in the other's support, or
+    /// conflicting controls.
+    pub fn commutes_with(&self, other: &DenseGate) -> bool {
+        self.target == other.target
+            || (!self.acts_on(other.target) && !other.acts_on(self.target))
+            || self.controls_conflict(other)
+    }
+
+    /// The two control-merge templates of
+    /// [`merge_packed`](crate::opt::rules::merge_packed), word by word.
+    pub fn merge(&self, other: &DenseGate) -> Option<(DenseGate, MergeRule)> {
+        if self.target != other.target {
+            return None;
+        }
+        let (ca, cb, pa, pb) = (&self.ctrl, &other.ctrl, &self.pol, &other.pol);
+        if ca == cb {
+            let diff_bits: u32 = pa.iter().zip(pb).map(|(&x, &y)| (x ^ y).count_ones()).sum();
+            if diff_bits != 1 {
+                return None;
+            }
+            let ctrl = ca
+                .iter()
+                .zip(pa.iter().zip(pb))
+                .map(|(&c, (&x, &y))| c & !(x ^ y))
+                .collect();
+            let pol = pa.iter().zip(pb).map(|(&x, &y)| x & y).collect();
+            let target = self.target;
+            return Some((DenseGate { ctrl, pol, target }, MergeRule::Polarity));
+        }
+        if pa
+            .iter()
+            .zip(pb)
+            .zip(ca.iter().zip(cb))
+            .any(|((&x, &y), (&cx, &cy))| (x ^ y) & (cx & cy) != 0)
+        {
+            return None;
+        }
+        let extra = |x: &[u64], y: &[u64]| -> u32 {
+            x.iter().zip(y).map(|(&x, &y)| (x & !y).count_ones()).sum()
+        };
+        let (large, small) = match (extra(ca, cb), extra(cb, ca)) {
+            (1, 0) => (self, other),
+            (0, 1) => (other, self),
+            _ => return None,
+        };
+        let pol = large
+            .pol
+            .iter()
+            .zip(large.ctrl.iter().zip(&small.ctrl))
+            .map(|(&p, (&cl, &cs))| p ^ (cl & !cs))
+            .collect();
+        let merged = DenseGate {
+            ctrl: large.ctrl.clone(),
+            pol,
+            target: self.target,
+        };
+        Some((merged, MergeRule::Subset))
+    }
+}
+
 /// The reference peephole optimizer: the rule catalogue, window and
 /// worklist order of [`crate::opt::optimize_assuming`], run the plain
-/// way. Every peephole pass splits the cascade into support-connected
-/// components, copies each component into an arena of its own, runs that
-/// component's worklist there, and merges the survivors back in original
-/// gate order into a fresh arena. The constant pass decodes every gate's
-/// controls against a per-line constant lattice value.
+/// way on [`DenseGate`] lists, a representation of its own. Every
+/// peephole pass splits the cascade into support-connected components,
+/// copies each component into a list of its own, runs that component's
+/// worklist there, and merges the survivors back in original gate order.
+/// The constant pass decodes every gate's controls against a per-line
+/// constant lattice value.
 ///
 /// The production optimizer must return the identical circuit and
 /// identical [`OptStats`].
@@ -265,26 +429,36 @@ pub fn optimize_by_components(
     zero_lines: &[usize],
 ) -> Optimized {
     let window = options.window.max(1);
+    let n = circuit.num_lines();
+    let words = crate::packed::words_for_lines(n);
     let mut stats = OptStats::default();
-    let mut arena = circuit.clone().into_arena();
+    let mut gates: Vec<DenseGate> = circuit
+        .gates()
+        .iter()
+        .map(|g| DenseGate::from_gate(g, words))
+        .collect();
     let mut first = true;
     loop {
         let before_const = stats.total_rewrites();
         if !zero_lines.is_empty() {
-            const_prop_reference(&mut arena, zero_lines, &mut stats);
+            gates = const_prop_reference(gates, n, zero_lines, &mut stats);
         }
         let const_changed = stats.total_rewrites() != before_const;
         if !first && !const_changed {
             break;
         }
-        arena = split_and_merge_pass(&arena, window, &mut stats);
+        gates = split_and_merge_pass(n, &gates, window, &mut stats);
         first = false;
         if zero_lines.is_empty() {
             break;
         }
     }
+    let mut out = Circuit::new(n);
+    for g in &gates {
+        out.add_gate(g.to_gate());
+    }
     Optimized {
-        circuit: Circuit::from_arena(arena),
+        circuit: out,
         stats,
     }
 }
@@ -301,147 +475,160 @@ enum ConstVal {
 }
 
 /// One forward constant-propagation sweep, one [`ConstVal`] per line.
-fn const_prop_reference(arena: &mut GateArena, zero_lines: &[usize], stats: &mut OptStats) {
-    let mut vals = vec![ConstVal::Top; arena.num_lines()];
+/// Returns the surviving gates.
+fn const_prop_reference(
+    gates: Vec<DenseGate>,
+    num_lines: usize,
+    zero_lines: &[usize],
+    stats: &mut OptStats,
+) -> Vec<DenseGate> {
+    let mut vals = vec![ConstVal::Top; num_lines];
     for &l in zero_lines {
         vals[l] = ConstVal::Zero;
     }
-    let mut cur = arena.first();
-    while let Some(i) = cur {
-        cur = arena.next_live(i);
-        let g = arena.gate(i);
-        let target = g.target();
-        let mut dead = false;
+    let mut out = Vec::with_capacity(gates.len());
+    'gates: for mut g in gates {
         let mut drops: Vec<usize> = Vec::new();
         for c in g.controls() {
             match (vals[c.line()], c.is_positive()) {
                 (ConstVal::Zero, true) | (ConstVal::One, false) => {
-                    dead = true;
-                    break;
+                    stats.const_dead += 1;
+                    continue 'gates;
                 }
                 (ConstVal::Zero, false) | (ConstVal::One, true) => drops.push(c.line()),
                 (ConstVal::Top, _) => {}
             }
         }
-        if dead {
-            stats.const_dead += 1;
-            arena.remove(i);
-            continue;
+        stats.const_drops += drops.len() as u64;
+        for &l in &drops {
+            g.ctrl[l / 64] &= !(1u64 << (l % 64));
+            g.pol[l / 64] &= !(1u64 << (l % 64));
         }
-        let controls_left = g.num_controls() - drops.len();
-        if !drops.is_empty() {
-            stats.const_drops += drops.len() as u64;
-            let mut ctrl = g.ctrl_words().to_vec();
-            let mut pol = g.pol_words().to_vec();
-            for &l in &drops {
-                ctrl[l >> 6] &= !(1u64 << (l & 63));
-                pol[l >> 6] &= !(1u64 << (l & 63));
-            }
-            let t = u32::try_from(target).expect("line counts fit u32");
-            arena.replace(i, &PackedGateBuf::from_masks(ctrl, pol, t));
-        }
-        vals[target] = match (controls_left, vals[target]) {
+        vals[g.target] = match (g.num_controls(), vals[g.target]) {
             (0, ConstVal::Zero) => ConstVal::One,
             (0, ConstVal::One) => ConstVal::Zero,
             _ => ConstVal::Top,
         };
+        out.push(g);
     }
+    out
 }
 
 /// One reference peephole pass: components copied out, optimized one
 /// by one, and merged back in original gate order.
-fn split_and_merge_pass(arena: &GateArena, window: usize, stats: &mut OptStats) -> GateArena {
-    let ids: Vec<usize> = arena.iter().map(|(id, _)| id).collect();
-    let mut uf = UnionFind::new(arena.num_lines());
-    for &id in &ids {
-        let g = arena.gate(id);
-        let root = uf.find(g.target());
+fn split_and_merge_pass(
+    num_lines: usize,
+    gates: &[DenseGate],
+    window: usize,
+    stats: &mut OptStats,
+) -> Vec<DenseGate> {
+    let mut uf = UnionFind::new(num_lines);
+    for g in gates {
+        let root = uf.find(g.target);
         for c in g.controls() {
             uf.join(c.line(), root);
         }
     }
-    let mut comp_of_root: Vec<Option<usize>> = vec![None; arena.num_lines().max(1)];
+    let mut comp_of_root: Vec<Option<usize>> = vec![None; num_lines.max(1)];
     let mut components: Vec<Vec<usize>> = Vec::new();
-    for (key, &id) in ids.iter().enumerate() {
-        let root = uf.find(arena.gate(id).target());
+    for (key, g) in gates.iter().enumerate() {
+        let root = uf.find(g.target);
         let ci = *comp_of_root[root].get_or_insert_with(|| {
             components.push(Vec::new());
             components.len() - 1
         });
         components[ci].push(key);
     }
-    let mut all: Vec<(usize, PackedGateBuf)> = Vec::new();
+    let mut all: Vec<(usize, DenseGate)> = Vec::new();
     for keys in &components {
-        let mut sub = GateArena::new(arena.num_lines());
-        for &k in keys {
-            sub.push_view(arena.gate(ids[k]));
-        }
+        let mut sub = DenseList(keys.iter().map(|&k| Some(gates[k].clone())).collect());
         component_worklist(&mut sub, window, stats);
         all.extend(
-            sub.iter()
-                .map(|(id, g)| (keys[id], PackedGateBuf::from_view(g))),
+            sub.0
+                .into_iter()
+                .enumerate()
+                .filter_map(|(id, g)| Some((keys[id], g?))),
         );
     }
     all.sort_by_key(|&(k, _)| k);
-    let mut out = GateArena::new(arena.num_lines());
-    for (_, buf) in &all {
-        out.push_buf(buf);
+    all.into_iter().map(|(_, g)| g).collect()
+}
+
+/// One component's gates in circuit order; a removed gate leaves `None`,
+/// so ids stay stable.
+struct DenseList(Vec<Option<DenseGate>>);
+
+impl DenseList {
+    fn gate(&self, id: usize) -> &DenseGate {
+        self.0[id].as_ref().expect("a live gate")
     }
-    out
+
+    fn is_live(&self, id: usize) -> bool {
+        self.0[id].is_some()
+    }
+
+    fn next_live(&self, id: usize) -> Option<usize> {
+        (id + 1..self.0.len()).find(|&j| self.is_live(j))
+    }
+
+    /// Up to `k` live predecessors of `id`, nearest first.
+    fn window_before(&self, id: usize, k: usize) -> Vec<usize> {
+        (0..id).rev().filter(|&j| self.is_live(j)).take(k).collect()
+    }
 }
 
 /// One applicable rewrite found by [`reference_rewrite`].
 enum RefRewrite {
     Cancel(usize),
-    Merge(usize, PackedGateBuf, MergeRule),
+    Merge(usize, DenseGate, MergeRule),
     NotAbsorb(usize, Vec<usize>),
 }
 
-/// The forward scan from `i` over a one-component arena.
+/// The forward scan from `i` over a one-component list.
 fn reference_rewrite(
-    arena: &GateArena,
+    list: &DenseList,
     i: usize,
     window: usize,
     rejected: &mut u64,
 ) -> Option<RefRewrite> {
-    let g = arena.gate(i);
-    let mut next = arena.next_live(i);
+    let g = list.gate(i);
+    let mut next = list.next_live(i);
     let mut steps = 0;
     while let Some(j) = next {
         if steps >= window {
             break;
         }
-        let h = arena.gate(j);
+        let h = list.gate(j);
         if g == h {
             if RewriteCost::of_controls(&[g.num_controls(), h.num_controls()], &[]).accepted() {
                 return Some(RefRewrite::Cancel(j));
             }
             *rejected += 1;
-        } else if let Some((gate, rule)) = merge_packed(&g, &h) {
+        } else if let Some((gate, rule)) = g.merge(h) {
             let counts = [g.num_controls(), h.num_controls()];
-            if RewriteCost::of_controls(&counts, &[gate.view().num_controls()]).accepted() {
+            if RewriteCost::of_controls(&counts, &[gate.num_controls()]).accepted() {
                 return Some(RefRewrite::Merge(j, gate, rule));
             }
             *rejected += 1;
         }
-        if !g.commutes_with(&h) {
+        if !g.commutes_with(h) {
             break;
         }
-        next = arena.next_live(j);
+        next = list.next_live(j);
         steps += 1;
     }
     if g.num_controls() == 0 {
-        let l = g.target();
+        let l = g.target;
         let mut flips = Vec::new();
-        let mut next = arena.next_live(i);
+        let mut next = list.next_live(i);
         let mut steps = 0;
         while let Some(j) = next {
             if steps >= window {
                 break;
             }
-            let h = arena.gate(j);
+            let h = list.gate(j);
             if h.num_controls() == 0 {
-                if h.target() == l {
+                if h.target == l {
                     if RewriteCost::of_controls(&[0, 0], &[]).accepted() {
                         return Some(RefRewrite::NotAbsorb(j, flips));
                     }
@@ -450,7 +637,7 @@ fn reference_rewrite(
             } else if h.control_on(l).is_some() {
                 flips.push(j);
             }
-            next = arena.next_live(j);
+            next = list.next_live(j);
             steps += 1;
         }
     }
@@ -458,32 +645,32 @@ fn reference_rewrite(
 }
 
 /// Runs one component's own FIFO worklist to its fixpoint.
-fn component_worklist(arena: &mut GateArena, window: usize, stats: &mut OptStats) {
-    let n = arena.len();
+fn component_worklist(list: &mut DenseList, window: usize, stats: &mut OptStats) {
+    let n = list.0.len();
     let mut queue: VecDeque<usize> = (0..n).collect();
     let mut queued = vec![true; n];
     while let Some(i) = queue.pop_front() {
         queued[i] = false;
-        if !arena.is_live(i) {
+        if !list.is_live(i) {
             continue;
         }
-        let Some(rewrite) = reference_rewrite(arena, i, window, &mut stats.rejected) else {
+        let Some(rewrite) = reference_rewrite(list, i, window, &mut stats.rejected) else {
             continue;
         };
-        let mut requeue = arena.window_before(i, window);
+        let mut requeue = list.window_before(i, window);
         let j = match &rewrite {
             RefRewrite::Cancel(j) | RefRewrite::Merge(j, ..) | RefRewrite::NotAbsorb(j, _) => *j,
         };
-        requeue.extend(arena.window_before(j, window));
+        requeue.extend(list.window_before(j, window));
         match rewrite {
             RefRewrite::Cancel(j) => {
-                arena.remove(i);
-                arena.remove(j);
+                list.0[i] = None;
+                list.0[j] = None;
                 stats.cancellations += 1;
             }
             RefRewrite::Merge(j, gate, rule) => {
-                arena.remove(i);
-                arena.replace(j, &gate);
+                list.0[i] = None;
+                list.0[j] = Some(gate);
                 requeue.push(j);
                 match rule {
                     MergeRule::Polarity => stats.polarity_merges += 1,
@@ -491,18 +678,19 @@ fn component_worklist(arena: &mut GateArena, window: usize, stats: &mut OptStats
                 }
             }
             RefRewrite::NotAbsorb(j, flips) => {
-                let line = arena.gate(i).target();
-                arena.remove(i);
-                arena.remove(j);
+                let line = list.gate(i).target;
+                list.0[i] = None;
+                list.0[j] = None;
                 for &f in &flips {
-                    arena.flip_polarity(f, line);
+                    let g = list.0[f].as_mut().expect("a live gate");
+                    g.pol[line / 64] ^= 1 << (line % 64);
                 }
                 requeue.extend(flips);
                 stats.not_absorptions += 1;
             }
         }
         for id in requeue {
-            if arena.is_live(id) && !queued[id] {
+            if list.is_live(id) && !queued[id] {
                 queued[id] = true;
                 queue.push_back(id);
             }
