@@ -178,7 +178,7 @@ fn depth_metrics_expose_the_serialization_a_mutation_introduces() {
 #[test]
 fn mutation_out_of_bounds_target_fires_line_out_of_bounds() {
     // The safe constructors refuse to build this circuit; the arena
-    // packs line 9 into its one-word mask stride all the same.
+    // stores the control on line 9 all the same.
     let arena = GateArena::from_gates(4, &[Gate::toffoli(0, 1, 2), Gate::cnot(1, 9)]);
     let mut diags = Vec::new();
     assert!(!wellformed::check(&arena, &bennett_iface(), &mut diags));

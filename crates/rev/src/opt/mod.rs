@@ -42,12 +42,14 @@
 //! worklist serves every component, and a rewrite requeues only its
 //! neighbourhood, keeping the whole pass near-linear in circuit size.
 //! The result is exactly that of optimizing each component on its own
-//! (the split-and-copy reference `testkit::optimize_by_components`
-//! checks this). The removed slots are dropped in place once the passes
-//! reach their joint fixpoint. Commutation, conflict, the merge
-//! templates and the constant pass are whole-word mask operations,
-//! defined once on the packed form; the legacy [`crate::gate::Gate`]
-//! only builds and displays gates.
+//! (the split-and-copy reference `testkit::optimize_by_components`, on
+//! dense gates of its own, checks this). The removed slots are dropped
+//! by one compaction once the passes reach their joint fixpoint.
+//! Commutation, conflict, the merge templates and the constant pass are
+//! mask operations over each gate's nonzero mask words, defined once on
+//! the packed form, so their cost follows the gates' supports and not
+//! the line count; the legacy [`crate::gate::Gate`] only builds and
+//! displays gates.
 //!
 //! Every rule preserves the function on the **full line space** —
 //! ancillae and garbage lines included — and [`optimize_checked`]

@@ -353,15 +353,6 @@ impl PackedGateBuf {
         }
     }
 
-    /// An owned copy of a borrowed view.
-    #[must_use]
-    pub fn from_view(view: PackedGate<'_>) -> Self {
-        Self {
-            words: view.words.to_vec(),
-            target: view.target,
-        }
-    }
-
     /// The borrowed view of this buffer.
     #[must_use]
     pub fn view(&self) -> PackedGate<'_> {
@@ -547,11 +538,6 @@ impl GateArena {
         let id = self.new_slot(start, target_u32(gate.target()));
         self.link_last(id);
         id
-    }
-
-    /// Appends an owned packed gate at the end; returns its id.
-    pub fn push_buf(&mut self, buf: &PackedGateBuf) -> usize {
-        self.push_view(buf.view())
     }
 
     /// Appends a gate given by its dense mask words (word `w` covers lines
