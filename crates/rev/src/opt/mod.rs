@@ -83,7 +83,7 @@ pub mod rules;
 
 use crate::batchsim::{first_exhaustive, first_sampled, BatchState, CompiledCascade, Starts};
 use crate::circuit::Circuit;
-use crate::packed::{words_for_lines, GateArena, PackedGateBuf, NIL};
+use crate::packed::{words_for_lines, GateArena, PackedGateBuf};
 use rules::{MergeRule, RewriteCost};
 use std::collections::VecDeque;
 use std::fmt;
@@ -98,6 +98,9 @@ pub const SAMPLED_STATES: u64 = 4096;
 
 /// Seed of the random start states the equivalence gates sample.
 const SAMPLE_SEED: u64 = 0x0917_C3EC;
+
+/// Sentinel for "no gate" in the per-component links.
+const NIL: usize = usize::MAX;
 
 /// Tuning knobs of the peephole pass.
 #[derive(Clone, Copy, Debug)]

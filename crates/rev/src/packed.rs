@@ -46,9 +46,8 @@
 
 use crate::gate::{Control, Gate};
 
-/// Sentinel for "no node" in the arena's links (and the optimizer's
-/// per-component links).
-pub(crate) const NIL: usize = usize::MAX;
+/// "No slot" in the arena's live-list links.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Number of `u64` words of a dense mask over `num_lines` lines (at
 /// least one): the word count [`Circuit::add_masks`](crate::circuit::Circuit::add_masks)
@@ -377,6 +376,19 @@ fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("an arena holds fewer than 2^32 mask-word entries")
 }
 
+/// Slot `id` as a live-list link.
+fn link(id: usize) -> u32 {
+    u32::try_from(id)
+        .ok()
+        .filter(|&l| l != NO_SLOT)
+        .expect("an arena holds fewer than 2^32 - 1 slots")
+}
+
+/// The slot a live-list link points to, if any.
+fn follow(l: u32) -> Option<usize> {
+    (l != NO_SLOT).then_some(l as usize)
+}
+
 /// Struct-of-arrays gate storage threaded by a doubly-linked live list.
 ///
 /// The nonzero control words of all gates live in one flat `Vec` of
@@ -393,11 +405,11 @@ pub struct GateArena {
     num_lines: usize,
     words: Vec<MaskWord>,
     slots: Vec<Slot>,
-    prev: Vec<usize>,
-    next: Vec<usize>,
+    prev: Vec<u32>,
+    next: Vec<u32>,
     live: Vec<bool>,
-    head: usize,
-    tail: usize,
+    head: u32,
+    tail: u32,
     len: usize,
 }
 
@@ -425,8 +437,8 @@ impl GateArena {
             prev: Vec::new(),
             next: Vec::new(),
             live: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            head: NO_SLOT,
+            tail: NO_SLOT,
             len: 0,
         }
     }
@@ -462,13 +474,13 @@ impl GateArena {
     /// First live id in circuit order.
     #[must_use]
     pub fn first(&self) -> Option<usize> {
-        (self.head != NIL).then_some(self.head)
+        follow(self.head)
     }
 
     /// Last live id in circuit order.
     #[must_use]
     pub fn last(&self) -> Option<usize> {
-        (self.tail != NIL).then_some(self.tail)
+        follow(self.tail)
     }
 
     /// Whether `id` is a live slot.
@@ -511,7 +523,7 @@ impl GateArena {
     #[must_use]
     pub fn next_live(&self, id: usize) -> Option<usize> {
         assert!(self.is_live(id), "next_live of dead id {id}");
-        (self.next[id] != NIL).then(|| self.next[id])
+        follow(self.next[id])
     }
 
     /// Up to `k` live predecessors of `id`, nearest first.
@@ -523,10 +535,10 @@ impl GateArena {
     pub fn window_before(&self, id: usize, k: usize) -> Vec<usize> {
         assert!(self.is_live(id), "window_before of dead id {id}");
         let mut out = Vec::with_capacity(k.min(8));
-        let mut cur = self.prev[id];
-        while cur != NIL && out.len() < k {
-            out.push(cur);
-            cur = self.prev[cur];
+        let mut cur = follow(self.prev[id]);
+        while let Some(p) = cur.filter(|_| out.len() < k) {
+            out.push(p);
+            cur = follow(self.prev[p]);
         }
         out
     }
@@ -580,12 +592,11 @@ impl GateArena {
         let new = self.alloc(buf.view());
         let before = self.prev[id];
         self.prev[new] = before;
-        self.next[new] = id;
-        self.prev[id] = new;
-        if before != NIL {
-            self.next[before] = new;
-        } else {
-            self.head = new;
+        self.next[new] = link(id);
+        self.prev[id] = link(new);
+        match follow(before) {
+            Some(b) => self.next[b] = link(new),
+            None => self.head = link(new),
         }
         self.len += 1;
         new
@@ -608,8 +619,8 @@ impl GateArena {
             len: offset(self.words.len() - start),
             target,
         });
-        self.prev.push(NIL);
-        self.next.push(NIL);
+        self.prev.push(NO_SLOT);
+        self.next.push(NO_SLOT);
         self.live.push(true);
         id
     }
@@ -617,13 +628,12 @@ impl GateArena {
     /// Links the new slot `id` at the tail.
     fn link_last(&mut self, id: usize) {
         self.prev[id] = self.tail;
-        self.next[id] = NIL;
-        if self.tail != NIL {
-            self.next[self.tail] = id;
-        } else {
-            self.head = id;
+        self.next[id] = NO_SLOT;
+        match follow(self.tail) {
+            Some(t) => self.next[t] = link(id),
+            None => self.head = link(id),
         }
-        self.tail = id;
+        self.tail = link(id);
         self.len += 1;
     }
 
@@ -642,15 +652,13 @@ impl GateArena {
     pub fn remove(&mut self, id: usize) {
         assert!(self.is_live(id), "remove of dead id {id}");
         let (p, n) = (self.prev[id], self.next[id]);
-        if p != NIL {
-            self.next[p] = n;
-        } else {
-            self.head = n;
+        match follow(p) {
+            Some(p) => self.next[p] = n,
+            None => self.head = n,
         }
-        if n != NIL {
-            self.prev[n] = p;
-        } else {
-            self.tail = p;
+        match follow(n) {
+            Some(n) => self.prev[n] = p,
+            None => self.tail = p,
         }
         self.live[id] = false;
         self.len -= 1;
@@ -730,14 +738,53 @@ impl GateArena {
     }
 
     /// Drops the dead slots and the entries no live slot owns: the live
-    /// gates move to slots `0..len` in circuit order, their entries
-    /// gathered into one buffer in the same order.
+    /// gates move to slots `0..len` in circuit order, their entries to
+    /// one run in the same order. This is done in place when ids and
+    /// entry runs both increase along the live list, which holds for an
+    /// arena edited only by appends, removals and rewrites that kept
+    /// their runs: a gate and its entries then only move down, onto space
+    /// already vacated. An arena with inserted gates
+    /// ([`GateArena::insert_before`]) or moved runs is copied instead.
     pub fn compact(&mut self) {
-        let mut out = GateArena::new(self.num_lines);
-        for (_, g) in self.iter() {
-            out.push_view(g);
+        let ids = || self.iter().map(|(id, _)| id);
+        let in_place = ids().zip(ids().skip(1)).all(|(a, b)| {
+            let run = self.slots[a];
+            a < b && run.start + run.len <= self.slots[b].start
+        });
+        if !in_place {
+            let mut out = GateArena::new(self.num_lines);
+            for (_, g) in self.iter() {
+                out.push_view(g);
+            }
+            *self = out;
+            return;
         }
-        *self = out;
+        let (mut k, mut w) = (0, 0);
+        let mut cur = follow(self.head);
+        while let Some(id) = cur {
+            let slot = self.slots[id];
+            let start = slot.start as usize;
+            self.words.copy_within(start..start + slot.len as usize, w);
+            self.slots[k] = Slot {
+                start: offset(w),
+                ..slot
+            };
+            w += slot.len as usize;
+            cur = follow(self.next[id]);
+            k += 1;
+        }
+        self.words.truncate(w);
+        self.slots.truncate(k);
+        self.live.clear();
+        self.live.resize(k, true);
+        self.prev.clear();
+        self.prev
+            .extend((0..k).map(|i| i.checked_sub(1).map_or(NO_SLOT, link)));
+        self.next.clear();
+        self.next
+            .extend((1..=k).map(|i| if i < k { link(i) } else { NO_SLOT }));
+        self.head = if k > 0 { 0 } else { NO_SLOT };
+        self.tail = k.checked_sub(1).map_or(NO_SLOT, link);
     }
 
     /// Grows the arena to `num_lines` lines. Entries carry their own word
@@ -756,7 +803,7 @@ impl GateArena {
     pub fn iter(&self) -> ArenaIter<'_> {
         ArenaIter {
             arena: self,
-            cur: self.head,
+            cur: follow(self.head),
         }
     }
 
@@ -772,18 +819,15 @@ impl GateArena {
 #[derive(Clone, Debug)]
 pub struct ArenaIter<'a> {
     arena: &'a GateArena,
-    cur: usize,
+    cur: Option<usize>,
 }
 
 impl<'a> Iterator for ArenaIter<'a> {
     type Item = (usize, PackedGate<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let id = self.cur;
-        self.cur = self.arena.next[id];
+        let id = self.cur?;
+        self.cur = follow(self.arena.next[id]);
         Some((id, self.arena.gate(id)))
     }
 }
