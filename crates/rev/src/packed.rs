@@ -562,7 +562,7 @@ impl GateArena {
         for (index, (&ctrl, &pol)) in ctrl.iter().zip(pol).enumerate() {
             if ctrl != 0 {
                 self.words.push(MaskWord {
-                    index: offset(index),
+                    index: u32::try_from(index).expect("mask word indices fit in u32"),
                     ctrl,
                     pol,
                 });
