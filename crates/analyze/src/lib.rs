@@ -123,7 +123,7 @@ pub fn analyze(circuit: &Circuit, iface: &CircuitInterface) -> Report {
     };
     let mut diagnostics = Vec::new();
     if wellformed::check(arena, iface, &mut diagnostics) {
-        lifecycle::check(arena, iface, &mut diagnostics);
+        lifecycle::check(circuit, iface, &mut diagnostics);
         constprop::check(arena, iface, &mut diagnostics);
         deadcone::check(arena, iface, &mut diagnostics);
         metrics.depth = depth::measure(arena);

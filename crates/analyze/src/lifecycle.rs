@@ -13,8 +13,9 @@
 //!   input when there are at most 16 of them, otherwise 1 024 seeded
 //!   samples.
 //!
-//! Both tiers read one [`CompiledCascade`] of the arena, so each gate's
-//! mask words are decoded once per check.
+//! Both tiers read the circuit's own packed arena: the structural pass
+//! walks its gates in order, and the sweep replays the segments between
+//! releases with [`Circuit::apply_batch_gates`].
 //!
 //! A line is *clean* at a checkpoint if it pairs structurally or an
 //! exhaustive sweep finds it 0 on every input. A line that is 1 on some
@@ -26,7 +27,7 @@
 //! are [`Code::UseAfterRelease`].
 
 use qda_rev::batchsim::BATCH_STATES;
-use qda_rev::{BatchState, CompiledCascade, GateArena};
+use qda_rev::{BatchState, Circuit};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::diag::{Code, Diagnostic, Span};
@@ -45,29 +46,28 @@ const SAMPLE_SEED: u64 = 0x00A1_C11A;
 /// under, with the version each control line had at that moment.
 type PendingWrite = Vec<(usize, bool, u64)>;
 
-/// Runs the lifecycle analysis over the packed arena, appending
-/// findings to `diags`.
+/// Runs the lifecycle analysis over the circuit, appending findings to
+/// `diags`.
 ///
 /// Every finding concerns a release or a required-clean ancilla, so an
 /// interface with neither (the functional flow, ESOP at `p = 0`, a
 /// `.real` circuit) returns without walking the gates.
-pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagnostic>) {
+pub fn check(circuit: &Circuit, iface: &CircuitInterface, diags: &mut Vec<Diagnostic>) {
     if iface.releases.is_empty() && (!iface.require_clean || iface.ancilla_lines().is_empty()) {
         return;
     }
     let n = iface.num_lines;
-    // Decoded once, for the sweep and for the structural pass.
-    let cascade = CompiledCascade::new(arena);
-    let num_gates = cascade.len();
+    let num_gates = circuit.num_gates();
     let mut releases: Vec<(usize, usize)> = iface.releases.clone();
     releases.sort_by_key(|&(_, pos)| pos);
-    let live = sweep(&cascade, iface, &releases);
+    let live = sweep(circuit, iface, &releases);
     // Structural engine state.
     let mut versions = vec![0u64; n];
     let mut stacks: Vec<Vec<PendingWrite>> = vec![Vec::new(); n];
     // Release bookkeeping: position of the release a line is still under.
     let mut released: Vec<Option<usize>> = vec![None; n];
     let mut next_release = 0;
+    let mut gates = circuit.packed().iter();
 
     for position in 0..=num_gates {
         // Releases scheduled before the gate at `position` executes.
@@ -103,14 +103,14 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
             stacks[line].clear();
             released[line] = Some(pos);
         }
-        if position == num_gates {
+        let Some((_, gate)) = gates.next() else {
             break;
-        }
+        };
 
         // The write's controls, with the version each control line has
         // now (decoded once: both checks below read them).
-        let entry: PendingWrite = cascade
-            .controls(position)
+        let entry: PendingWrite = gate
+            .controls()
             .map(|c| (c.line(), c.is_positive(), versions[c.line()]))
             .collect();
         // Use-after-release: reading a released line before it is
@@ -132,7 +132,7 @@ pub fn check(arena: &GateArena, iface: &CircuitInterface, diags: &mut Vec<Diagno
         // A target write to a released line is its re-allocation: the
         // allocator handed back a |0⟩ line and the builder is computing
         // onto it again.
-        let t = cascade.target(position);
+        let t = gate.target();
         if released[t].is_some() {
             released[t] = None;
             stacks[t].clear();
@@ -197,8 +197,8 @@ struct Live {
 /// allocator handles it: the line is checked, then cleared. Nothing
 /// writes a released line before its re-allocation, so that write finds
 /// the line at 0.
-fn sweep(cascade: &CompiledCascade, iface: &CircuitInterface, releases: &[(usize, usize)]) -> Live {
-    let num_gates = cascade.len();
+fn sweep(circuit: &Circuit, iface: &CircuitInterface, releases: &[(usize, usize)]) -> Live {
+    let num_gates = circuit.num_gates();
     let inputs = &iface.input_lines;
     let n = iface.num_lines;
     let exhaustive = inputs.len() <= EXHAUSTIVE_INPUTS;
@@ -239,14 +239,14 @@ fn sweep(cascade: &CompiledCascade, iface: &CircuitInterface, releases: &[(usize
             if pos > num_gates {
                 break;
             }
-            cascade.apply_gates(&mut state, applied..pos);
+            circuit.apply_batch_gates(&mut state, applied..pos);
             applied = pos;
             if line < n {
                 *at_release |= state.lane_is_nonzero(line);
                 state.clear_lane(line);
             }
         }
-        cascade.apply_gates(&mut state, applied..num_gates);
+        circuit.apply_batch_gates(&mut state, applied..num_gates);
         for &line in &ends {
             live.at_end[line] |= state.lane_is_nonzero(line);
         }
@@ -257,11 +257,11 @@ fn sweep(cascade: &CompiledCascade, iface: &CircuitInterface, releases: &[(usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qda_rev::{BitState, Circuit, Control};
+    use qda_rev::{BitState, Control};
 
     fn run(c: &Circuit, iface: &CircuitInterface) -> Vec<Code> {
         let mut diags = Vec::new();
-        check(c.packed(), iface, &mut diags);
+        check(c, iface, &mut diags);
         diags.iter().map(|d| d.code).collect()
     }
 
@@ -402,7 +402,7 @@ mod tests {
         let iface = CircuitInterface::hierarchical(18, (0..16).collect(), vec![17], true)
             .with_releases(vec![(16, 1)]);
         let mut diags = Vec::new();
-        check(c.packed(), &iface, &mut diags);
+        check(&c, &iface, &mut diags);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::ReleaseOfLive);
         assert_eq!(diags[0].span, Span::gate_line(1, 16));
@@ -419,7 +419,7 @@ mod tests {
         c.cnot(0, 21);
         let iface = CircuitInterface::hierarchical(22, (0..20).collect(), vec![], true);
         let mut diags = Vec::new();
-        check(c.packed(), &iface, &mut diags);
+        check(&c, &iface, &mut diags);
         let codes: Vec<Code> = diags.iter().map(|d| d.code).collect();
         assert_eq!(codes, vec![Code::DirtyAncilla, Code::UnprovenAncilla]);
         assert_eq!(diags[1].span, Span::line(21));
@@ -434,13 +434,13 @@ mod tests {
     /// each release is checked, then cleared, before the gate at its
     /// position runs.
     fn scalar_live(
-        arena: &GateArena,
+        c: &Circuit,
         iface: &CircuitInterface,
         releases: &[(usize, usize)],
     ) -> (Vec<bool>, Vec<bool>) {
         let mut at_release = vec![false; releases.len()];
         let mut at_end = vec![false; iface.num_lines];
-        let gates: Vec<_> = arena.iter().map(|(_, g)| g).collect();
+        let gates: Vec<_> = c.packed().iter().map(|(_, g)| g).collect();
         for x in 0..1u64 << iface.input_lines.len() {
             let mut s = BitState::zeros(iface.num_lines);
             s.write_register(&iface.input_lines, x);
@@ -480,15 +480,15 @@ mod tests {
         let releases = vec![(14, 0), (12, 4), (11, 4), (13, 6)];
         let iface = CircuitInterface::hierarchical(16, (0..11).collect(), vec![15], true)
             .with_releases(releases.clone());
-        let live = sweep(&CompiledCascade::new(c.packed()), &iface, &releases);
-        let (at_release, at_end) = scalar_live(c.packed(), &iface, &releases);
+        let live = sweep(&c, &iface, &releases);
+        let (at_release, at_end) = scalar_live(&c, &iface, &releases);
         assert!(live.exhaustive);
         assert_eq!(live.at_release, at_release);
         assert_eq!(live.at_release, vec![false, false, true, true]);
         assert_eq!(live.at_end, at_end);
 
         let mut diags = Vec::new();
-        check(c.packed(), &iface, &mut diags);
+        check(&c, &iface, &mut diags);
         let found: Vec<(Code, Span)> = diags.iter().map(|d| (d.code, d.span)).collect();
         assert_eq!(
             found,

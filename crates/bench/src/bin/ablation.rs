@@ -1,4 +1,4 @@
-//! Ablation study over the design choices DESIGN.md calls out:
+//! Ablation study over six design choices of the flows:
 //!
 //! 1. exorcism minimization on/off (ESOP flow),
 //! 2. factoring depth p = 0, 1, 2 (ESOP flow),

@@ -15,7 +15,7 @@
 use qda_bench::results::{BenchResults, BenchRow};
 use qda_bench::runner::{emit_results, parse_args, splitmix};
 use qda_core::report::Table;
-use qda_rev::batchsim::{BatchState, CompiledCascade, BATCH_STATES};
+use qda_rev::batchsim::{BatchState, BATCH_STATES};
 use qda_rev::blocks::{cuccaro_add, less_than, multiply_add};
 use qda_rev::circuit::Circuit;
 use qda_rev::state::BitState;
@@ -106,14 +106,12 @@ fn run_scalar(w: &Workload, inputs: &[Vec<u64>]) -> (u64, f64) {
 }
 
 /// Replays the same inputs through the transposed bit-parallel engine in
-/// [`BATCH_STATES`]-state batches, compiling the circuit once (inside the
-/// timed region) as the verification sweeps do. Returns (checksum,
-/// seconds).
+/// [`BATCH_STATES`]-state batches, straight from the circuit's own arena
+/// as the verification sweeps do. Returns (checksum, seconds).
 fn run_batch(w: &Workload, inputs: &[Vec<u64>]) -> (u64, f64) {
     let states = inputs[0].len();
     let out_regs = w.checksum_regs();
     let start = Instant::now();
-    let cascade = CompiledCascade::new(w.circuit.packed());
     let mut checksum = 0u64;
     let mut base = 0;
     while base < states {
@@ -122,7 +120,7 @@ fn run_batch(w: &Workload, inputs: &[Vec<u64>]) -> (u64, f64) {
         for (reg, vals) in w.regs.iter().zip(inputs) {
             s.load_register(reg, &vals[base..end]);
         }
-        cascade.apply(&mut s);
+        w.circuit.apply_batch(&mut s);
         let outs: Vec<Vec<u64>> = out_regs.iter().map(|reg| s.read_register(reg)).collect();
         for k in 0..end - base {
             for out in &outs {

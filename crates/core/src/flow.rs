@@ -702,9 +702,8 @@ impl Synthesized {
         if passes.analyze && !interface.releases.is_empty() {
             budget.check_deadline()?;
             let start = Instant::now();
-            let arena = circuit.packed();
-            if wellformed::check(arena, &interface, &mut release_diags) {
-                lifecycle::check(arena, &interface, &mut release_diags);
+            if wellformed::check(circuit.packed(), &interface, &mut release_diags) {
+                lifecycle::check(&circuit, &interface, &mut release_diags);
             }
             release_diags.retain(|d| matches!(d.code, Code::UseAfterRelease | Code::ReleaseOfLive));
             stages.analyze += start.elapsed();

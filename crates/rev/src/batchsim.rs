@@ -18,13 +18,16 @@
 //!
 //! # Sweeps
 //!
-//! A [`CompiledCascade`] is a circuit gathered once for replay: per gate,
-//! its target and its nonzero control-mask words, in circuit order in one
-//! buffer. One block-major kernel pair applies it (or a range of its
-//! gates) to a [`BatchState`], and every sweep compiles each circuit
-//! once, before its batches, and shares it by reference across batches
-//! and pool jobs — so the arena's live list is walked once per sweep, not
-//! once per block.
+//! One block-major kernel pair replays a circuit from its own arena. A
+//! [`Circuit`](crate::circuit::Circuit) keeps its [`GateArena`] compact,
+//! so gate position *k* is slot *k*, and the kernels read each slot's
+//! target and nonzero control-mask words in place, in slot order — no
+//! links, no liveness checks, no copy.
+//! [`Circuit::apply_batch`](crate::circuit::Circuit::apply_batch) applies
+//! the whole circuit to a [`BatchState`] and
+//! [`Circuit::apply_batch_gates`](crate::circuit::Circuit::apply_batch_gates)
+//! a range of its gates; every sweep shares its circuits by reference
+//! across batches and pool jobs.
 //!
 //! Every bit-parallel equivalence check of the crate (flow verification
 //! in [`crate::equiv`], the soundness gate
@@ -55,8 +58,7 @@
 //! assert_eq!(out[0b11], 0); // 1 ^ 1
 //! ```
 
-use crate::gate::Control;
-use crate::packed::{BitIter, GateArena, MaskWord};
+use crate::packed::{GateArena, MaskWord};
 use qda_logic::par;
 use qda_logic::tt::var_word;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -68,11 +70,11 @@ use std::ops::Range;
 pub const BATCH_STATES: usize = 1024;
 
 /// Lane words per vectorized kernel step: the hot gate-application loops
-/// of [`CompiledCascade::apply`] process fixed `[u64; LANE_CHUNK]`
-/// blocks (512 bits — one or two SIMD registers on every current target)
-/// with no per-gate branch in the inner loop, so the compiler
-/// auto-vectorizes them. A full [`BATCH_STATES`] batch is exactly two
-/// chunks per lane.
+/// of [`Circuit::apply_batch`](crate::circuit::Circuit::apply_batch)
+/// process fixed `[u64; LANE_CHUNK]` blocks (512 bits — one or two SIMD
+/// registers on every current target) with no per-gate branch in the
+/// inner loop, so the compiler auto-vectorizes them. A full
+/// [`BATCH_STATES`] batch is exactly two chunks per lane.
 pub const LANE_CHUNK: usize = 8;
 
 /// The consecutive inputs `start..end` as `(base, count)` ranges, chunked
@@ -530,199 +532,110 @@ impl BatchState {
     }
 }
 
-/// A gate cascade decoded once for batch replay.
+/// Applies slots `gates` of a circuit's arena (its gates at those
+/// positions — [`crate::circuit::Circuit`] keeps its arena compact) to
+/// every state, block-major: for each [`LANE_CHUNK`]-word block of the
+/// lanes, every gate of the range is applied to that block before moving
+/// on (states are independent, so the per-block order is immaterial —
+/// but the block's lane words stay hot in cache across the range). The
+/// inner loops run over fixed `[u64; LANE_CHUNK]` arrays with the
+/// control polarity folded into a branchless XOR mask, so they
+/// auto-vectorize; nothing is allocated.
 ///
-/// Gathered from a [`GateArena`]'s live list, in circuit order: per gate,
-/// the target and its nonzero control-mask words (the arena's own
-/// entries, [`crate::packed`]), all in one contiguous buffer, so a replay
-/// walks the cascade front to back with no links or slot lookups. A sweep
-/// compiles each circuit once, before its batches, and shares the cascade
-/// by reference across batches and pool jobs;
-/// [`crate::circuit::Circuit::apply_batch`] compiles and applies in one
-/// call.
-#[derive(Clone, Debug)]
-pub struct CompiledCascade {
-    num_lines: usize,
-    /// The target line of each gate.
-    targets: Vec<u32>,
-    /// Gate `g`'s control words are `words[offsets[g]..offsets[g + 1]]`.
-    offsets: Vec<u32>,
-    words: Vec<MaskWord>,
+/// # Panics
+///
+/// Panics if the arena's line space exceeds the batch's, or the range
+/// runs past the last gate.
+pub(crate) fn apply_slots(arena: &GateArena, state: &mut BatchState, gates: Range<usize>) {
+    assert!(
+        arena.num_lines() <= state.num_lines,
+        "circuit on {} lines exceeds the {}-line batch",
+        arena.num_lines(),
+        state.num_lines
+    );
+    assert!(
+        gates.end <= arena.len(),
+        "gate range {gates:?} runs past the {}-gate circuit",
+        arena.len()
+    );
+    debug_assert_eq!(arena.slot_count(), arena.len(), "the arena is compact");
+    let wpl = state.words_per_line;
+    let full = wpl - wpl % LANE_CHUNK;
+    let lanes = &mut state.lanes;
+    for base in (0..full).step_by(LANE_CHUNK) {
+        for g in gates.clone() {
+            apply_chunk(arena.slot(g), lanes, wpl, base);
+        }
+    }
+    if full < wpl {
+        for g in gates {
+            apply_tail(arena.slot(g), lanes, wpl, full, wpl - full);
+        }
+    }
 }
 
-impl CompiledCascade {
-    /// Compiles the live gates of `arena`, in circuit order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cascade has `2^32` or more nonzero control words.
-    #[must_use]
-    pub fn new(arena: &GateArena) -> Self {
-        let mut targets = Vec::with_capacity(arena.len());
-        let mut offsets = Vec::with_capacity(arena.len() + 1);
-        let mut words = Vec::with_capacity(arena.len());
-        offsets.push(0);
-        for (_, g) in arena.iter() {
-            targets.push(u32::try_from(g.target()).expect("line indices fit in u32"));
-            words.extend_from_slice(g.mask_words());
-            offsets.push(u32::try_from(words.len()).expect("control words fit in u32"));
-        }
-        Self {
-            num_lines: arena.num_lines(),
-            targets,
-            offsets,
-            words,
+/// Calls `f(line, inv)` for each control in a gate's entries, where
+/// `inv` is `0` for a positive control and `!0` for a negative one. The
+/// kernels take this closure form: it replays measurably faster than an
+/// iterator chain over the words.
+#[inline]
+fn for_each_control(words: &[MaskWord], mut f: impl FnMut(usize, u64)) {
+    for w in words {
+        let first = w.index as usize * 64;
+        let mut bits = w.ctrl;
+        while bits != 0 {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            f(first + b as usize, ((w.pol >> b) & 1).wrapping_sub(1));
         }
     }
+}
 
-    /// Number of gates.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Whether the cascade has no gates.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
-    }
-
-    /// The target line of gate `g` (a position in circuit order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range.
-    #[must_use]
-    pub fn target(&self, g: usize) -> usize {
-        self.targets[g] as usize
-    }
-
-    /// The controls of gate `g` in ascending line order, decoded from its
-    /// stored words only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range.
-    pub fn controls(&self, g: usize) -> impl Iterator<Item = Control> + '_ {
-        let words = &self.words[self.offsets[g] as usize..self.offsets[g + 1] as usize];
-        words.iter().flat_map(|w| {
-            let first = w.index as usize * 64;
-            BitIter(w.ctrl).map(move |b| {
-                if (w.pol >> b) & 1 == 1 {
-                    Control::positive(first + b)
-                } else {
-                    Control::negative(first + b)
-                }
-            })
-        })
-    }
-
-    /// Applies the whole cascade to every state of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cascade's line space exceeds the batch's.
-    pub fn apply(&self, state: &mut BatchState) {
-        self.apply_gates(state, 0..self.len());
-    }
-
-    /// Applies the gates at positions `gates` (in circuit order) to every
-    /// state, block-major: for each [`LANE_CHUNK`]-word block of the
-    /// lanes, every gate of the range is applied to that block before
-    /// moving on (states are independent, so the per-block order is
-    /// immaterial — but the block's lane words stay hot in cache across
-    /// the range). The inner loops run over fixed `[u64; LANE_CHUNK]`
-    /// arrays with the control polarity folded into a branchless XOR
-    /// mask, so they auto-vectorize; nothing is allocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cascade's line space exceeds the batch's, or the
-    /// range runs past the last gate.
-    pub fn apply_gates(&self, state: &mut BatchState, gates: Range<usize>) {
-        assert!(
-            self.num_lines <= state.num_lines,
-            "cascade on {} lines exceeds the {}-line batch",
-            self.num_lines,
-            state.num_lines
-        );
-        assert!(
-            gates.end <= self.len(),
-            "gate range {gates:?} runs past the {}-gate cascade",
-            self.len()
-        );
-        let wpl = state.words_per_line;
-        let full = wpl - wpl % LANE_CHUNK;
-        let lanes = &mut state.lanes;
-        for base in (0..full).step_by(LANE_CHUNK) {
-            for g in gates.clone() {
-                self.apply_chunk(g, lanes, wpl, base);
-            }
-        }
-        if full < wpl {
-            for g in gates {
-                self.apply_tail(g, lanes, wpl, full, wpl - full);
-            }
-        }
-    }
-
-    /// Calls `f(line, inv)` for each control of gate `g`, where `inv` is
-    /// `0` for a positive control and `!0` for a negative one. The kernels
-    /// take this closure form: it replays measurably faster than an
-    /// iterator chain over the words.
-    #[inline]
-    fn for_each_control(&self, g: usize, mut f: impl FnMut(usize, u64)) {
-        let words = &self.words[self.offsets[g] as usize..self.offsets[g + 1] as usize];
-        for w in words {
-            let first = w.index as usize * 64;
-            let mut bits = w.ctrl;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                f(first + b as usize, ((w.pol >> b) & 1).wrapping_sub(1));
-            }
-        }
-    }
-
-    /// Applies gate `g` to the full-width lane block at word offset
-    /// `base`: fixed-size loops, branchless polarity (`lane ^ inv` with
-    /// `inv ∈ {0, !0}`), no bounds checks surviving into the loop body.
-    #[inline]
-    fn apply_chunk(&self, g: usize, lanes: &mut [u64], wpl: usize, base: usize) {
-        let mut fire = [u64::MAX; LANE_CHUNK];
-        self.for_each_control(g, |line, inv| {
-            let start = line * wpl + base;
-            let lane: &[u64; LANE_CHUNK] = lanes[start..start + LANE_CHUNK]
-                .try_into()
-                .expect("chunk is LANE_CHUNK words");
-            for k in 0..LANE_CHUNK {
-                fire[k] &= lane[k] ^ inv;
-            }
-        });
-        let start = self.targets[g] as usize * wpl + base;
-        let target: &mut [u64; LANE_CHUNK] = (&mut lanes[start..start + LANE_CHUNK])
+/// Applies the gate with entries `words` and target `target` to the
+/// full-width lane block at word offset `base`: fixed-size loops,
+/// branchless polarity (`lane ^ inv` with `inv ∈ {0, !0}`), no bounds
+/// checks surviving into the loop body.
+#[inline]
+fn apply_chunk((words, target): (&[MaskWord], u32), lanes: &mut [u64], wpl: usize, base: usize) {
+    let mut fire = [u64::MAX; LANE_CHUNK];
+    for_each_control(words, |line, inv| {
+        let start = line * wpl + base;
+        let lane: &[u64; LANE_CHUNK] = lanes[start..start + LANE_CHUNK]
             .try_into()
             .expect("chunk is LANE_CHUNK words");
         for k in 0..LANE_CHUNK {
-            target[k] ^= fire[k];
+            fire[k] &= lane[k] ^ inv;
         }
+    });
+    let start = target as usize * wpl + base;
+    let target: &mut [u64; LANE_CHUNK] = (&mut lanes[start..start + LANE_CHUNK])
+        .try_into()
+        .expect("chunk is LANE_CHUNK words");
+    for k in 0..LANE_CHUNK {
+        target[k] ^= fire[k];
     }
+}
 
-    /// Applies gate `g` to the ragged tail block (`len < LANE_CHUNK`
-    /// words at offset `base`) — same branchless shape, variable width.
-    #[inline]
-    fn apply_tail(&self, g: usize, lanes: &mut [u64], wpl: usize, base: usize, len: usize) {
-        let mut fire = [u64::MAX; LANE_CHUNK];
-        self.for_each_control(g, |line, inv| {
-            let start = line * wpl + base;
-            for (f, lane) in fire.iter_mut().zip(&lanes[start..start + len]) {
-                *f &= lane ^ inv;
-            }
-        });
-        let start = self.targets[g] as usize * wpl + base;
-        for (lane, f) in lanes[start..start + len].iter_mut().zip(&fire) {
-            *lane ^= f;
+/// Applies a gate to the ragged tail block (`len < LANE_CHUNK` words at
+/// offset `base`) — same branchless shape, variable width.
+#[inline]
+fn apply_tail(
+    (words, target): (&[MaskWord], u32),
+    lanes: &mut [u64],
+    wpl: usize,
+    base: usize,
+    len: usize,
+) {
+    let mut fire = [u64::MAX; LANE_CHUNK];
+    for_each_control(words, |line, inv| {
+        let start = line * wpl + base;
+        for (f, lane) in fire.iter_mut().zip(&lanes[start..start + len]) {
+            *f &= lane ^ inv;
         }
+    });
+    let start = target as usize * wpl + base;
+    for (lane, f) in lanes[start..start + len].iter_mut().zip(&fire) {
+        *lane ^= f;
     }
 }
 
@@ -777,7 +690,9 @@ mod tests {
         let inputs: Vec<u64> = (0..8).collect();
         let mut b = BatchState::zeros(3, inputs.len());
         b.load_register(&[0, 1, 2], &inputs);
-        CompiledCascade::new(&GateArena::from_gates(3, std::slice::from_ref(&g))).apply(&mut b);
+        let mut c = Circuit::new(3);
+        c.add_gate(g.clone());
+        c.apply_batch(&mut b);
         let out = b.read_register(&[0, 1, 2]);
         for (k, &x) in inputs.iter().enumerate() {
             assert_eq!(out[k], g.apply_u64(x), "input {x}");
@@ -836,8 +751,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds")]
     fn rejects_out_of_range_gates() {
-        let mut b = BatchState::zeros(2, 4);
-        CompiledCascade::new(&GateArena::from_gates(3, &[Gate::toffoli(0, 1, 2)])).apply(&mut b);
+        let mut c = Circuit::new(3);
+        c.toffoli(0, 1, 2);
+        c.apply_batch(&mut BatchState::zeros(2, 4));
     }
 
     #[test]
@@ -993,18 +909,17 @@ mod tests {
 
     #[test]
     fn apply_arena_matches_per_gate_apply_across_widths() {
-        // The compiled cascade, replayed whole. Word counts covering:
-        // sub-chunk tail only (1, 2), exactly one chunk (8), chunks + tail
-        // (19), and the hot two-chunk shape (16). The reference replays
-        // every state alone through the scalar engine.
+        // The arena, replayed whole. Word counts covering: sub-chunk tail
+        // only (1, 2), exactly one chunk (8), chunks + tail (19), and the
+        // hot two-chunk shape (16). The reference replays every state
+        // alone through the scalar engine.
         let c = wide_cascade();
-        let cascade = CompiledCascade::new(c.packed());
         for states in [40, 100, 8 * 64, 19 * 64 - 5, BATCH_STATES] {
             let mut batch = BatchState::zeros(70, states);
             for s in 0..states {
                 batch.set(s % 70, s, s % 3 == 0);
             }
-            cascade.apply(&mut batch);
+            c.apply_batch(&mut batch);
             for s in 0..states {
                 let mut state = BitState::zeros(70);
                 state.set(s % 70, s % 3 == 0);
@@ -1017,26 +932,19 @@ mod tests {
 
     #[test]
     fn per_gate_application_matches_the_arena_path() {
-        // One-gate ranges of the compiled cascade, in order, against the
-        // whole cascade at once. Sub-chunk tail only, chunks + tail, and
-        // the two-chunk shape.
+        // One-gate ranges of the circuit, in order, against the whole
+        // circuit at once. Sub-chunk tail only, chunks + tail, and the
+        // two-chunk shape.
         let c = wide_cascade();
-        let cascade = CompiledCascade::new(c.packed());
         for states in [40, 19 * 64 - 5, BATCH_STATES] {
             let mut batch = BatchState::zeros(70, states);
             batch.load_consecutive(&[0, 1, 2, 68], 0);
             let mut whole = batch.clone();
-            cascade.apply(&mut whole);
+            c.apply_batch(&mut whole);
             for g in 0..c.num_gates() {
-                cascade.apply_gates(&mut batch, g..g + 1);
+                c.apply_batch_gates(&mut batch, g..g + 1);
             }
             assert_eq!(batch, whole, "{states} states");
-        }
-        // Each compiled gate reads back as the arena's, across both words.
-        assert_eq!(cascade.len(), c.num_gates());
-        for (g, (_, gate)) in c.packed().iter().enumerate() {
-            assert_eq!(cascade.target(g), gate.target(), "gate {g}");
-            assert!(cascade.controls(g).eq(gate.controls()), "gate {g}");
         }
     }
 
@@ -1044,7 +952,9 @@ mod tests {
     fn the_nonzero_test_ignores_phantom_states_and_clear_lane_zeroes() {
         // A NOT sets all 64 bits of the one lane word; 3 states are valid.
         let mut b = BatchState::zeros(2, 3);
-        CompiledCascade::new(&GateArena::from_gates(2, &[Gate::not(1)])).apply(&mut b);
+        let mut c = Circuit::new(2);
+        c.not(1);
+        c.apply_batch(&mut b);
         assert!(b.lane_is_nonzero(1) && !b.lane_is_nonzero(0));
         for state in 0..3 {
             b.set(1, state, false);

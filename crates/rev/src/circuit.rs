@@ -4,14 +4,21 @@
 //! control/polarity mask words, struct-of-arrays — see
 //! [`crate::packed`]); the legacy [`Gate`] view is materialized only at
 //! API boundaries via [`Circuit::gates`].
+//!
+//! A circuit's arena is always **compact**: gate position *k* is slot
+//! *k*. Every constructor only appends, and an arena edited by a rewrite
+//! pass becomes a circuit only through the crate-private
+//! `Circuit::from_arena`, which compacts it — so the batch kernels replay
+//! the arena's slots in order ([`crate::batchsim`]).
 
-use crate::batchsim::{consecutive_batches_in, span_jobs, BatchState, CompiledCascade};
+use crate::batchsim::{apply_slots, consecutive_batches_in, span_jobs, BatchState};
 use crate::cost::CircuitCost;
 use crate::gate::{Control, Gate};
 use crate::packed::{words_for_lines, GateArena};
 use crate::state::BitState;
 use qda_logic::par;
 use std::fmt;
+use std::ops::Range;
 
 /// The explicit-permutation width cap: a circuit wider than this cannot
 /// be expanded into a `2^n` table.
@@ -74,9 +81,11 @@ impl Circuit {
         }
     }
 
-    /// Wraps an arena as a circuit (the arena's gates become the
-    /// cascade, its line count the circuit's).
-    pub(crate) fn from_arena(arena: GateArena) -> Self {
+    /// Wraps an edited arena as a circuit (its live gates become the
+    /// cascade, its line count the circuit's), compacting it so the
+    /// circuit's gates sit in slots `0..len` in circuit order.
+    pub(crate) fn from_arena(mut arena: GateArena) -> Self {
+        arena.compact();
         Self { arena }
     }
 
@@ -212,8 +221,7 @@ impl Circuit {
     #[must_use]
     pub fn inverse(&self) -> Circuit {
         let mut arena = GateArena::new(self.num_lines());
-        let ids: Vec<usize> = self.arena.iter().map(|(id, _)| id).collect();
-        for &id in ids.iter().rev() {
+        for id in (0..self.num_gates()).rev() {
             arena.push_view(self.arena.gate(id));
         }
         Circuit { arena }
@@ -235,20 +243,34 @@ impl Circuit {
         assert!(self.num_lines() <= 64, "too many lines for u64 simulation");
         let mut s = input;
         for (_, g) in self.arena.iter() {
-            if g.fires_u64(s) {
+            if g.fires_words(std::slice::from_ref(&s)) {
                 s ^= 1 << g.target();
             }
         }
         s
     }
 
-    /// Simulates the circuit on a batch of states (in place): compiles
-    /// the cascade ([`CompiledCascade::new`]) and applies it with the
-    /// vectorized block-major kernel ([`CompiledCascade::apply`]). A
-    /// caller that replays the circuit over many batches compiles once
-    /// and applies the [`CompiledCascade`] per batch instead.
+    /// Simulates the circuit on a batch of states (in place) with the
+    /// vectorized block-major kernels of [`crate::batchsim`], which replay
+    /// the arena's slots where they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has more lines than the batch.
     pub fn apply_batch(&self, state: &mut BatchState) {
-        CompiledCascade::new(&self.arena).apply(state);
+        self.apply_batch_gates(state, 0..self.num_gates());
+    }
+
+    /// Applies the gates at positions `gates` (in circuit order) to every
+    /// state of the batch: a segment of [`Circuit::apply_batch`], for
+    /// sweeps that inspect or edit the lanes between gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has more lines than the batch, or the range
+    /// runs past the last gate.
+    pub fn apply_batch_gates(&self, state: &mut BatchState, gates: Range<usize>) {
+        apply_slots(&self.arena, state, gates);
     }
 
     /// Simulates many ≤64-line input words at once with the bit-parallel
@@ -274,8 +296,7 @@ impl Circuit {
     /// (`qda_logic::par`): each pool job sweeps one span of consecutive
     /// batches with a single reused [`BatchState`], and the spans are
     /// concatenated in index order — the table is byte-identical at any
-    /// worker count. The cascade is compiled once, before the spans
-    /// ([`CompiledCascade`]). The consecutive input blocks are synthesized
+    /// worker count. The consecutive input blocks are synthesized
     /// directly into the batch lanes ([`BatchState::load_consecutive`])
     /// — no input vector is ever materialized.
     ///
@@ -295,7 +316,6 @@ impl Circuit {
         }
         let size = 1u64 << self.num_lines();
         let all_lines: Vec<usize> = (0..self.num_lines()).collect();
-        let cascade = CompiledCascade::new(&self.arena);
         let (span, jobs) = span_jobs(size);
         let chunks = par::run_indexed(jobs, |job| {
             let lo = job as u64 * span;
@@ -305,7 +325,7 @@ impl Circuit {
             for (base, count) in consecutive_batches_in(lo, hi) {
                 state.reset(count);
                 state.load_consecutive(&all_lines, base);
-                cascade.apply(&mut state);
+                self.apply_batch(&mut state);
                 out.extend(state.read_register(&all_lines));
             }
             out

@@ -9,8 +9,9 @@
 //! Replay runs on the bit-parallel [`crate::batchsim`] engine by default,
 //! through the same two sweep drivers the optimizer's soundness gates use
 //! (exhaustive spans of consecutive inputs, or seeded pre-drawn samples):
-//! both proceed in [`crate::batchsim::BATCH_STATES`]-state batches, so
-//! every gate is applied to 64 states per lane word at once. When a batch
+//! both proceed in [`crate::batchsim::BATCH_STATES`]-state batches, each
+//! replayed straight from the circuit's own packed arena, so every gate
+//! is applied to 64 states per lane word at once. When a batch
 //! flags a discrepancy, the batch is re-run scalar, in order, to recover
 //! the exact witness input — the reported [`VerifyOutcome::Mismatch`] /
 //! [`VerifyOutcome::DirtyLine`] is identical to what a pure scalar run
@@ -29,7 +30,7 @@
 //! builds to a one-iteration loop — `verify_computes` then returned
 //! [`VerifyOutcome::Verified`] without checking anything.)
 
-use crate::batchsim::{first_exhaustive, first_sampled, BatchState, CompiledCascade, Starts};
+use crate::batchsim::{first_exhaustive, first_sampled, BatchState, Starts};
 use crate::circuit::Circuit;
 use crate::state::BitState;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -122,8 +123,6 @@ impl VerifyOutcome {
 /// as they started)? The oracle answers a slice of inputs at once.
 struct Check<'a, F> {
     circuit: &'a Circuit,
-    /// `circuit`, compiled once for every batch of the sweep.
-    cascade: CompiledCascade,
     input_lines: &'a [usize],
     output_lines: &'a [usize],
     oracle: F,
@@ -190,7 +189,7 @@ impl<F: Fn(&[u64], &mut [u64])> Check<'_, F> {
         } else {
             Vec::new()
         };
-        self.cascade.apply(state);
+        self.circuit.apply_batch(state);
 
         let actual = state.read_register(output_lines);
         let mut expected = vec![0; inputs.len()];
@@ -240,13 +239,13 @@ fn lanes_equal(state: &BatchState, a: &[u64], b: &[u64]) -> bool {
 /// [`VerifyOptions::batch`] is off, and report the same witness either
 /// way.
 ///
-/// Batch sweeps compile the circuit once
-/// ([`crate::batchsim::CompiledCascade`]) and run on the
-/// [`crate::batchsim`] sweep drivers, which shard them across the worker
-/// pool (`qda_logic::par`) — exhaustive enumeration in spans of
-/// consecutive batches, sampling one pre-drawn batch per job — and keep
-/// the first failure in input order, so the outcome, witness included, is
-/// byte-identical to the serial sweep at any worker count.
+/// Batch sweeps replay the circuit from its own arena
+/// ([`Circuit::apply_batch`]) and run on the [`crate::batchsim`] sweep
+/// drivers, which shard them across the worker pool (`qda_logic::par`)
+/// — exhaustive enumeration in spans of consecutive batches, sampling
+/// one pre-drawn batch per job — and keep the first failure in input
+/// order, so the outcome, witness included, is byte-identical to the
+/// serial sweep at any worker count.
 ///
 /// # Panics
 ///
@@ -293,7 +292,6 @@ pub fn verify_computes_batched<F: Fn(&[u64], &mut [u64]) + Sync>(
     let exhaustive = n < 64 && n <= options.exhaustive_limit;
     let check = Check {
         circuit,
-        cascade: CompiledCascade::new(circuit.packed()),
         input_lines,
         output_lines,
         oracle,

@@ -7,7 +7,8 @@
 //!   synthesis back-ends emit,
 //! * [`packed`] — the packed-mask struct-of-arrays gate storage behind
 //!   [`circuit::Circuit`]: control/polarity bit masks instead of per-gate
-//!   control vectors, with O(1) firing/support/commutation tests,
+//!   control vectors, kept as each gate's nonzero mask words, so the
+//!   firing/support/commutation tests walk a gate's nonzero entries,
 //! * [`cost`] — T-count and qubit accounting (the paper's two cost axes),
 //! * [`state`] / [`batchsim`] / [`equiv`] — bit-exact scalar and 64-way
 //!   bit-parallel simulation, and equivalence checking on top of them
@@ -49,7 +50,7 @@ pub mod state;
 #[cfg(feature = "testkit")]
 pub mod testkit;
 
-pub use batchsim::{BatchState, CompiledCascade};
+pub use batchsim::BatchState;
 pub use circuit::{Circuit, LineAllocator, TooWideError};
 pub use cost::CircuitCost;
 pub use gate::{Control, Gate};

@@ -44,7 +44,7 @@
 //! The result is exactly that of optimizing each component on its own
 //! (the split-and-copy reference `testkit::optimize_by_components`, on
 //! dense gates of its own, checks this). The removed slots are dropped
-//! by one compaction once the passes reach their joint fixpoint.
+//! when the edited arena becomes the output circuit, which compacts it.
 //! Commutation, conflict, the merge templates and the constant pass are
 //! mask operations over each gate's nonzero mask words, defined once on
 //! the packed form, so their cost follows the gates' supports and not
@@ -81,7 +81,7 @@
 
 pub mod rules;
 
-use crate::batchsim::{first_exhaustive, first_sampled, BatchState, CompiledCascade, Starts};
+use crate::batchsim::{first_exhaustive, first_sampled, BatchState, Starts};
 use crate::circuit::Circuit;
 use crate::packed::{words_for_lines, GateArena, PackedGateBuf};
 use rules::{MergeRule, RewriteCost};
@@ -380,7 +380,6 @@ pub fn optimize_assuming(
             break;
         }
     }
-    arena.compact();
     let out = Circuit::from_arena(arena);
     let (before, after) = (circuit.cost(), out.cost());
     assert!(
@@ -593,10 +592,10 @@ pub fn equivalence_witness(original: &Circuit, optimized: &Circuit) -> Option<Op
 /// Exhaustive over all `2^f` assignments of the `f` free (unassumed)
 /// lines when `f ≤` [`EXHAUSTIVE_LINE_LIMIT`], otherwise
 /// [`SAMPLED_STATES`] seeded-random assignments of the free lines, drawn
-/// per 64-line chunk of them. Both circuits are compiled once
-/// ([`CompiledCascade`]), and both sweeps run on the [`crate::batchsim`]
-/// sweep drivers and report the first diverging state in sweep order at
-/// any worker count.
+/// per 64-line chunk of them. Both circuits replay from their own arenas
+/// ([`Circuit::apply_batch`]), and both sweeps run on the
+/// [`crate::batchsim`] sweep drivers and report the first diverging
+/// state in sweep order at any worker count.
 ///
 /// # Panics
 ///
@@ -618,17 +617,15 @@ pub fn equivalence_witness_assuming(
         zero[l] = true;
     }
     let free_lines: Vec<usize> = (0..n).filter(|&l| !zero[l]).collect();
-    let original = CompiledCascade::new(original.packed());
-    let optimized = CompiledCascade::new(optimized.packed());
     // Each job runs both circuits from the same start states, the
     // rewritten one in a spare buffer it reuses across its batches.
     let make_check = || {
-        let (free_lines, original, optimized) = (&free_lines, &original, &optimized);
+        let free_lines = &free_lines;
         let mut spare = BatchState::zeros(n, 0);
         move |state: &mut BatchState, starts: Starts<'_>| {
             spare.copy_from(state);
-            original.apply(state);
-            optimized.apply(&mut spare);
+            original.apply_batch(state);
+            optimized.apply_batch(&mut spare);
             let k = state.first_difference(&spare)?;
             Some(OptMismatch {
                 input: starts.state_words(free_lines, n, k),

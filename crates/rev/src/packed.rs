@@ -127,12 +127,6 @@ impl PartialEq for PackedGate<'_> {
 impl Eq for PackedGate<'_> {}
 
 impl<'a> PackedGate<'a> {
-    /// The nonzero control words, in ascending word order (the compiled
-    /// cascade gathers them).
-    pub(crate) fn mask_words(&self) -> &'a [MaskWord] {
-        self.words
-    }
-
     /// The target line.
     #[must_use]
     pub fn target(&self) -> usize {
@@ -205,16 +199,6 @@ impl<'a> PackedGate<'a> {
         self.words.iter().all(|w| {
             let s = state.get(w.index as usize).copied().unwrap_or(0);
             (s ^ w.pol) & w.ctrl == 0
-        })
-    }
-
-    /// Whether the gate fires on a `u64` basis state (single-word
-    /// circuits only).
-    #[must_use]
-    pub fn fires_u64(&self, state: u64) -> bool {
-        self.words.iter().all(|w| {
-            debug_assert_eq!(w.index, 0, "fires_u64 needs a single-word gate");
-            (state ^ w.pol) & w.ctrl == 0
         })
     }
 
@@ -497,12 +481,18 @@ impl GateArena {
     #[must_use]
     pub fn gate(&self, id: usize) -> PackedGate<'_> {
         assert!(self.is_live(id), "gate() of dead id {id}");
+        let (words, target) = self.slot(id);
+        PackedGate { words, target }
+    }
+
+    /// Slot `id`'s entries and target line, with no liveness check: the
+    /// batch kernels replay a circuit's slots `0..len`, which are its
+    /// live gates in circuit order ([`crate::circuit::Circuit`] keeps its
+    /// arena compact).
+    pub(crate) fn slot(&self, id: usize) -> (&[MaskWord], u32) {
         let slot = self.slots[id];
         let start = slot.start as usize;
-        PackedGate {
-            words: &self.words[start..start + slot.len as usize],
-            target: slot.target,
-        }
+        (&self.words[start..start + slot.len as usize], slot.target)
     }
 
     /// Materializes live gate `id` as a legacy [`Gate`].
@@ -880,7 +870,7 @@ mod tests {
         let arena = GateArena::from_gates(72, std::slice::from_ref(&gate));
         let v = arena.gate(0);
         assert_eq!(
-            v.mask_words(),
+            v.words,
             &[
                 MaskWord {
                     index: 0,
@@ -903,8 +893,8 @@ mod tests {
         assert_eq!(v.to_gate(), gate);
         // A gate in one high word stores that word alone.
         let high = PackedGateBuf::from_gate(&g(&[(200, true)], 5));
-        assert_eq!(high.view().mask_words().len(), 1);
-        assert_eq!(high.view().mask_words()[0].index, 3);
+        assert_eq!(high.words.len(), 1);
+        assert_eq!(high.words[0].index, 3);
     }
 
     #[test]
@@ -913,7 +903,6 @@ mod tests {
         let arena = GateArena::from_gates(3, std::slice::from_ref(&gate));
         let v = arena.gate(0);
         for x in 0..8u64 {
-            assert_eq!(v.fires_u64(x), gate.fires(x), "x={x}");
             assert_eq!(v.fires_words(&[x]), gate.fires(x), "x={x}");
         }
     }
@@ -994,7 +983,7 @@ mod tests {
             arena.gate(0),
             PackedGateBuf::from_gate(&g(&[(1, true)], 0)).view()
         );
-        assert_eq!(arena.gate(0).mask_words().len(), 1);
+        assert_eq!(arena.gate(0).words.len(), 1);
         // A wider rewrite moves the gate's run to the end of the buffer;
         // compaction drops the two entries left behind.
         arena.replace(

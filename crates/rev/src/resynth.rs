@@ -174,31 +174,30 @@ pub struct Resynthesized {
 
 /// Every arena slot's sorted support (controls plus target), read from
 /// its mask words once: slot `id`'s lines are
-/// `lines[offsets[id]..offsets[id + 1]]`, empty for a dead slot.
+/// `lines[offsets[id]..offsets[id + 1]]`.
 struct SupportTable {
     offsets: Vec<usize>,
     lines: Vec<usize>,
 }
 
 impl SupportTable {
+    /// The supports of a circuit's arena, whose slots `0..len` are all
+    /// live.
     fn new(arena: &GateArena) -> Self {
         let mut table = Self {
             offsets: vec![0],
             lines: Vec::new(),
         };
-        // Dead slots above the highest live one are never read.
-        let slots = arena.iter().map(|(id, _)| id + 1).max().unwrap_or(0);
-        for id in (0..slots).filter(|&id| arena.is_live(id)) {
+        for id in 0..arena.slot_count() {
             table.record(arena, id);
         }
         table
     }
 
-    /// Reads live slot `id`'s support, giving every unread slot below it
-    /// an empty range. Slots are recorded in increasing id order.
+    /// Reads live slot `id`'s support. Slots are recorded in id order,
+    /// each once: the arena's own, then every inserted one.
     fn record(&mut self, arena: &GateArena, id: usize) {
-        debug_assert!(self.offsets.len() <= id + 1, "slot {id} recorded twice");
-        self.offsets.resize(id + 1, self.lines.len());
+        debug_assert_eq!(self.offsets.len(), id + 1, "slot {id} out of order");
         let gate = arena.gate(id);
         let from = self.lines.len();
         self.lines.extend(gate.controls().map(Control::line));
@@ -329,7 +328,7 @@ impl<'a> Sweep<'a> {
             max_lines: options.max_lines.clamp(1, MAX_WINDOW_LINES),
             max_gates: options.max_window_gates.max(2),
             max_skips: options.max_commute_skips,
-            clean: vec![false; supports.offsets.len() - 1],
+            clean: vec![false; arena.slot_count()],
             poisoned: vec![0; arena.num_lines()],
             epoch: 0,
             memo: HashMap::new(),
@@ -574,8 +573,7 @@ impl<'a> Sweep<'a> {
         for buf in replacement {
             let id = self.arena.insert_before(first, buf);
             self.supports.record(&self.arena, id);
-            // Slot ids only grow, so this never truncates.
-            self.clean.resize(id + 1, false);
+            self.clean.push(false);
         }
         for &w in &self.window {
             self.arena.remove(w);

@@ -1,16 +1,23 @@
 //! Property tests pinning the bit-parallel batch simulator bit-exactly
 //! against scalar `BitState` replay: random MPMCT circuits with mixed
 //! polarities, beyond 64 lines (multi-word scalar states) and beyond 64
-//! states (multi-word lanes), plus outcome-identity of the two
-//! `verify_computes` engines including the reported witness.
+//! states (multi-word lanes), whole and in gate ranges, plus
+//! outcome-identity of the two `verify_computes` engines including the
+//! reported witness. The batch kernels replay a circuit's arena slots in
+//! order, so every way of producing a circuit must leave its arena
+//! compact.
 
 use proptest::prelude::*;
 use qda_rev::batchsim::BatchState;
 use qda_rev::circuit::Circuit;
 use qda_rev::equiv::{verify_computes, VerifyOptions};
 use qda_rev::gate::{Control, Gate};
+use qda_rev::io::{from_real, to_real};
+use qda_rev::opt::{optimize_assuming, OptOptions};
+use qda_rev::packed::words_for_lines;
 use qda_rev::resynth::{resynthesize, ResynthOptions};
 use qda_rev::state::BitState;
+use qda_rev::testkit::DenseGate;
 use qda_revsynth::resynth::default_window_synthesizers;
 use std::ops::Range;
 
@@ -63,16 +70,24 @@ fn arb_states(lines: usize, count: usize) -> impl Strategy<Value = Vec<Vec<u64>>
     })
 }
 
+/// `states` (as drawn by [`arb_states`]) loaded into one batch on
+/// `lines` lines.
+fn load_states(lines: usize, states: &[Vec<u64>]) -> BatchState {
+    let mut batch = BatchState::zeros(lines, states.len());
+    let all: Vec<usize> = (0..lines).collect();
+    for (i, chunk) in all.chunks(64).enumerate() {
+        let values: Vec<u64> = states.iter().map(|words| words[i]).collect();
+        batch.load_register(chunk, &values);
+    }
+    batch
+}
+
 /// Replays `states` (as drawn by [`arb_states`]) through `c` in one
 /// batch and one state at a time, and asserts that every line agrees.
 fn assert_batch_matches_scalar(c: &Circuit, states: &[Vec<u64>]) {
     let all: Vec<usize> = (0..c.num_lines()).collect();
     let chunks: Vec<&[usize]> = all.chunks(64).collect();
-    let mut batch = BatchState::zeros(c.num_lines(), states.len());
-    for (i, chunk) in chunks.iter().enumerate() {
-        let values: Vec<u64> = states.iter().map(|words| words[i]).collect();
-        batch.load_register(chunk, &values);
-    }
+    let mut batch = load_states(c.num_lines(), states);
     c.apply_batch(&mut batch);
     let outs: Vec<Vec<u64>> = chunks
         .iter()
@@ -97,11 +112,33 @@ fn assert_batch_matches_scalar(c: &Circuit, states: &[Vec<u64>]) {
     }
 }
 
+/// Asserts that `c`'s arena is compact: its slots are exactly its gates,
+/// ids `0..n` in circuit order.
+fn assert_compact(c: &Circuit, path: &str) {
+    let arena = c.packed();
+    assert_eq!(arena.slot_count(), c.num_gates(), "{path}: dead slots");
+    assert!(
+        arena.iter().map(|(id, _)| id).eq(0..c.num_gates()),
+        "{path}: slot ids out of circuit order"
+    );
+}
+
+/// `c` rebuilt gate by gate through [`Circuit::add_masks`].
+fn rebuilt_from_masks(c: &Circuit) -> Circuit {
+    let words = words_for_lines(c.num_lines());
+    let mut out = Circuit::new(c.num_lines());
+    for gate in c.gates() {
+        let dense = DenseGate::from_gate(&gate, words);
+        out.add_masks(&dense.ctrl, &dense.pol, dense.target);
+    }
+    out
+}
+
 #[test]
-fn replay_follows_circuit_order_not_slot_order() {
+fn resynthesized_circuits_are_compact_and_replay_in_order() {
     // Resynthesis splices its replacements in before each window, so its
-    // output arena holds dead slots and live gates whose slot ids run
-    // backwards along the cascade.
+    // edited arena holds dead slots and live gates whose slot ids run
+    // backwards along the cascade; the output circuit is compacted.
     let mut c = Circuit::new(6);
     c.not(0);
     c.cnot(0, 1);
@@ -111,16 +148,7 @@ fn replay_follows_circuit_order_not_slot_order() {
     c.toffoli(1, 2, 3);
     let synths = default_window_synthesizers();
     let out = resynthesize(&c, &ResynthOptions::default(), &synths).circuit;
-    let arena = out.packed();
-    let ids: Vec<usize> = arena.iter().map(|(id, _)| id).collect();
-    assert!(
-        arena.slot_count() > arena.len(),
-        "the output has dead slots"
-    );
-    assert!(
-        ids.windows(2).any(|w| w[1] < w[0]),
-        "live order differs from slot order: {ids:?}"
-    );
+    assert_compact(&out, "resynthesize");
     let states: Vec<Vec<u64>> = (0..64).map(|x| vec![x]).collect();
     assert_batch_matches_scalar(&out, &states);
     assert_eq!(out.permutation(), c.permutation());
@@ -148,6 +176,64 @@ proptest! {
             for count in [100, 1024, 1100] {
                 assert_batch_matches_scalar(circuit, &wide_states[..count]);
             }
+        }
+    }
+
+    #[test]
+    fn every_circuit_path_returns_a_compact_arena(
+        narrow in arb_circuit(10, 0..10, 40),
+        wide in arb_circuit(130, 40..130, 40),
+        zero in prop::collection::vec(any::<bool>(), 130),
+    ) {
+        let synths = default_window_synthesizers();
+        for c in [&narrow, &wide] {
+            let zero_lines: Vec<usize> = (0..c.num_lines()).filter(|&l| zero[l]).collect();
+            let mut extended = c.clone();
+            extended.extend_from(&c.inverse());
+            let paths = [
+                (
+                    "optimize_assuming",
+                    optimize_assuming(c, &OptOptions::default(), &zero_lines).circuit,
+                ),
+                (
+                    "resynthesize",
+                    resynthesize(c, &ResynthOptions::default(), &synths).circuit,
+                ),
+                ("inverse", c.inverse()),
+                ("extend_from", extended),
+                ("from_real", from_real(&to_real(c)).expect("round trip")),
+                ("add_masks", rebuilt_from_masks(c)),
+            ];
+            for (path, out) in &paths {
+                assert_compact(out, path);
+            }
+        }
+    }
+
+    #[test]
+    fn gate_range_replay_matches_whole_and_scalar_replay(
+        case in (70usize..301).prop_perturb(|lines, mut rng| {
+            (arb_circuit(lines, 0..lines, 40), arb_states(lines, 1100)).generate(&mut rng)
+        }),
+        cuts in prop::collection::vec(0usize..41, 0..6),
+    ) {
+        let (c, states) = case;
+        // The gates in consecutive ranges split at random cut points
+        // (empty ranges included), at 100 states (the tail kernel only),
+        // 1 024 (two full blocks) and 1 100 (full blocks, then a ragged
+        // tail).
+        let mut bounds: Vec<usize> = cuts.iter().map(|&k| k.min(c.num_gates())).collect();
+        bounds.extend([0, c.num_gates()]);
+        bounds.sort_unstable();
+        for count in [100, 1024, 1100] {
+            let mut whole = load_states(c.num_lines(), &states[..count]);
+            let mut split = whole.clone();
+            c.apply_batch(&mut whole);
+            for range in bounds.windows(2) {
+                c.apply_batch_gates(&mut split, range[0]..range[1]);
+            }
+            prop_assert_eq!(&split, &whole, "{} states, cuts {:?}", count, &bounds);
+            assert_batch_matches_scalar(&c, &states[..count]);
         }
     }
 

@@ -392,9 +392,10 @@ fn small_components_inside_a_big_one_match_the_reference() {
 }
 
 #[test]
-fn resynthesized_input_with_dead_slots_matches_the_reference() {
-    // Resynthesis splices replacements in front of their windows, so its
-    // output arena is neither compact nor in slot order.
+fn resynthesized_input_is_compact_and_matches_the_reference() {
+    // Resynthesis splices replacements in front of their windows, so the
+    // arena it edits is neither compact nor in slot order; its output
+    // circuit is compacted.
     let mut c = Circuit::new(5);
     for i in 0..40 {
         c.toffoli(i % 5, (i + 1) % 5, (i + 3) % 5);
@@ -402,10 +403,12 @@ fn resynthesized_input_with_dead_slots_matches_the_reference() {
     }
     let synths = default_window_synthesizers();
     let resynthesized = resynthesize(&c, &ResynthOptions::default(), &synths).circuit;
-    assert_ne!(
-        resynthesized.packed().slot_count(),
-        resynthesized.num_gates()
-    );
+    let arena = resynthesized.packed();
+    assert_eq!(arena.slot_count(), resynthesized.num_gates());
+    assert!(arena
+        .iter()
+        .map(|(id, _)| id)
+        .eq(0..resynthesized.num_gates()));
     assert_matches_reference(&resynthesized, 32, &[]);
     assert_matches_reference(&resynthesized, 2, &[1, 3]);
 }
