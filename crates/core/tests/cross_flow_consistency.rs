@@ -12,7 +12,6 @@ use qda_classical::xmg_map::map_to_xmg;
 use qda_core::design::Design;
 use qda_core::flow::{EsopFlow, Flow, FlowOutcome, FunctionalFlow, HierarchicalFlow};
 use qda_logic::aig::Lit;
-use qda_logic::sim::{check_aig_equivalence, EquivalenceOutcome};
 use qda_rev::state::BitState;
 use qda_rev::{GateArena, PackedGate};
 use qda_revsynth::embed::{minimum_additional_lines, optimum_embedding};
@@ -32,11 +31,7 @@ fn aig_optimization_preserves_semantics() {
     for d in designs() {
         let aig = d.to_aig().unwrap();
         let opt = optimize_aig(&aig, &OptimizeOptions::default());
-        assert_eq!(
-            check_aig_equivalence(&aig, &opt, 12, 16),
-            EquivalenceOutcome::Equivalent,
-            "{d}"
-        );
+        assert_eq!(opt.to_truth_tables(), aig.to_truth_tables(), "{d}");
         assert!(
             opt.num_ands() <= aig.num_ands(),
             "{d}: optimizer grew the AIG"

@@ -142,15 +142,6 @@ impl Aig {
         self.pos.len() - 1
     }
 
-    /// Replaces output `i` with a new literal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_po(&mut self, i: usize, lit: Lit) {
-        self.pos[i] = lit;
-    }
-
     /// Whether node `i` is an AND gate (vs. constant/PI).
     pub fn is_and(&self, node: usize) -> bool {
         node > self.num_pis

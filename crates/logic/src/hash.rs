@@ -26,11 +26,6 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with [`FxBuildHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
-/// Returns an [`FxHashMap`] pre-sized for `capacity` entries.
-pub fn fx_map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher)
-}
-
 /// Multiplier from the golden-ratio family (same constant as rustc's
 /// FxHash); spreads low-entropy keys across the high bits.
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -152,7 +147,7 @@ mod tests {
 
     #[test]
     fn map_behaves_like_std() {
-        let mut m = fx_map_with_capacity::<u64, u64>(64);
+        let mut m: FxHashMap<u64, u64> = FxHashMap::with_capacity_and_hasher(64, FxBuildHasher);
         for i in 0..256 {
             m.insert(i, i * 3);
         }

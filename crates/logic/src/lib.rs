@@ -35,7 +35,6 @@ pub mod cube;
 pub mod esop;
 pub mod hash;
 pub mod par;
-pub mod sim;
 pub mod tt;
 pub mod xmg;
 

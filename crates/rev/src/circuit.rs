@@ -111,12 +111,6 @@ impl Circuit {
         &self.arena
     }
 
-    /// Consumes the circuit into its arena (rewrite passes edit it in
-    /// place and wrap it back up).
-    pub(crate) fn into_arena(self) -> GateArena {
-        self.arena
-    }
-
     /// Grows the circuit to at least `num_lines` lines.
     pub fn ensure_lines(&mut self, num_lines: usize) {
         if num_lines > self.num_lines() {

@@ -407,9 +407,10 @@ fn const_prop_pass(arena: &mut GateArena, zero_lines: &[usize], stats: &mut OptS
         assert!(l < arena.num_lines(), "zero line {l} out of range");
         known[l / 64] |= 1 << (l % 64);
     }
-    let mut cur = arena.first();
-    while let Some(i) = cur {
-        cur = arena.next_live(i);
+    for i in 0..arena.slot_count() {
+        if !arena.is_live(i) {
+            continue;
+        }
         let g = arena.gate(i);
         // A positive control on a known 0 or a negative one on a known 1
         // can never be satisfied: the gate never fires.

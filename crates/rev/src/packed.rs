@@ -35,19 +35,20 @@
 //! loses its entry, so equal gates have equal entry lists and `==` is a
 //! slice compare.
 //!
-//! [`GateArena`] stores all gates of a circuit in struct-of-arrays form —
+//! [`GateArena`] stores all gates of a circuit in struct-of-arrays form:
 //! one flat `Vec` of entries, in which each slot owns a contiguous run,
-//! and flat slot/link arrays — threaded by a doubly-linked live list, so
-//! it serves both as [`Circuit`](crate::circuit::Circuit)'s storage and as
-//! the mutable rewrite arena the `opt`/`resynth` passes edit in place.
-//! Slot ids are stable for the lifetime of the arena and never recycled.
-//! The legacy [`Gate`] view is materialized only at API boundaries (`io`,
-//! diagnostics, `gates()`, resynthesis window extraction).
+//! and flat slot arrays. Gates are only ever appended, so slot order is
+//! circuit order. The arena is [`Circuit`](crate::circuit::Circuit)'s
+//! storage and the arena the peephole pass ([`crate::opt`]) edits in
+//! place: removal clears a slot's live flag and a rewrite overwrites a
+//! slot, so ids stay stable until [`GateArena::compact`]. Windowed
+//! resynthesis ([`crate::resynth`]) splices by rebuilding its cascade
+//! into a fresh arena instead. The legacy [`Gate`] view is materialized
+//! only at API boundaries (`io`, diagnostics, `gates()`, resynthesis
+//! window extraction).
 
 use crate::gate::{Control, Gate};
-
-/// "No slot" in the arena's live-list links.
-const NO_SLOT: u32 = u32::MAX;
+use std::ops::Range;
 
 /// Number of `u64` words of a dense mask over `num_lines` lines (at
 /// least one): the word count [`Circuit::add_masks`](crate::circuit::Circuit::add_masks)
@@ -360,40 +361,23 @@ fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("an arena holds fewer than 2^32 mask-word entries")
 }
 
-/// Slot `id` as a live-list link.
-fn link(id: usize) -> u32 {
-    u32::try_from(id)
-        .ok()
-        .filter(|&l| l != NO_SLOT)
-        .expect("an arena holds fewer than 2^32 - 1 slots")
-}
-
-/// The slot a live-list link points to, if any.
-fn follow(l: u32) -> Option<usize> {
-    (l != NO_SLOT).then_some(l as usize)
-}
-
-/// Struct-of-arrays gate storage threaded by a doubly-linked live list.
+/// Struct-of-arrays gate storage whose slot order is circuit order.
 ///
 /// The nonzero control words of all gates live in one flat `Vec` of
 /// `(word index, control word, polarity word)` entries, each slot owning
 /// a contiguous run of them in ascending word order; slot runs, targets
-/// and links are flat arrays. Removal unlinks a slot without shifting
-/// anything; insertion appends a slot and links it in place; a rewrite
-/// that widens a gate moves its run to the end of the buffer, and
-/// [`GateArena::compact`] reclaims what is left behind. Ids are stable
-/// and never recycled, so side tables indexed by id stay valid across
-/// rewrites.
+/// and live flags are flat arrays. Gates are only appended, so the live
+/// slots in id order are the cascade. Removal clears a slot's live flag
+/// without shifting anything; a rewrite that widens a gate moves its run
+/// to the end of the buffer, and [`GateArena::compact`] reclaims what is
+/// left behind. Ids are stable until compaction, so side tables indexed
+/// by id stay valid across rewrites.
 #[derive(Clone, Debug)]
 pub struct GateArena {
     num_lines: usize,
     words: Vec<MaskWord>,
     slots: Vec<Slot>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
     live: Vec<bool>,
-    head: u32,
-    tail: u32,
     len: usize,
 }
 
@@ -418,11 +402,7 @@ impl GateArena {
             num_lines,
             words: Vec::new(),
             slots: Vec::new(),
-            prev: Vec::new(),
-            next: Vec::new(),
             live: Vec::new(),
-            head: NO_SLOT,
-            tail: NO_SLOT,
             len: 0,
         }
     }
@@ -453,18 +433,6 @@ impl GateArena {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// First live id in circuit order.
-    #[must_use]
-    pub fn first(&self) -> Option<usize> {
-        follow(self.head)
-    }
-
-    /// Last live id in circuit order.
-    #[must_use]
-    pub fn last(&self) -> Option<usize> {
-        follow(self.tail)
     }
 
     /// Whether `id` is a live slot.
@@ -505,41 +473,11 @@ impl GateArena {
         self.gate(id).to_gate()
     }
 
-    /// The next live id after `id` in circuit order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is dead.
-    #[must_use]
-    pub fn next_live(&self, id: usize) -> Option<usize> {
-        assert!(self.is_live(id), "next_live of dead id {id}");
-        follow(self.next[id])
-    }
-
-    /// Up to `k` live predecessors of `id`, nearest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is dead.
-    #[must_use]
-    pub fn window_before(&self, id: usize, k: usize) -> Vec<usize> {
-        assert!(self.is_live(id), "window_before of dead id {id}");
-        let mut out = Vec::with_capacity(k.min(8));
-        let mut cur = follow(self.prev[id]);
-        while let Some(p) = cur.filter(|_| out.len() < k) {
-            out.push(p);
-            cur = follow(self.prev[p]);
-        }
-        out
-    }
-
     /// Appends a legacy gate at the end; returns its id.
     pub fn push(&mut self, gate: &Gate) -> usize {
         let start = self.words.len();
         pack_controls(gate.controls(), &mut self.words);
-        let id = self.new_slot(start, target_u32(gate.target()));
-        self.link_last(id);
-        id
+        self.new_slot(start, target_u32(gate.target()))
     }
 
     /// Appends a gate given by its dense mask words (word `w` covers lines
@@ -558,49 +496,42 @@ impl GateArena {
                 });
             }
         }
-        let id = self.new_slot(start, target);
-        self.link_last(id);
-        id
+        self.new_slot(start, target)
     }
 
     /// Appends a borrowed packed view (possibly of another arena); returns
     /// its id.
     pub fn push_view(&mut self, view: PackedGate<'_>) -> usize {
-        let id = self.alloc(view);
-        self.link_last(id);
-        id
-    }
-
-    /// Inserts an owned packed gate immediately before live gate `id`;
-    /// returns the new id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is dead.
-    pub fn insert_before(&mut self, id: usize, buf: &PackedGateBuf) -> usize {
-        assert!(self.is_live(id), "insert_before dead id {id}");
-        let new = self.alloc(buf.view());
-        let before = self.prev[id];
-        self.prev[new] = before;
-        self.next[new] = link(id);
-        self.prev[id] = link(new);
-        match follow(before) {
-            Some(b) => self.next[b] = link(new),
-            None => self.head = link(new),
-        }
-        self.len += 1;
-        new
-    }
-
-    /// Copies `view`'s entries to the end of the buffer into a new,
-    /// unlinked slot.
-    fn alloc(&mut self, view: PackedGate<'_>) -> usize {
         let start = self.words.len();
         self.words.extend_from_slice(view.words);
         self.new_slot(start, view.target)
     }
 
-    /// A new unlinked slot owning the entries from `start` to the end of
+    /// Appends `other`'s slots `ids` with one copy of their entries. The
+    /// slots must be live with consecutive runs, as in an arena built by
+    /// appends or just compacted.
+    pub(crate) fn extend_from_slots(&mut self, other: &GateArena, ids: Range<usize>) {
+        let runs = &other.slots[ids.clone()];
+        debug_assert!(ids.clone().all(|id| other.live[id]), "dead slots");
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].start + w[0].len == w[1].start),
+            "runs out of slot order"
+        );
+        let (Some(first), Some(last)) = (runs.first(), runs.last()) else {
+            return;
+        };
+        let (from, to) = (first.start as usize, (last.start + last.len) as usize);
+        let base = self.words.len();
+        self.words.extend_from_slice(&other.words[from..to]);
+        self.slots.extend(runs.iter().map(|run| Slot {
+            start: offset(run.start as usize - from + base),
+            ..*run
+        }));
+        self.live.resize(self.slots.len(), true);
+        self.len += runs.len();
+    }
+
+    /// A new live last slot owning the entries from `start` to the end of
     /// the buffer.
     fn new_slot(&mut self, start: usize, target: u32) -> usize {
         let id = self.slots.len();
@@ -609,22 +540,9 @@ impl GateArena {
             len: offset(self.words.len() - start),
             target,
         });
-        self.prev.push(NO_SLOT);
-        self.next.push(NO_SLOT);
         self.live.push(true);
-        id
-    }
-
-    /// Links the new slot `id` at the tail.
-    fn link_last(&mut self, id: usize) {
-        self.prev[id] = self.tail;
-        self.next[id] = NO_SLOT;
-        match follow(self.tail) {
-            Some(t) => self.next[t] = link(id),
-            None => self.head = link(id),
-        }
-        self.tail = link(id);
         self.len += 1;
+        id
     }
 
     /// Live slot `id`'s entries, writable in place.
@@ -634,22 +552,13 @@ impl GateArena {
         &mut self.words[start..start + slot.len as usize]
     }
 
-    /// Unlinks live gate `id`.
+    /// Removes live gate `id` by clearing its live flag.
     ///
     /// # Panics
     ///
     /// Panics if `id` is dead.
     pub fn remove(&mut self, id: usize) {
         assert!(self.is_live(id), "remove of dead id {id}");
-        let (p, n) = (self.prev[id], self.next[id]);
-        match follow(p) {
-            Some(p) => self.next[p] = n,
-            None => self.head = n,
-        }
-        match follow(n) {
-            Some(n) => self.prev[n] = p,
-            None => self.tail = p,
-        }
         self.live[id] = false;
         self.len -= 1;
     }
@@ -728,19 +637,17 @@ impl GateArena {
     }
 
     /// Drops the dead slots and the entries no live slot owns: the live
-    /// gates move to slots `0..len` in circuit order, their entries to
-    /// one run in the same order. This is done in place when ids and
-    /// entry runs both increase along the live list, which holds for an
-    /// arena edited only by appends, removals and rewrites that kept
-    /// their runs: a gate and its entries then only move down, onto space
-    /// already vacated. An arena with inserted gates
-    /// ([`GateArena::insert_before`]) or moved runs is copied instead.
+    /// gates move to slots `0..len`, their entries to one run in the same
+    /// order. This is done in place while the live gates' entry runs
+    /// increase with their ids: a gate and its entries then only move
+    /// down, onto space already vacated. A widening
+    /// [`GateArena::replace`] that moved a run to the end of the buffer
+    /// breaks that order, and the arena is copied instead.
     pub fn compact(&mut self) {
-        let ids = || self.iter().map(|(id, _)| id);
-        let in_place = ids().zip(ids().skip(1)).all(|(a, b)| {
-            let run = self.slots[a];
-            a < b && run.start + run.len <= self.slots[b].start
-        });
+        let runs = || self.iter().map(|(id, _)| self.slots[id]);
+        let in_place = runs()
+            .zip(runs().skip(1))
+            .all(|(a, b)| a.start + a.len <= b.start);
         if !in_place {
             let mut out = GateArena::new(self.num_lines);
             for (_, g) in self.iter() {
@@ -750,8 +657,10 @@ impl GateArena {
             return;
         }
         let (mut k, mut w) = (0, 0);
-        let mut cur = follow(self.head);
-        while let Some(id) = cur {
+        for id in 0..self.slots.len() {
+            if !self.live[id] {
+                continue;
+            }
             let slot = self.slots[id];
             let start = slot.start as usize;
             self.words.copy_within(start..start + slot.len as usize, w);
@@ -760,21 +669,12 @@ impl GateArena {
                 ..slot
             };
             w += slot.len as usize;
-            cur = follow(self.next[id]);
             k += 1;
         }
         self.words.truncate(w);
         self.slots.truncate(k);
         self.live.clear();
         self.live.resize(k, true);
-        self.prev.clear();
-        self.prev
-            .extend((0..k).map(|i| i.checked_sub(1).map_or(NO_SLOT, link)));
-        self.next.clear();
-        self.next
-            .extend((1..=k).map(|i| if i < k { link(i) } else { NO_SLOT }));
-        self.head = if k > 0 { 0 } else { NO_SLOT };
-        self.tail = k.checked_sub(1).map_or(NO_SLOT, link);
     }
 
     /// Grows the arena to `num_lines` lines. Entries carry their own word
@@ -793,7 +693,7 @@ impl GateArena {
     pub fn iter(&self) -> ArenaIter<'_> {
         ArenaIter {
             arena: self,
-            cur: follow(self.head),
+            next: 0,
         }
     }
 
@@ -809,16 +709,18 @@ impl GateArena {
 #[derive(Clone, Debug)]
 pub struct ArenaIter<'a> {
     arena: &'a GateArena,
-    cur: Option<usize>,
+    next: usize,
 }
 
 impl<'a> Iterator for ArenaIter<'a> {
     type Item = (usize, PackedGate<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let id = self.cur?;
-        self.cur = follow(self.arena.next[id]);
-        Some((id, self.arena.gate(id)))
+        let arena = self.arena;
+        let id = (self.next..arena.slots.len()).find(|&id| arena.live[id])?;
+        self.next = id + 1;
+        let (words, target) = arena.slot(id);
+        Some((id, PackedGate { words, target }))
     }
 }
 
@@ -927,27 +829,20 @@ mod tests {
     }
 
     #[test]
-    fn list_surgery_maintains_order_and_links() {
+    fn removal_and_rewrites_keep_slot_order() {
+        let targets = |a: &GateArena| a.iter().map(|(_, v)| v.target()).collect::<Vec<_>>();
         let mut arena = GateArena::from_gates(3, &[g(&[], 0), g(&[], 1), g(&[], 2)]);
-        let first = arena.first().unwrap();
-        arena.remove(first);
+        arena.remove(0);
         assert_eq!(arena.len(), 2);
-        let head = arena.first().unwrap();
-        assert_eq!(arena.gate(head).target(), 1);
-        let buf = PackedGateBuf::from_gate(&g(&[(1, true)], 0));
-        let new = arena.insert_before(head, &buf);
-        assert_eq!(arena.first(), Some(new));
-        let targets: Vec<usize> = arena.iter().map(|(_, v)| v.target()).collect();
-        assert_eq!(targets, vec![0, 1, 2]);
-        arena.replace(head, &PackedGateBuf::from_gate(&g(&[], 2)));
-        let targets: Vec<usize> = arena.iter().map(|(_, v)| v.target()).collect();
-        assert_eq!(targets, vec![0, 2, 2]);
-        assert_eq!(arena.window_before(arena.last().unwrap(), 8), {
-            let mut ids: Vec<usize> = arena.iter().map(|(id, _)| id).collect();
-            ids.pop();
-            ids.reverse();
-            ids
-        });
+        assert!(!arena.is_live(0));
+        assert_eq!(targets(&arena), vec![1, 2]);
+        // A wider rewrite moves the gate's entries, not its position.
+        arena.replace(1, &PackedGateBuf::from_gate(&g(&[(0, true)], 2)));
+        assert_eq!(targets(&arena), vec![2, 2]);
+        assert_eq!(arena.push(&g(&[], 0)), 3);
+        let ids: Vec<usize> = arena.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!(targets(&arena), vec![2, 2, 0]);
     }
 
     #[test]
@@ -967,10 +862,7 @@ mod tests {
         assert_eq!(arena.to_gates(), vec![gate]);
         arena.push(&g(&[(128, true)], 5));
         assert_eq!(arena.len(), 2);
-        assert_eq!(
-            arena.gate(arena.last().unwrap()).control_on(128),
-            Some(true)
-        );
+        assert_eq!(arena.gate(1).control_on(128), Some(true));
     }
 
     #[test]
@@ -999,29 +891,27 @@ mod tests {
     #[test]
     fn compaction_keeps_the_live_sequence_in_slots_0_to_len() {
         let gates: Vec<Gate> = (0..6).map(|t| g(&[((t + 1) % 6, t % 2 == 0)], t)).collect();
-        let mut arena = GateArena::from_gates(6, &gates);
+        let mut arena = GateArena::from_gates(130, &gates);
         arena.remove(0);
         arena.remove(3);
         arena.remove(5);
         let expected = arena.to_gates();
-        // Out of slot order.
-        let mut spliced = arena.clone();
-        let buf = PackedGateBuf::from_gate(&g(&[], 0));
-        spliced.insert_before(1, &buf);
-        let before = spliced.clone();
-        spliced.compact();
-        assert_eq!(spliced, before);
-        assert_eq!(spliced.slot_count(), spliced.len());
-        assert_eq!(spliced.first(), Some(0));
+        // A widening rewrite moves slot 1's run behind the others; moving
+        // it down first would overwrite slot 2's entries, so compaction
+        // copies the arena.
+        let mut moved = arena.clone();
+        let wide = g(&[(2, true), (70, true), (129, false)], 1);
+        moved.replace(1, &PackedGateBuf::from_gate(&wide));
+        moved.compact();
+        assert_eq!(moved.to_gates(), [&[wide][..], &expected[1..]].concat());
+        assert_eq!((moved.slot_count(), moved.words.len()), (3, 5));
         arena.compact();
         assert_eq!(arena.to_gates(), expected);
-        assert_eq!(arena.slot_count(), 3);
+        assert_eq!((arena.slot_count(), arena.words.len()), (3, 3));
         let ids: Vec<usize> = arena.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-        assert_eq!(arena.last(), Some(2));
-        arena.push(&g(&[], 5));
+        assert_eq!(arena.push(&g(&[], 5)), 3);
         assert_eq!(arena.len(), 4);
-        assert_eq!(arena.window_before(3, 8), vec![2, 1, 0]);
     }
 
     #[test]

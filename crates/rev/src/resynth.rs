@@ -40,8 +40,11 @@
 //!    improves `(T-count, gates)` lexicographically.
 //!
 //! Passes repeat until a full sweep accepts nothing, so the result is a
-//! fixpoint: running the pass on its own output changes nothing. One arena
-//! serves every pass, and a pass steps over *clean* starts: a start whose
+//! fixpoint: running the pass on its own output changes nothing. A pass
+//! reads its input arena by index and copies nothing until its first
+//! splice; from there it rebuilds the cascade into a fresh arena, each
+//! replacement appended where its window began, and that arena is the
+//! next pass's input. A pass steps over *clean* starts: a start whose
 //! growth found no window, or a rejected one, stays clean until a splice
 //! changes one of the gates its growth reads (see [`resynthesize`]). The
 //! checked entry point [`resynthesize_checked`] mirrors the soundness
@@ -54,10 +57,11 @@ use crate::circuit::Circuit;
 use crate::gate::Control;
 use crate::opt::rules::RewriteCost;
 use crate::opt::{equivalence_witness, OptMismatch};
-use crate::packed::{GateArena, PackedGateBuf};
+use crate::packed::{GateArena, PackedGate, PackedGateBuf};
 use qda_logic::par;
 use qda_logic::tt::var_word;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Hard cap on the window support: `2^8` basis states per permutation
 /// recovery keeps every attempt a single batch-simulation sweep.
@@ -172,8 +176,8 @@ pub struct Resynthesized {
     pub stats: ResynthStats,
 }
 
-/// Every arena slot's sorted support (controls plus target), read from
-/// its mask words once: slot `id`'s lines are
+/// Every slot's sorted support (controls plus target), read from its
+/// mask words once: slot `id`'s lines are
 /// `lines[offsets[id]..offsets[id + 1]]`.
 struct SupportTable {
     offsets: Vec<usize>,
@@ -181,24 +185,8 @@ struct SupportTable {
 }
 
 impl SupportTable {
-    /// The supports of a circuit's arena, whose slots `0..len` are all
-    /// live.
-    fn new(arena: &GateArena) -> Self {
-        let mut table = Self {
-            offsets: vec![0],
-            lines: Vec::new(),
-        };
-        for id in 0..arena.slot_count() {
-            table.record(arena, id);
-        }
-        table
-    }
-
-    /// Reads live slot `id`'s support. Slots are recorded in id order,
-    /// each once: the arena's own, then every inserted one.
-    fn record(&mut self, arena: &GateArena, id: usize) {
-        debug_assert_eq!(self.offsets.len(), id + 1, "slot {id} out of order");
-        let gate = arena.gate(id);
+    /// Appends the support of the next slot's gate.
+    fn push(&mut self, gate: PackedGate<'_>) {
         let from = self.lines.len();
         self.lines.extend(gate.controls().map(Control::line));
         // Controls come out ascending; only the target needs placing.
@@ -207,8 +195,79 @@ impl SupportTable {
         self.offsets.push(self.lines.len());
     }
 
+    /// Appends the supports of `other`'s slots `ids`.
+    fn extend_from(&mut self, other: &SupportTable, ids: Range<usize>) {
+        let (from, to) = (other.offsets[ids.start], other.offsets[ids.end]);
+        let base = self.lines.len();
+        self.lines.extend_from_slice(&other.lines[from..to]);
+        let ends = &other.offsets[ids.start + 1..=ids.end];
+        self.offsets
+            .extend(ends.iter().map(|&end| end - from + base));
+    }
+
     fn of(&self, id: usize) -> &[usize] {
         &self.lines[self.offsets[id]..self.offsets[id + 1]]
+    }
+}
+
+/// A compact arena (slot `k` is gate `k`) with each gate's support and
+/// clean flag: the input of one resynthesis pass, or the cascade a
+/// splicing pass rebuilds.
+struct Cascade {
+    arena: GateArena,
+    supports: SupportTable,
+    /// `clean[id]`: start `id` last found no window or a rejected one, and
+    /// no gate its growth reads has changed since.
+    clean: Vec<bool>,
+}
+
+impl Cascade {
+    /// A circuit's gates, every start dirty.
+    fn of(circuit: &Circuit) -> Self {
+        let mut supports = SupportTable {
+            offsets: vec![0],
+            lines: Vec::new(),
+        };
+        for (_, gate) in circuit.packed() {
+            supports.push(gate);
+        }
+        Self {
+            arena: circuit.packed().clone(),
+            supports,
+            clean: vec![false; circuit.num_gates()],
+        }
+    }
+
+    /// An empty cascade on `like`'s lines, with room for its gates.
+    fn empty_like(like: &Cascade) -> Self {
+        let mut offsets = Vec::with_capacity(like.supports.offsets.len());
+        offsets.push(0);
+        Self {
+            arena: GateArena::new(like.arena.num_lines()),
+            supports: SupportTable {
+                offsets,
+                lines: Vec::with_capacity(like.supports.lines.len()),
+            },
+            clean: Vec::with_capacity(like.len()),
+        }
+    }
+
+    /// Appends gates `ids` of `from` with their supports and clean flags.
+    fn copy(&mut self, from: &Cascade, ids: Range<usize>) {
+        self.arena.extend_from_slots(&from.arena, ids.clone());
+        self.supports.extend_from(&from.supports, ids.clone());
+        self.clean.extend_from_slice(&from.clean[ids]);
+    }
+
+    /// Appends `gate` as a dirty start.
+    fn push(&mut self, gate: PackedGate<'_>) {
+        self.arena.push_view(gate);
+        self.supports.push(gate);
+        self.clean.push(false);
+    }
+
+    fn len(&self) -> usize {
+        self.clean.len()
     }
 }
 
@@ -281,23 +340,25 @@ struct Candidate {
 enum Visit {
     /// No window, or a rejected one: the start becomes clean.
     Unchanged,
-    /// A window was spliced; the sweep resumes at `resume`, the gate that
-    /// followed the window.
-    Spliced { resume: Option<usize> },
+    /// A window was spliced; the sweep resumes at input gate `resume`,
+    /// the one after the window.
+    Spliced { resume: usize },
 }
 
-/// One [`resynthesize`] run: the arena every pass edits, and what the run
-/// remembers across windows and passes.
+/// One [`resynthesize`] run: the cascade each pass reads, the one a
+/// splicing pass rebuilds, and what the run remembers across windows and
+/// passes.
 struct Sweep<'a> {
     synths: &'a [&'a dyn WindowSynthesizer],
     max_lines: usize,
     max_gates: usize,
     max_skips: usize,
-    arena: GateArena,
-    supports: SupportTable,
-    /// `clean[id]`: start `id` last found no window or a rejected one, and
-    /// no gate its growth reads has changed since.
-    clean: Vec<bool>,
+    /// The current pass's input, read by index.
+    input: Cascade,
+    /// The current pass's output, from its first splice on.
+    output: Option<Cascade>,
+    /// Input gates `0..copied` are spliced into or copied to `output`.
+    copied: usize,
     /// `poisoned[line] == epoch`: a gate the current growth skipped
     /// touches `line`.
     poisoned: Vec<u64>,
@@ -318,54 +379,55 @@ struct Sweep<'a> {
 
 impl<'a> Sweep<'a> {
     fn new(
-        arena: GateArena,
+        circuit: &Circuit,
         options: &ResynthOptions,
         synths: &'a [&'a dyn WindowSynthesizer],
     ) -> Self {
-        let supports = SupportTable::new(&arena);
         Self {
             synths,
             max_lines: options.max_lines.clamp(1, MAX_WINDOW_LINES),
             max_gates: options.max_window_gates.max(2),
             max_skips: options.max_commute_skips,
-            clean: vec![false; arena.slot_count()],
-            poisoned: vec![0; arena.num_lines()],
+            input: Cascade::of(circuit),
+            output: None,
+            copied: 0,
+            poisoned: vec![0; circuit.num_lines()],
             epoch: 0,
             memo: HashMap::new(),
             window: Vec::new(),
             skipped: Vec::new(),
             table: [0; MAX_WINDOW_STATES],
             removed: Vec::new(),
-            supports,
-            arena,
         }
     }
 
     /// One sweep over the cascade. Returns `true` when at least one window
-    /// was spliced.
+    /// was spliced; the rebuilt cascade is then the next pass's input.
     fn pass(&mut self, stats: &mut ResynthStats) -> bool {
-        let mut changed = false;
-        let mut cursor = self.arena.first();
-        while let Some(id) = cursor {
-            if self.clean[id] {
+        let mut id = 0;
+        while id < self.input.len() {
+            if self.input.clean[id] {
                 // Its growth would read the same gates and reach the same
                 // verdict, so step over it as that rejection would.
                 stats.clean_skips += 1;
-                cursor = self.arena.next_live(id);
+                id += 1;
                 continue;
             }
             match self.visit(id, stats) {
                 Visit::Unchanged => {
-                    self.clean[id] = true;
-                    cursor = self.arena.next_live(id);
+                    self.input.clean[id] = true;
+                    id += 1;
                 }
-                Visit::Spliced { resume } => {
-                    changed = true;
-                    cursor = resume;
-                }
+                Visit::Spliced { resume } => id = resume,
             }
         }
-        changed
+        let Some(mut output) = self.output.take() else {
+            return false;
+        };
+        output.copy(&self.input, self.copied..self.input.len());
+        self.input = output;
+        self.copied = 0;
+        true
     }
 
     /// Grows, costs and possibly splices the window starting at `id`.
@@ -386,9 +448,10 @@ impl<'a> Sweep<'a> {
                 self.memo.entry(key.into()).or_insert(raced)
             }
         };
+        let supports = &self.input.supports;
         self.removed.clear();
         self.removed
-            .extend(self.window.iter().map(|&w| self.supports.of(w).len() - 1));
+            .extend(self.window.iter().map(|&w| supports.of(w).len() - 1));
         let accepted = best.as_ref().and_then(|best| {
             let cost = RewriteCost::of_controls(&self.removed, &best.controls);
             cost.accepted().then_some((best, cost))
@@ -420,22 +483,22 @@ impl<'a> Sweep<'a> {
     /// skipped line cannot join, or the commuting argument — and the
     /// splice — would be unsound).
     ///
-    /// Reads at most `max_gates + max_skips` live gates after `id`.
-    /// Returns the window's support and how many skipped gates lie inside
-    /// its span, or `None` when no window of at least two gates forms.
+    /// Reads at most `max_gates + max_skips` gates after `id`. Returns the
+    /// window's support and how many skipped gates lie inside its span, or
+    /// `None` when no window of at least two gates forms.
     fn grow(&mut self, id: usize) -> Option<(WindowSupport, usize)> {
-        let mut support = WindowSupport::of(self.supports.of(id), self.max_lines)?;
+        let supports = &self.input.supports;
+        let mut support = WindowSupport::of(supports.of(id), self.max_lines)?;
         self.window.clear();
         self.window.push(id);
         self.skipped.clear();
         self.epoch += 1;
         let mut inside = 0;
-        let mut j = self.arena.next_live(id);
-        while let Some(jid) = j {
+        for jid in id + 1..self.input.len() {
             if self.window.len() >= self.max_gates {
                 break;
             }
-            let lines = self.supports.of(jid);
+            let lines = supports.of(jid);
             let overlaps_window = lines.iter().any(|&l| support.contains(l));
             let overlaps_skipped = lines.iter().any(|&l| self.poisoned[l] == self.epoch);
             if overlaps_window && !overlaps_skipped {
@@ -453,7 +516,6 @@ impl<'a> Sweep<'a> {
             } else {
                 break;
             }
-            j = self.arena.next_live(jid);
         }
         (self.window.len() >= 2).then_some((support, inside))
     }
@@ -471,9 +533,9 @@ impl<'a> Sweep<'a> {
             }
         }
         for &id in &self.window {
-            let gate = self.arena.gate(id);
+            let gate = self.input.arena.gate(id);
             let mut fire = [u64::MAX; LANE_WORDS];
-            for &line in self.supports.of(id) {
+            for &line in self.input.supports.of(id) {
                 let Some(positive) = gate.control_on(line) else {
                     continue; // the target
                 };
@@ -510,8 +572,9 @@ impl<'a> Sweep<'a> {
     ) -> Option<Candidate> {
         let k = support.len;
         let mut sub = Circuit::new(k);
+        let arena = &self.input.arena;
         for &w in &self.window {
-            sub.add_gate(self.arena.materialize(w).remapped(|l| support.local(l)));
+            sub.add_gate(arena.materialize(w).remapped(|l| support.local(l)));
         }
         let perm: Vec<u64> = self.table[..states].iter().map(|&y| u64::from(y)).collect();
         debug_assert_eq!(
@@ -553,31 +616,32 @@ impl<'a> Sweep<'a> {
         })
     }
 
-    /// Splices `replacement` (on circuit lines) in before the window's
-    /// first gate, drops the window, and marks dirty every start whose
-    /// growth may read a changed position: the `max_gates + max_skips`
-    /// live gates before the window (growth reads no further ahead), the
-    /// gates the window commuted past inside its span, and the inserted
-    /// gates. Returns the gate that followed the window.
-    fn splice(&mut self, replacement: &[PackedGateBuf], inside: usize) -> Option<usize> {
+    /// Splices `replacement` (on circuit lines) in place of the window.
+    /// The output gets, in order, the input gates not yet copied that lie
+    /// before the window, with their clean flags; the replacement; and the
+    /// gates the window commuted past inside its span. Marks dirty every
+    /// start whose growth may read a changed position: the last
+    /// `max_gates + max_skips` gates written before the replacement
+    /// (growth reads no further ahead), the replacement and the
+    /// commuted-past gates. Returns the input gate after the window.
+    fn splice(&mut self, replacement: &[PackedGateBuf], inside: usize) -> usize {
         let first = self.window[0];
-        let last = *self.window.last().expect("non-empty window");
-        let resume = self.arena.next_live(last);
+        let resume = self.window[self.window.len() - 1] + 1;
+        let input = &self.input;
+        let output = self
+            .output
+            .get_or_insert_with(|| Cascade::empty_like(input));
+        output.copy(input, self.copied..first);
         let reach = self.max_gates.saturating_add(self.max_skips);
-        for id in self.arena.window_before(first, reach) {
-            self.clean[id] = false;
+        let from = output.len().saturating_sub(reach);
+        output.clean[from..].fill(false);
+        for buf in replacement {
+            output.push(buf.view());
         }
         for &id in &self.skipped[..inside] {
-            self.clean[id] = false;
+            output.push(input.arena.gate(id));
         }
-        for buf in replacement {
-            let id = self.arena.insert_before(first, buf);
-            self.supports.record(&self.arena, id);
-            self.clean.push(false);
-        }
-        for &w in &self.window {
-            self.arena.remove(w);
-        }
+        self.copied = resume;
         resume
     }
 }
@@ -592,11 +656,10 @@ impl<'a> Sweep<'a> {
 /// that order (a splice may add a gate when it strictly cuts T-count),
 /// so the sweep loop terminates and a second run is a no-op.
 ///
-/// The run edits one arena through every pass and keeps a memo from
-/// window permutation to cheapest sound candidate, so the back-ends race
-/// once per distinct permutation. A pass steps over starts that are
-/// still clean: growth from a start reads only the
-/// `max_window_gates + max_commute_skips` live gates after it, and every
+/// The run keeps a memo from window permutation to cheapest sound
+/// candidate, so the back-ends race once per distinct permutation. A
+/// pass steps over starts that are still clean: growth from a start reads
+/// only the `max_window_gates + max_commute_skips` gates after it, and every
 /// splice marks dirty each start that could read one of the positions it
 /// changed, so a clean start would find the same window-less or rejected
 /// growth again. The output, `windows_accepted`, the gate/T deltas and
@@ -608,7 +671,7 @@ pub fn resynthesize(
     options: &ResynthOptions,
     synths: &[&dyn WindowSynthesizer],
 ) -> Resynthesized {
-    let mut sweep = Sweep::new(circuit.clone().into_arena(), options, synths);
+    let mut sweep = Sweep::new(circuit, options, synths);
     let mut stats = ResynthStats::default();
     loop {
         stats.passes += 1;
@@ -616,7 +679,7 @@ pub fn resynthesize(
             break;
         }
     }
-    let out = Circuit::from_arena(sweep.arena);
+    let out = Circuit::from_arena(sweep.input.arena);
     let (before, after) = (circuit.cost(), out.cost());
     assert!(
         (after.t_count, after.gates) <= (before.t_count, before.gates),
@@ -978,5 +1041,53 @@ mod tests {
         let out = resynthesize_checked(&c, &TIGHT, &[&IdentitySynth]).unwrap();
         assert_eq!(out.circuit.gates(), vec![Gate::cnot(7, 8)]);
         assert_eq!((out.stats.windows_accepted, out.stats.passes), (3, 4));
+    }
+
+    /// Answers the permutation of CNOT(0, 2) on three lines with a padded
+    /// realization: one more gate than a two-Toffoli window, but no T.
+    struct PaddedCnotSynth;
+    impl WindowSynthesizer for PaddedCnotSynth {
+        fn synthesize(&self, perm: &[u64]) -> Option<Circuit> {
+            let mut c = Circuit::new(3);
+            c.cnot(0, 2);
+            if c.permutation().ok()? != perm {
+                return None;
+            }
+            c.not(1);
+            c.not(1);
+            Some(c)
+        }
+    }
+
+    #[test]
+    fn a_splice_writes_the_replacement_then_the_gates_it_commuted_past() {
+        // Toffoli(0,1,2) · Toffoli(0,¬1,2) computes CNOT(0,2), and growth
+        // from the first Toffoli commutes past CNOT(4,5) to reach the
+        // second. The accepted replacement has more gates but lower T.
+        // It lands where the window began, followed by the gate commuted
+        // past inside the window's span, then the rest of the cascade.
+        let mut c = Circuit::new(8);
+        c.cnot(6, 7);
+        c.toffoli(0, 1, 2);
+        c.cnot(4, 5);
+        c.mct(vec![Control::positive(0), Control::negative(1)], 2);
+        c.not(3);
+        let out =
+            resynthesize_checked(&c, &ResynthOptions::default(), &[&PaddedCnotSynth]).unwrap();
+        assert_eq!(
+            out.circuit.gates(),
+            vec![
+                Gate::cnot(6, 7),
+                Gate::cnot(0, 2),
+                Gate::not(1),
+                Gate::not(1),
+                Gate::cnot(4, 5),
+                Gate::not(3),
+            ]
+        );
+        let s = out.stats;
+        assert_eq!((s.windows_accepted, s.passes), (1, 2));
+        assert_eq!((s.gates_removed, s.gates_added), (2, 3));
+        assert_eq!((s.t_removed, s.t_added), (14, 0));
     }
 }

@@ -22,7 +22,6 @@ use crate::circuit::Circuit;
 use crate::gate::{Control, Gate};
 use crate::opt::rules::{MergeRule, RewriteCost};
 use crate::opt::{equivalence_witness, OptOptions, OptStats, Optimized, UnionFind};
-use crate::packed::{GateArena, PackedGateBuf};
 use crate::resynth::{
     ResynthOptions, ResynthStats, Resynthesized, WindowSynthesizer, MAX_WINDOW_LINES,
 };
@@ -92,9 +91,9 @@ pub fn arb_permutation(r: usize) -> impl Strategy<Value = Vec<u64>> {
 
 /// The reference windowed-resynthesis pass: the same window growth,
 /// candidate race and acceptance as [`crate::resynth::resynthesize`], but
-/// with none of its shortcuts. Every pass clones the circuit into a fresh
-/// arena, re-extracts the window at every start from the legacy [`Gate`]
-/// view, and races the back-ends on every window.
+/// with none of its shortcuts. Every pass works on the circuit's legacy
+/// [`Gate`] list, re-extracts the window at every start, races the
+/// back-ends on every window, and splices with `Vec::splice`.
 ///
 /// The production pass must return the identical circuit and identical
 /// `windows_accepted`, gate/T deltas and `passes`. Here
@@ -105,13 +104,17 @@ pub fn resynthesize_full_sweep(
     options: &ResynthOptions,
     synths: &[&dyn WindowSynthesizer],
 ) -> Resynthesized {
-    let mut out = circuit.clone();
+    let mut gates = circuit.gates();
     let mut stats = ResynthStats::default();
     loop {
         stats.passes += 1;
-        if !full_sweep(&mut out, options, synths, &mut stats) {
+        if !full_sweep(&mut gates, options, synths, &mut stats) {
             break;
         }
+    }
+    let mut out = Circuit::new(circuit.num_lines());
+    for gate in gates {
+        out.add_gate(gate);
     }
     Resynthesized {
         circuit: out,
@@ -130,34 +133,32 @@ fn support_of(gate: &Gate) -> Vec<usize> {
 /// One full sweep over the cascade. Returns `true` when at least one
 /// window was spliced.
 fn full_sweep(
-    circuit: &mut Circuit,
+    list: &mut Vec<Gate>,
     options: &ResynthOptions,
     synths: &[&dyn WindowSynthesizer],
     stats: &mut ResynthStats,
 ) -> bool {
     let max_lines = options.max_lines.clamp(1, MAX_WINDOW_LINES);
     let max_gates = options.max_window_gates.max(2);
-    let mut list: GateArena = circuit.clone().into_arena();
     let mut changed = false;
-    let mut cursor = list.first();
-    while let Some(id) = cursor {
+    let mut id = 0;
+    while id < list.len() {
         // Greedy growth: a gate sharing a line with the window joins while
         // the union support fits; a gate on disjoint lines is skipped and
         // poisons its lines; anything else stops growth.
-        let mut support = support_of(&list.materialize(id));
+        let mut support = support_of(&list[id]);
         if support.len() > max_lines {
-            cursor = list.next_live(id);
+            id += 1;
             continue;
         }
         let mut ids = vec![id];
         let mut skipped_lines: Vec<usize> = Vec::new();
         let mut skips_left = options.max_commute_skips;
-        let mut j = list.next_live(id);
-        while let Some(jid) = j {
+        for (jid, gate) in list.iter().enumerate().skip(id + 1) {
             if ids.len() >= max_gates {
                 break;
             }
-            let lines = support_of(&list.materialize(jid));
+            let lines = support_of(gate);
             let overlaps_window = lines.iter().any(|l| support.contains(l));
             let overlaps_skipped = lines.iter().any(|l| skipped_lines.contains(l));
             if overlaps_window && !overlaps_skipped {
@@ -175,10 +176,9 @@ fn full_sweep(
             } else {
                 break;
             }
-            j = list.next_live(jid);
         }
         if ids.len() < 2 {
-            cursor = list.next_live(id);
+            id += 1;
             continue;
         }
         stats.windows_attempted += 1;
@@ -189,7 +189,7 @@ fn full_sweep(
         }
         let mut sub = Circuit::new(k);
         for &w in &ids {
-            sub.add_gate(list.materialize(w).remapped(|l| to_local[l]));
+            sub.add_gate(list[w].remapped(|l| to_local[l]));
         }
         let perm = sub
             .permutation()
@@ -212,14 +212,14 @@ fn full_sweep(
                 best = Some(candidate);
             }
         }
-        let removed: Vec<usize> = ids.iter().map(|&w| list.gate(w).num_controls()).collect();
+        let removed: Vec<usize> = ids.iter().map(|&w| list[w].num_controls()).collect();
         let cost = best.as_ref().map(|b| {
             let added: Vec<usize> = b.packed().iter().map(|(_, g)| g.num_controls()).collect();
             RewriteCost::of_controls(&removed, &added)
         });
         let Some(cost) = cost.filter(RewriteCost::accepted) else {
             stats.windows_rejected += 1;
-            cursor = list.next_live(id);
+            id += 1;
             continue;
         };
         let replacement = best.expect("accepted implies a candidate");
@@ -228,22 +228,23 @@ fn full_sweep(
         stats.gates_added += cost.gates_added as u64;
         stats.t_removed += cost.t_removed;
         stats.t_added += cost.t_added;
-        // Splice: the replacement goes in before the window's first gate
-        // (every window gate commutes with the skipped gates it passes),
-        // then the window's gates go.
-        let resume = list.next_live(*ids.last().expect("non-empty window"));
-        for g in replacement.gates() {
-            let buf = PackedGateBuf::from_gate(&g.remapped(|l| support[l]));
-            list.insert_before(ids[0], &buf);
-        }
-        for &w in &ids {
-            list.remove(w);
-        }
+        // Splice: the window's span becomes the replacement followed by
+        // the gates the window skipped inside it (every window gate
+        // commutes with them); the sweep resumes after the span.
+        let (first, last) = (ids[0], ids[ids.len() - 1]);
+        let span: Vec<Gate> = replacement
+            .gates()
+            .iter()
+            .map(|g| g.remapped(|l| support[l]))
+            .chain(
+                (first..=last)
+                    .filter(|j| !ids.contains(j))
+                    .map(|j| list[j].clone()),
+            )
+            .collect();
+        id = first + span.len();
+        list.splice(first..=last, span);
         changed = true;
-        cursor = resume;
-    }
-    if changed {
-        *circuit = Circuit::from_arena(list);
     }
     changed
 }

@@ -333,12 +333,7 @@ proptest! {
         for (op, pick, x, y) in edits {
             let at = pick as usize % model.len().max(1);
             match (op % 8, model.get(at).cloned()) {
-                (0, Some((id, _))) => {
-                    let gate = wide_gate(n, (x, y, pick));
-                    let new = arena.insert_before(id, &PackedGateBuf::from_gate(&gate));
-                    model.insert(at, (new, gate));
-                }
-                (0 | 1, None) => {
+                (0, _) => {
                     let gate = wide_gate(n, (x, y, pick));
                     let new = arena.push(&gate);
                     model.push((new, gate));
@@ -404,7 +399,9 @@ proptest! {
             }
             prop_assert_eq!(arena.num_lines(), n);
             prop_assert_eq!(arena.len(), model.len());
+            // Slot order is circuit order.
             let ids: Vec<usize> = arena.iter().map(|(id, _)| id).collect();
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids out of order: {:?}", ids);
             let want: Vec<usize> = model.iter().map(|&(id, _)| id).collect();
             prop_assert_eq!(ids, want);
             for (id, gate) in &model {
