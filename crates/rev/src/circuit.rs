@@ -205,9 +205,8 @@ impl Circuit {
     /// Panics if `other` uses more lines than `self`.
     pub fn extend_from(&mut self, other: &Circuit) {
         assert!(other.num_lines() <= self.num_lines(), "line-space mismatch");
-        for (_, g) in other.arena.iter() {
-            self.arena.push_view(g);
-        }
+        self.arena
+            .extend_from_slots(&other.arena, 0..other.num_gates());
     }
 
     /// The inverse circuit. MPMCT gates are self-inverse, so this is just

@@ -43,7 +43,7 @@
 //! place: removal clears a slot's live flag and a rewrite overwrites a
 //! slot, so ids stay stable until [`GateArena::compact`]. Windowed
 //! resynthesis ([`crate::resynth`]) splices by rebuilding its cascade
-//! into a fresh arena instead. The legacy [`Gate`] view is materialized
+//! into a second arena instead. The legacy [`Gate`] view is materialized
 //! only at API boundaries (`io`, diagnostics, `gates()`, resynthesis
 //! window extraction).
 
@@ -505,6 +505,14 @@ impl GateArena {
         let start = self.words.len();
         self.words.extend_from_slice(view.words);
         self.new_slot(start, view.target)
+    }
+
+    /// Drops every gate and keeps the storage.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.slots.clear();
+        self.live.clear();
+        self.len = 0;
     }
 
     /// Appends `other`'s slots `ids` with one copy of their entries. The

@@ -42,9 +42,9 @@
 //! Passes repeat until a full sweep accepts nothing, so the result is a
 //! fixpoint: running the pass on its own output changes nothing. A pass
 //! reads its input arena by index and copies nothing until its first
-//! splice; from there it rebuilds the cascade into a fresh arena, each
-//! replacement appended where its window began, and that arena is the
-//! next pass's input. A pass steps over *clean* starts: a start whose
+//! splice; from there it rebuilds the cascade into a second arena, each
+//! replacement appended where its window began, and the two arenas
+//! trade places for the next pass. A pass steps over *clean* starts: a start whose
 //! growth found no window, or a rejected one, stays clean until a splice
 //! changes one of the gates its growth reads (see [`resynthesize`]). The
 //! checked entry point [`resynthesize_checked`] mirrors the soundness
@@ -222,34 +222,36 @@ struct Cascade {
 }
 
 impl Cascade {
-    /// A circuit's gates, every start dirty.
-    fn of(circuit: &Circuit) -> Self {
-        let mut supports = SupportTable {
-            offsets: vec![0],
-            lines: Vec::new(),
-        };
-        for (_, gate) in circuit.packed() {
-            supports.push(gate);
-        }
+    /// An empty cascade over `num_lines` lines.
+    fn new(num_lines: usize) -> Self {
         Self {
-            arena: circuit.packed().clone(),
-            supports,
-            clean: vec![false; circuit.num_gates()],
+            arena: GateArena::new(num_lines),
+            supports: SupportTable {
+                offsets: vec![0],
+                lines: Vec::new(),
+            },
+            clean: Vec::new(),
         }
     }
 
-    /// An empty cascade on `like`'s lines, with room for its gates.
-    fn empty_like(like: &Cascade) -> Self {
-        let mut offsets = Vec::with_capacity(like.supports.offsets.len());
-        offsets.push(0);
-        Self {
-            arena: GateArena::new(like.arena.num_lines()),
-            supports: SupportTable {
-                offsets,
-                lines: Vec::with_capacity(like.supports.lines.len()),
-            },
-            clean: Vec::with_capacity(like.len()),
+    /// A circuit's gates, every start dirty.
+    fn of(circuit: &Circuit) -> Self {
+        let mut cascade = Self::new(circuit.num_lines());
+        for (_, gate) in circuit.packed() {
+            cascade.supports.push(gate);
         }
+        cascade.arena = circuit.packed().clone();
+        cascade.clean = vec![false; circuit.num_gates()];
+        cascade
+    }
+
+    /// Drops every gate and keeps the storage.
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.supports.offsets.clear();
+        self.supports.offsets.push(0);
+        self.supports.lines.clear();
+        self.clean.clear();
     }
 
     /// Appends gates `ids` of `from` with their supports and clean flags.
@@ -355,9 +357,11 @@ struct Sweep<'a> {
     max_skips: usize,
     /// The current pass's input, read by index.
     input: Cascade,
-    /// The current pass's output, from its first splice on.
-    output: Option<Cascade>,
-    /// Input gates `0..copied` are spliced into or copied to `output`.
+    /// The current pass's output, written from its first splice on; the
+    /// storage of the pass before last otherwise.
+    output: Cascade,
+    /// Input gates `0..copied` are spliced into or copied to `output`;
+    /// zero until the pass splices.
     copied: usize,
     /// `poisoned[line] == epoch`: a gate the current growth skipped
     /// touches `line`.
@@ -389,7 +393,7 @@ impl<'a> Sweep<'a> {
             max_gates: options.max_window_gates.max(2),
             max_skips: options.max_commute_skips,
             input: Cascade::of(circuit),
-            output: None,
+            output: Cascade::new(circuit.num_lines()),
             copied: 0,
             poisoned: vec![0; circuit.num_lines()],
             epoch: 0,
@@ -421,11 +425,12 @@ impl<'a> Sweep<'a> {
                 Visit::Spliced { resume } => id = resume,
             }
         }
-        let Some(mut output) = self.output.take() else {
+        if self.copied == 0 {
             return false;
-        };
-        output.copy(&self.input, self.copied..self.input.len());
-        self.input = output;
+        }
+        self.output.copy(&self.input, self.copied..self.input.len());
+        std::mem::swap(&mut self.input, &mut self.output);
+        self.output.clear();
         self.copied = 0;
         true
     }
@@ -627,10 +632,7 @@ impl<'a> Sweep<'a> {
     fn splice(&mut self, replacement: &[PackedGateBuf], inside: usize) -> usize {
         let first = self.window[0];
         let resume = self.window[self.window.len() - 1] + 1;
-        let input = &self.input;
-        let output = self
-            .output
-            .get_or_insert_with(|| Cascade::empty_like(input));
+        let (input, output) = (&self.input, &mut self.output);
         output.copy(input, self.copied..first);
         let reach = self.max_gates.saturating_add(self.max_skips);
         let from = output.len().saturating_sub(reach);
