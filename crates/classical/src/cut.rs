@@ -168,16 +168,6 @@ pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Cut>> {
     cuts
 }
 
-/// Computes the truth table of `root` as a function of the cut leaves
-/// (≤ 4 leaves → `u16` table; leaf `i` is variable `i`).
-///
-/// # Panics
-///
-/// Panics if the cut has more than 4 leaves.
-pub fn cut_truth_table(aig: &Aig, root: usize, cut: &Cut) -> u16 {
-    CutEvaluator::new(aig.num_nodes()).truth_table(aig, root, cut)
-}
-
 /// Evaluates cut functions on one reused buffer: a `(stamp, value)` slot
 /// per AIG node, whose value belongs to the current evaluation when its
 /// stamp does. Nothing is cleared or allocated between cuts.
@@ -195,7 +185,8 @@ impl CutEvaluator {
         }
     }
 
-    /// [`cut_truth_table`] on this evaluator's buffer.
+    /// The truth table of `root` as a function of the cut leaves (≤ 4
+    /// leaves → `u16` table; leaf `i` is variable `i`).
     ///
     /// # Panics
     ///
@@ -312,7 +303,7 @@ mod tests {
             .find(|c| c.leaves() == [1, 2, 3, 4])
             .unwrap()
             .clone();
-        let tt = cut_truth_table(&aig, f.node(), &cut);
+        let tt = CutEvaluator::new(aig.num_nodes()).truth_table(&aig, f.node(), &cut);
         for x in 0..16u64 {
             let expected = aig.eval(x) & 1 == 1;
             // f is not complemented at the PO in this construction;

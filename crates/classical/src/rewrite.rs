@@ -1,13 +1,10 @@
 //! AIG optimization: the crate's stand-in for ABC's `dc2` / `resyn2`.
 //!
-//! Three passes, composed and iterated by [`optimize_aig`]:
+//! Two passes, composed and iterated by [`optimize_aig`]:
 //!
-//! 1. **Strash rebuild** — reconstructs the AIG bottom-up through the
-//!    structural-hashing constructor, folding constants and duplicate
-//!    structure introduced by earlier passes.
-//! 2. **Balance** — collects maximal AND trees and rebuilds them as
+//! 1. **Balance** — collects maximal AND trees and rebuilds them as
 //!    balanced trees (reduces depth, often exposes sharing).
-//! 3. **Fraig-lite** — for AIGs with ≤ 16 inputs, computes the exact truth
+//! 2. **Fraig-lite** — for AIGs with ≤ 16 inputs, computes the exact truth
 //!    table of every node and merges functionally equivalent (or
 //!    antivalent) nodes. This is exact (no SAT needed) because the whole
 //!    input space fits in the simulation vectors. Tables are kept once
@@ -19,6 +16,19 @@
 //!    NEWTON(16)'s 16-input front end peaks near 0.5 GB. Simulation-based
 //!    exact fraiging follows Mishchenko et al., "FRAIGs: A unifying
 //!    representation for logic synthesis and verification" (2005).
+//!
+//! Each pass builds its output once, through the structural-hashing
+//! constructor [`Aig::and`], which folds constants and duplicate
+//! structure as it goes. The output keeps the nodes that no output
+//! reaches, so `optimize_aig` carries each AIG together with its live
+//! set ([`Aig::live_nodes`]) instead of cleaning it: the next pass visits
+//! only live nodes, counts fanouts over live nodes only, and the stop
+//! rule compares live AND counts. An AIG's live nodes, in order, are the
+//! nodes of its cleanup, in order, so every round builds, node for node,
+//! what the public [`balance`] and [`fraig_exact`] (which visit every node
+//! and clean their output) build from a cleaned input. One
+//! [`Aig::cleanup`] at the end drops the dead nodes; it renumbers, without
+//! a lookup.
 
 use qda_logic::aig::{Aig, Lit};
 use qda_logic::hash::FxHashMap;
@@ -30,7 +40,7 @@ use qda_logic::tt::TruthTable;
 /// for the same optimization share one optimized AIG).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct OptimizeOptions {
-    /// Number of rebuild+balance rounds.
+    /// Number of balance+fraig rounds.
     pub rounds: usize,
     /// Enable the exact fraig pass for ≤ `fraig_limit`-input AIGs.
     pub fraig_limit: usize,
@@ -65,49 +75,71 @@ impl Default for OptimizeOptions {
 /// assert!(opt.num_ands() <= aig.num_ands());
 /// ```
 pub fn optimize_aig(aig: &Aig, options: &OptimizeOptions) -> Aig {
-    let mut cur = aig.cleanup();
+    // `cur` is `aig` until a round improves on it. Each round's AIGs keep
+    // their dead nodes; the live sets stand in for a cleanup.
+    let mut cur: Option<Aig> = None;
+    let mut live = aig.live_nodes();
+    let mut live_ands = count_ands(aig, &live);
     for _ in 0..options.rounds {
-        let balanced = balance(&cur);
-        let fraiged = if balanced.num_pis() <= options.fraig_limit {
-            fraig_exact(&balanced)
+        let balanced = balance_nodes(cur.as_ref().unwrap_or(aig), &live);
+        let balanced_live = balanced.live_nodes();
+        let (fraiged, fraiged_live) = if balanced.num_pis() <= options.fraig_limit {
+            let fraiged = fraig_nodes(&balanced, &balanced_live);
+            let fraiged_live = fraiged.live_nodes();
+            (fraiged, fraiged_live)
         } else {
-            balanced
+            (balanced, balanced_live)
         };
-        if fraiged.num_ands() >= cur.num_ands() {
+        let fraiged_ands = count_ands(&fraiged, &fraiged_live);
+        if fraiged_ands >= live_ands {
             break;
         }
-        cur = fraiged;
+        (cur, live, live_ands) = (Some(fraiged), fraiged_live, fraiged_ands);
     }
-    cur
+    cur.as_ref().unwrap_or(aig).cleanup()
+}
+
+/// The number of AND nodes `visit` marks.
+fn count_ands(aig: &Aig, visit: &[bool]) -> usize {
+    visit[aig.num_pis() + 1..].iter().filter(|&&v| v).count()
 }
 
 /// Rebuilds the AIG with balanced AND trees.
 ///
 /// Maximal single-fanout AND chains are collected into n-ary conjunctions
-/// and re-emitted as balanced trees, reducing logic depth.
+/// and re-emitted as balanced trees, reducing logic depth. Every node of
+/// the input is rebuilt, dead ones included, and the result is cleaned.
 pub fn balance(aig: &Aig) -> Aig {
-    let fanout = fanout_counts(aig);
+    balance_nodes(aig, &vec![true; aig.num_nodes()]).cleanup()
+}
+
+/// [`balance`] over the AND nodes `visit` marks, with fanouts counted over
+/// those nodes only; the output is not cleaned. With `visit` the live set,
+/// this is `balance` of the cleaned input: the same `and` calls in the
+/// same order, so the same output, node for node.
+fn balance_nodes(aig: &Aig, visit: &[bool]) -> Aig {
+    let fanout = fanout_counts(aig, visit);
     let mut out = Aig::new(aig.num_pis());
+    out.reserve(count_ands(aig, visit));
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for (i, m) in map.iter_mut().enumerate().take(aig.num_pis() + 1) {
         *m = Lit::new(i, false);
     }
-    for n in (aig.num_pis() + 1)..aig.num_nodes() {
+    let (mut leaves, mut mapped) = (Vec::new(), Vec::new());
+    for n in (aig.num_pis() + 1..aig.num_nodes()).filter(|&n| visit[n]) {
         // Collect the maximal AND tree rooted here, stopping at
         // multi-fanout or complemented edges.
-        let mut leaves = Vec::new();
+        leaves.clear();
         collect_and_leaves(aig, Lit::new(n, false), n, &fanout, &mut leaves);
-        let mapped: Vec<Lit> = leaves
-            .iter()
-            .map(|l| map[l.node()] ^ l.is_complement())
-            .collect();
+        mapped.clear();
+        mapped.extend(leaves.iter().map(|l| map[l.node()] ^ l.is_complement()));
         map[n] = out.and_many(&mapped);
     }
     for po in aig.pos() {
         let l = map[po.node()] ^ po.is_complement();
         out.add_po(l);
     }
-    out.cleanup()
+    out
 }
 
 fn collect_and_leaves(aig: &Aig, lit: Lit, root: usize, fanout: &[usize], leaves: &mut Vec<Lit>) {
@@ -122,9 +154,11 @@ fn collect_and_leaves(aig: &Aig, lit: Lit, root: usize, fanout: &[usize], leaves
     }
 }
 
-fn fanout_counts(aig: &Aig) -> Vec<usize> {
+/// Fanouts of every node from the AND nodes `visit` marks and from the
+/// outputs.
+fn fanout_counts(aig: &Aig, visit: &[bool]) -> Vec<usize> {
     let mut counts = vec![0usize; aig.num_nodes()];
-    for n in (aig.num_pis() + 1)..aig.num_nodes() {
+    for n in (aig.num_pis() + 1..aig.num_nodes()).filter(|&n| visit[n]) {
         let [a, b] = aig.fanins(n);
         counts[a.node()] += 1;
         counts[b.node()] += 1;
@@ -153,15 +187,29 @@ fn fanout_counts(aig: &Aig) -> Vec<usize> {
 ///
 /// Panics if the AIG has more than 20 inputs (table blow-up guard).
 pub fn fraig_exact(aig: &Aig) -> Aig {
+    fraig_nodes(aig, &vec![true; aig.num_nodes()]).cleanup()
+}
+
+/// [`fraig_exact`] over the AND nodes `visit` marks; the output is not
+/// cleaned. With `visit` the live set, this is `fraig_exact` of the
+/// cleaned input, node for node once cleaned. It is not `fraig_exact` of
+/// an input with dead nodes: a dead node can found a class that a live
+/// node then joins.
+///
+/// # Panics
+///
+/// Panics if the AIG has more than 20 inputs (table blow-up guard).
+fn fraig_nodes(aig: &Aig, visit: &[bool]) -> Aig {
     assert!(aig.num_pis() <= 20, "fraig_exact limited to 20 inputs");
     let n_in = aig.num_pis();
     let mut classes = ClassStore::new(n_in);
     let mut out = Aig::new(n_in);
     // func[node] = 2 * class + complement: the node computes its class's
-    // table, complemented when the low bit is set.
-    let mut func: Vec<u32> = Vec::with_capacity(aig.num_nodes());
-    func.extend((0..=n_in as u32).map(|class| 2 * class));
-    for n in (n_in + 1)..aig.num_nodes() {
+    // table, complemented when the low bit is set. A node not visited
+    // keeps a 0 that no visited node reads.
+    let mut func: Vec<u32> = (0..=n_in as u32).map(|class| 2 * class).collect();
+    func.resize(aig.num_nodes(), 0);
+    for n in (n_in + 1..aig.num_nodes()).filter(|&n| visit[n]) {
         let [a, b] = aig.fanins(n);
         let fa = func[a.node()] ^ u32::from(a.is_complement());
         let fb = func[b.node()] ^ u32::from(b.is_complement());
@@ -173,13 +221,13 @@ pub fn fraig_exact(aig: &Aig) -> Aig {
                 classes.insert(hash, rep)
             }
         };
-        func.push(2 * class + u32::from(complemented));
+        func[n] = 2 * class + u32::from(complemented);
     }
     for po in aig.pos() {
         let l = classes.lit(func[po.node()] ^ u32::from(po.is_complement()));
         out.add_po(l);
     }
-    out.cleanup()
+    out
 }
 
 /// End of a hash chain in [`ClassStore::next`].
@@ -456,7 +504,11 @@ mod tests {
             }
             cur = fraiged;
         }
-        assert_eq!(optimize_aig(aig, &options).num_nodes(), cur.num_nodes());
+        assert_same_aig(
+            &optimize_aig(aig, &options),
+            &cur,
+            &format!("{what}, optimize_aig"),
+        );
         checked
     }
 

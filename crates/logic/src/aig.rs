@@ -11,6 +11,7 @@
 //! inputs. Structural hashing makes node construction canonical.
 
 use crate::hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// A literal: a reference to an AIG node together with a complement flag.
@@ -175,13 +176,21 @@ impl Aig {
         if a == b {
             return a;
         }
-        if let Some(&n) = self.strash.get(&(a, b)) {
-            return Lit::new(n, false);
+        let next = self.fanins.len();
+        match self.strash.entry((a, b)) {
+            Entry::Occupied(node) => Lit::new(*node.get(), false),
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+                self.fanins.push([a, b]);
+                Lit::new(next, false)
+            }
         }
-        let n = self.fanins.len();
-        self.fanins.push([a, b]);
-        self.strash.insert((a, b), n);
-        Lit::new(n, false)
+    }
+
+    /// Reserves room for at least `additional` more AND nodes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.fanins.reserve(additional);
+        self.strash.reserve(additional);
     }
 
     /// OR via De Morgan.
@@ -282,20 +291,6 @@ impl Aig {
         }
     }
 
-    /// 64-way parallel simulation: `inputs[i]` carries 64 assignments for
-    /// PI `i`; returns one word per node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != num_pis`.
-    pub fn simulate_words(&self, inputs: &[u64]) -> Vec<u64> {
-        assert_eq!(inputs.len(), self.num_pis, "one word per PI expected");
-        let mut values = vec![0u64; self.fanins.len()];
-        values[1..=self.num_pis].copy_from_slice(inputs);
-        self.simulate_ands(&mut values);
-        values
-    }
-
     /// Fills the AND nodes' words of `values` (one word per node) from the
     /// constant's and the PIs' words already in it.
     fn simulate_ands(&self, values: &mut [u64]) {
@@ -326,39 +321,62 @@ impl Aig {
         self.pos.iter().map(|po| lv[po.node()]).max().unwrap_or(0)
     }
 
+    /// The nodes some output reaches: `live[n]` holds for every node in
+    /// the transitive fanin of a primary output (the constant and a PI only
+    /// when reached). One backward sweep over the node order, which is
+    /// topological, marks them.
+    pub fn live_nodes(&self) -> Vec<bool> {
+        let mut live = vec![false; self.fanins.len()];
+        for po in &self.pos {
+            live[po.node()] = true;
+        }
+        for n in (self.num_pis + 1..self.fanins.len()).rev() {
+            if live[n] {
+                let [a, b] = self.fanins[n];
+                live[a.node()] = true;
+                live[b.node()] = true;
+            }
+        }
+        live
+    }
+
     /// Removes nodes not reachable from any output, preserving PIs.
     /// Returns the cleaned AIG (node indices change).
+    ///
+    /// The kept AND nodes are renumbered in order, and the result is the
+    /// AIG that rebuilding them in order through [`Aig::and`] would make,
+    /// without a single lookup. Every AIG is built by `and`, so each node's
+    /// fanin pair is ordered, has no constant and no literal twice (or
+    /// with its complement), and no two nodes share a pair. An
+    /// order-preserving renumbering keeps all of that, so each kept pair is
+    /// pushed and entered into the structural hash once.
     pub fn cleanup(&self) -> Aig {
-        let mut reach = vec![false; self.fanins.len()];
-        let mut stack: Vec<usize> = self.pos.iter().map(|p| p.node()).collect();
-        while let Some(n) = stack.pop() {
-            if reach[n] || !self.is_and(n) {
-                reach[n] = true;
-                continue;
-            }
-            reach[n] = true;
-            let [a, b] = self.fanins[n];
-            stack.push(a.node());
-            stack.push(b.node());
-        }
+        let live = self.live_nodes();
+        let first_and = self.num_pis + 1;
+        let kept = live[first_and..].iter().filter(|&&l| l).count();
         let mut out = Aig::new(self.num_pis);
-        let mut map: Vec<Lit> = vec![Lit::FALSE; self.fanins.len()];
-        for (i, m) in map.iter_mut().enumerate().take(self.num_pis + 1) {
-            *m = Lit::new(i, false);
-        }
-        for n in (self.num_pis + 1)..self.fanins.len() {
-            if !reach[n] {
+        out.reserve(kept);
+        let mut map: Vec<Lit> = (0..first_and).map(|i| Lit::new(i, false)).collect();
+        map.resize(self.fanins.len(), Lit::FALSE);
+        for n in first_and..self.fanins.len() {
+            if !live[n] {
                 continue;
             }
             let [a, b] = self.fanins[n];
-            let la = map[a.node()] ^ a.is_complement();
-            let lb = map[b.node()] ^ b.is_complement();
-            map[n] = out.and(la, lb);
+            let pair = (
+                map[a.node()] ^ a.is_complement(),
+                map[b.node()] ^ b.is_complement(),
+            );
+            let m = out.fanins.len();
+            out.fanins.push([pair.0, pair.1]);
+            out.strash.insert(pair, m);
+            map[n] = Lit::new(m, false);
         }
-        for po in &self.pos {
-            let l = map[po.node()] ^ po.is_complement();
-            out.add_po(l);
-        }
+        out.pos = self
+            .pos
+            .iter()
+            .map(|po| map[po.node()] ^ po.is_complement())
+            .collect();
         out
     }
 
@@ -463,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_words_matches_eval() {
+    fn truth_tables_match_eval() {
         let mut aig = Aig::new(4);
         let pis: Vec<Lit> = (0..4).map(|i| aig.pi(i)).collect();
         let t = aig.xor(pis[0], pis[1]);

@@ -58,6 +58,52 @@ proptest! {
     }
 
     #[test]
+    fn cleanup_is_a_rebuild_through_and(aig in arb_aig()) {
+        // The reference: mark what the outputs reach by a depth-first
+        // search, then rebuild those nodes in order through `and`.
+        let mut reached = vec![false; aig.num_nodes()];
+        let mut stack: Vec<usize> = aig.pos().iter().map(|po| po.node()).collect();
+        while let Some(n) = stack.pop() {
+            if !reached[n] {
+                reached[n] = true;
+                if aig.is_and(n) {
+                    let [a, b] = aig.fanins(n);
+                    stack.extend([a.node(), b.node()]);
+                }
+            }
+        }
+        let mut rebuilt = Aig::new(aig.num_pis());
+        let mut map: Vec<Lit> = (0..aig.num_nodes()).map(|n| Lit::new(n, false)).collect();
+        for n in (aig.num_pis() + 1)..aig.num_nodes() {
+            if reached[n] {
+                let [a, b] = aig.fanins(n);
+                map[n] = rebuilt.and(
+                    map[a.node()] ^ a.is_complement(),
+                    map[b.node()] ^ b.is_complement(),
+                );
+            }
+        }
+        for po in aig.pos() {
+            rebuilt.add_po(map[po.node()] ^ po.is_complement());
+        }
+        let mut cleaned = aig.cleanup();
+        prop_assert_eq!(cleaned.num_nodes(), rebuilt.num_nodes());
+        for n in (aig.num_pis() + 1)..cleaned.num_nodes() {
+            prop_assert_eq!(cleaned.fanins(n), rebuilt.fanins(n));
+        }
+        prop_assert_eq!(cleaned.pos(), rebuilt.pos());
+        // The structural hash holds every kept node: `and` of a node's
+        // fanins, in either order, returns that node and adds none.
+        let num_nodes = cleaned.num_nodes();
+        for n in (aig.num_pis() + 1)..num_nodes {
+            let [a, b] = cleaned.fanins(n);
+            prop_assert_eq!(cleaned.and(a, b), Lit::new(n, false));
+            prop_assert_eq!(cleaned.and(b, a), Lit::new(n, false));
+        }
+        prop_assert_eq!(cleaned.num_nodes(), num_nodes);
+    }
+
+    #[test]
     fn cube_covers_matches_literal_scan(a in arb_cube(8), b in arb_cube(8)) {
         // The factoring pass asks whether a pairwise common cube covers a
         // cube; that pair always covers.
